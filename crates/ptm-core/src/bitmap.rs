@@ -208,7 +208,8 @@ impl Bitmap {
         out
     }
 
-    /// Rebuilds a bitmap from [`Bitmap::to_bytes`] output.
+    /// Rebuilds a bitmap from [`Bitmap::to_bytes`] output, one 64-bit word
+    /// per 8 bytes.
     ///
     /// # Errors
     ///
@@ -222,22 +223,23 @@ impl Bitmap {
                 large: bytes.len(),
             });
         }
-        let mut bitmap = Bitmap::new(len);
-        for (i, &byte) in bytes.iter().enumerate() {
-            bitmap.words[i / 8] |= (byte as u64) << ((i % 8) * 8);
+        let (whole, tail) = bytes.as_chunks::<8>();
+        let mut words = Vec::with_capacity(len.div_ceil(WORD_BITS));
+        words.extend(whole.iter().map(|&chunk| u64::from_le_bytes(chunk)));
+        if !tail.is_empty() {
+            let mut last = [0u8; 8];
+            last[..tail.len()].copy_from_slice(tail);
+            words.push(u64::from_le_bytes(last));
         }
         // Reject garbage beyond the logical length.
         let tail_bits = len % WORD_BITS;
-        if tail_bits != 0 {
-            let last = *bitmap.words.last().expect("non-empty");
-            if tail_bits < WORD_BITS && (last >> tail_bits) != 0 {
-                return Err(EstimateError::IncompatibleSizes {
-                    small: len,
-                    large: len + 1,
-                });
-            }
+        if tail_bits != 0 && words.last().is_some_and(|&last| last >> tail_bits != 0) {
+            return Err(EstimateError::IncompatibleSizes {
+                small: len,
+                large: len + 1,
+            });
         }
-        Ok(bitmap)
+        Ok(Self { words, len })
     }
 
     /// Iterator over the indices of the one bits.

@@ -2,6 +2,7 @@
 
 use crate::bitmap::Bitmap;
 use crate::encoding::{EncodingScheme, LocationId, VehicleSecrets};
+use crate::error::EstimateError;
 use crate::params::BitmapSize;
 use serde::{Deserialize, Serialize};
 
@@ -58,6 +59,29 @@ impl TrafficRecord {
             period,
             bitmap: Bitmap::new(size.get()),
         }
+    }
+
+    /// Wraps an existing bitmap, such as one decoded from the wire or an
+    /// archive. Unlike [`TrafficRecord::encode`], this counts no
+    /// `core.encode.*` metrics: its bits were counted when the RSU set them.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EstimateError::NotPowerOfTwo`] if the bitmap's length is
+    /// not a power of two.
+    pub fn from_bitmap(
+        location: LocationId,
+        period: PeriodId,
+        bitmap: Bitmap,
+    ) -> Result<Self, EstimateError> {
+        if !bitmap.is_power_of_two() {
+            return Err(EstimateError::NotPowerOfTwo { len: bitmap.len() });
+        }
+        Ok(Self {
+            location,
+            period,
+            bitmap,
+        })
     }
 
     /// The RSU location this record was produced at.
@@ -200,6 +224,19 @@ mod tests {
         let index = scheme.encode_index(&vehicle, LocationId::new(1), 256);
         via_report.set_reported_index(index);
         assert_eq!(record, via_report);
+    }
+
+    #[test]
+    fn from_bitmap_keeps_bits_and_rejects_non_power_of_two() {
+        let (scheme, vehicle, mut record) = setup();
+        record.encode(&scheme, &vehicle);
+        let rebuilt =
+            TrafficRecord::from_bitmap(record.location(), record.period(), record.bitmap().clone());
+        assert_eq!(rebuilt, Ok(record));
+        assert_eq!(
+            TrafficRecord::from_bitmap(LocationId::new(1), PeriodId::new(0), Bitmap::new(12)),
+            Err(EstimateError::NotPowerOfTwo { len: 12 })
+        );
     }
 
     #[test]

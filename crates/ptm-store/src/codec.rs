@@ -6,10 +6,16 @@
 //!
 //! All integers little-endian. The bitmap bytes use
 //! [`ptm_core::Bitmap::to_bytes`]'s stable layout.
+//!
+//! [`decode_record`] checks the length prefix, the power-of-two size, the
+//! byte count and that no bit beyond the size is set, then wraps the
+//! bitmap that [`ptm_core::Bitmap::from_bytes`] built, one word per 8
+//! bytes, in a record with [`TrafficRecord::from_bitmap`]. Decoding
+//! therefore counts no `core.encode.*` metric: those count RSU-side
+//! encodes.
 
 use ptm_core::bitmap::Bitmap;
 use ptm_core::encoding::LocationId;
-use ptm_core::params::BitmapSize;
 use ptm_core::record::{PeriodId, TrafficRecord};
 
 /// Storage-layer errors.
@@ -127,7 +133,9 @@ pub fn decode_record(payload: &[u8]) -> Result<TrafficRecord, StoreError> {
     let location = le_u64(&payload[0..8]);
     let period = le_u32(&payload[8..12]);
     let len = le_u64(&payload[12..20]) as usize;
-    let size = BitmapSize::new(len).map_err(StoreError::BadBitmapSize)?;
+    if !len.is_power_of_two() {
+        return Err(StoreError::BadBitmapSize(len));
+    }
     let expected_bytes = len.div_ceil(8);
     let rest = &payload[20..];
     if rest.len() != expected_bytes {
@@ -138,29 +146,27 @@ pub fn decode_record(payload: &[u8]) -> Result<TrafficRecord, StoreError> {
     let bitmap = Bitmap::from_bytes(len, rest).map_err(|err| StoreError::MalformedRecord {
         reason: format!("bitmap rejected: {err}"),
     })?;
-    let mut record = TrafficRecord::new(LocationId::new(location), PeriodId::new(period), size);
-    for idx in bitmap.iter_ones() {
-        record.set_reported_index(idx);
-    }
-    Ok(record)
+    TrafficRecord::from_bitmap(LocationId::new(location), PeriodId::new(period), bitmap)
+        .map_err(|_| StoreError::BadBitmapSize(len))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ptm_core::encoding::{EncodingScheme, VehicleSecrets};
+    use ptm_core::params::BitmapSize;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
-    fn sample_record(seed: u64) -> TrafficRecord {
+    fn sample_record(seed: u64, m: usize, vehicles: usize) -> TrafficRecord {
         let scheme = EncodingScheme::new(seed, 3);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut record = TrafficRecord::new(
             LocationId::new(12),
             PeriodId::new(3),
-            BitmapSize::new(2048).expect("pow2"),
+            BitmapSize::new(m).expect("pow2"),
         );
-        for _ in 0..500 {
+        for _ in 0..vehicles {
             let v = VehicleSecrets::generate(&mut rng, 3);
             record.encode(&scheme, &v);
         }
@@ -169,15 +175,39 @@ mod tests {
 
     #[test]
     fn roundtrip() {
-        let record = sample_record(1);
-        let bytes = encode_record(&record);
-        let back = decode_record(&bytes).expect("roundtrip");
-        assert_eq!(back, record);
+        // Every m = 2^k from a 1-bit map through sub-word sizes and the
+        // benchmark's 4096..32768 to 65536; load factor about 2.
+        for k in 0..=16u32 {
+            let m = 1usize << k;
+            let record = sample_record(u64::from(k) + 1, m, m.div_ceil(2));
+            let bytes = encode_record(&record);
+            assert_eq!(bytes.len(), 20 + m.div_ceil(8), "m {m}");
+            let back = decode_record(&bytes).expect("roundtrip");
+            assert_eq!(back, record, "m {m}");
+        }
+    }
+
+    #[test]
+    fn set_bit_beyond_len_is_malformed() {
+        for m in [1usize, 2, 4] {
+            let record = sample_record(9, m, 0);
+            for bit in m..8 {
+                let mut bytes = encode_record(&record);
+                bytes[20] |= 1 << bit;
+                assert!(
+                    matches!(
+                        decode_record(&bytes),
+                        Err(StoreError::MalformedRecord { .. })
+                    ),
+                    "m {m} bit {bit}"
+                );
+            }
+        }
     }
 
     #[test]
     fn truncated_payload_rejected() {
-        let record = sample_record(2);
+        let record = sample_record(2, 2048, 500);
         let bytes = encode_record(&record);
         for cut in [0usize, 10, 19, bytes.len() - 1] {
             assert!(decode_record(&bytes[..cut]).is_err(), "cut {cut}");
@@ -186,7 +216,7 @@ mod tests {
 
     #[test]
     fn non_power_of_two_size_rejected() {
-        let record = sample_record(3);
+        let record = sample_record(3, 2048, 500);
         let mut bytes = encode_record(&record);
         bytes[12..20].copy_from_slice(&1000u64.to_le_bytes());
         assert!(matches!(

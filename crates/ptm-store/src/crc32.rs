@@ -1,16 +1,23 @@
-//! CRC-32 (IEEE 802.3 polynomial, reflected), table-driven.
+//! CRC-32 (IEEE 802.3 polynomial, reflected), slicing-by-8.
 //!
 //! Implemented from scratch like the rest of the substrates; validated
 //! against the standard check value (`crc32("123456789") = 0xCBF43926`).
+//!
+//! The checksum absorbs 8 bytes per step through eight lookup tables built
+//! at compile time, and only the final `len % 8` bytes one at a time. The
+//! output is identical to the byte-at-a-time definition (kept as the test
+//! reference below), so every frame and archive ever written checks the
+//! same.
 
 /// Reflected IEEE polynomial.
 const POLY: u32 = 0xEDB8_8320;
 
-/// The 256-entry lookup table, built at compile time.
-const TABLE: [u32; 256] = build_table();
+/// `TABLES[0]` is the classic byte-at-a-time table; `TABLES[k][b]` is the
+/// CRC contribution of byte `b` followed by `k` zero bytes.
+const TABLES: [[u32; 256]; 8] = build_tables();
 
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -23,19 +30,45 @@ const fn build_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
+/// Advances the raw (pre-inverted) CRC register over `data`.
+fn update(mut crc: u32, data: &[u8]) -> u32 {
+    let (words, tail) = data.as_chunks::<8>();
+    for word in words {
+        let x = u64::from_le_bytes(*word) ^ u64::from(crc);
+        crc = TABLES[7][(x & 0xFF) as usize]
+            ^ TABLES[6][((x >> 8) & 0xFF) as usize]
+            ^ TABLES[5][((x >> 16) & 0xFF) as usize]
+            ^ TABLES[4][((x >> 24) & 0xFF) as usize]
+            ^ TABLES[3][((x >> 32) & 0xFF) as usize]
+            ^ TABLES[2][((x >> 40) & 0xFF) as usize]
+            ^ TABLES[1][((x >> 48) & 0xFF) as usize]
+            ^ TABLES[0][(x >> 56) as usize];
+    }
+    for &byte in tail {
+        crc = (crc >> 8) ^ TABLES[0][((crc ^ u32::from(byte)) & 0xFF) as usize];
+    }
+    crc
 }
 
 /// Computes the CRC-32 of `data`.
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &byte in data {
-        crc = (crc >> 8) ^ TABLE[((crc ^ byte as u32) & 0xFF) as usize];
-    }
-    !crc
+    !update(!0u32, data)
 }
 
 /// Incremental CRC-32 for multi-part frames.
@@ -58,9 +91,7 @@ impl Crc32 {
 
     /// Absorbs bytes.
     pub fn update(&mut self, data: &[u8]) {
-        for &byte in data {
-            self.state = (self.state >> 8) ^ TABLE[((self.state ^ byte as u32) & 0xFF) as usize];
-        }
+        self.state = update(self.state, data);
     }
 
     /// Finishes and returns the checksum.
@@ -72,6 +103,28 @@ impl Crc32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The byte-at-a-time definition the sliced loop must match.
+    fn reference(data: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &byte in data {
+            crc = (crc >> 8) ^ TABLES[0][((crc ^ u32::from(byte)) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    /// Deterministic pseudo-random bytes (xorshift64).
+    fn noise(len: usize) -> Vec<u8> {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        (0..len)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 32) as u8
+            })
+            .collect()
+    }
 
     #[test]
     fn standard_check_value() {
@@ -101,6 +154,63 @@ mod tests {
             crc.update(&data[..cut]);
             crc.update(&data[cut..]);
             assert_eq!(crc.finalize(), crc32(data), "cut {cut}");
+        }
+    }
+
+    /// Checks `crc32`, and `Crc32::update` split once at every point,
+    /// against the reference for `len` bytes starting at each of 8 offsets.
+    fn check_every_single_split(len: usize) {
+        let buf = noise(len + 8);
+        for offset in 0..8 {
+            let data = &buf[offset..offset + len];
+            let expected = reference(data);
+            assert_eq!(crc32(data), expected, "offset {offset} len {len}");
+            for cut in 0..=len {
+                let mut crc = Crc32::new();
+                crc.update(&data[..cut]);
+                crc.update(&data[cut..]);
+                assert_eq!(
+                    crc.finalize(),
+                    expected,
+                    "offset {offset} len {len} cut {cut}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sliced_matches_bytewise_at_every_short_length() {
+        for len in 0..=256 {
+            check_every_single_split(len);
+        }
+    }
+
+    #[test]
+    fn sliced_matches_bytewise_on_4k() {
+        check_every_single_split(4 << 10);
+    }
+
+    #[test]
+    fn sliced_matches_bytewise_on_64k() {
+        // One split at each of 65 537 points would rehash 4 GiB per offset.
+        // Instead, pass `phase` cuts at phase, phase + 61, phase + 122, …:
+        // across the 61 passes every point is a cut, and each 61-byte piece
+        // (7 words and 5 tail bytes) starts at a different alignment.
+        const STRIDE: usize = 61;
+        let len = 64 << 10;
+        let buf = noise(len + 8);
+        for offset in 0..8 {
+            let data = &buf[offset..offset + len];
+            let expected = reference(data);
+            assert_eq!(crc32(data), expected, "offset {offset}");
+            for phase in 0..STRIDE {
+                let mut crc = Crc32::new();
+                crc.update(&data[..phase]);
+                for piece in data[phase..].chunks(STRIDE) {
+                    crc.update(piece);
+                }
+                assert_eq!(crc.finalize(), expected, "offset {offset} phase {phase}");
+            }
         }
     }
 

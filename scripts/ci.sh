@@ -26,8 +26,11 @@ cargo run -q -p ptm-analyze -- check --json-out out/analysis.json \
 echo "==> cargo build --release"
 cargo build --workspace --release
 
-echo "==> cargo test"
-cargo test --workspace --quiet
+# Bounded like the integration suites below: a hung unit test fails CI
+# (exit 124) instead of wedging it. Compiling stays outside the bound.
+echo "==> cargo test (bounded)"
+cargo test --workspace --quiet --no-run
+timeout 600 cargo test --workspace --quiet
 
 # The rpc loopback suite opens real sockets and spawns daemon threads; a
 # hang here should fail CI, not wedge it. `timeout` sends SIGTERM after the
@@ -67,6 +70,18 @@ timeout 300 cargo test --quiet -p ptm-integration-tests --test reactor_storm
 # queue-depth and in-flight gauge back to zero.
 echo "==> overload storms (bounded, fixed seeds)"
 timeout 300 cargo test --quiet -p ptm-integration-tests --test overload_storm
+
+# Benchmark correctness-gate smoke: a few rounds of each gated workload
+# against a real in-process daemon. Exit 1 on any failed call, a `Ping`
+# record count that differs from the acked records, or an answer that is
+# not bit-exact against an in-process `CentralServer` — so the record
+# decode and frame/segment CRC paths are checked end to end on every run.
+echo "==> benchmark smoke (bounded, correctness gate only)"
+cargo build --release --quiet --offline --manifest-path loadbench/Cargo.toml
+for workload in ingest query; do
+    timeout 300 cargo run --release --offline --manifest-path loadbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 2 --trace 0
+done
 
 # Traced loopback smoke: a real daemon with tracing on, one upload and one
 # query against it, then the span JSONL checked against the schema

@@ -14,6 +14,7 @@ use ptm_core::params::BitmapSize;
 use ptm_core::record::PeriodId;
 use ptm_integration_tests::{direct_record, fleet};
 use ptm_net::{SimConfig, SimDuration, V2iSimulator};
+use ptm_store::codec::{decode_record, encode_record};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
@@ -113,6 +114,46 @@ fn snapshot_deltas_are_independent_of_thread_count() {
     );
     assert_eq!(single["span:core.encode.record"], 16 * 50);
     ptm_obs::set_metrics_enabled(false);
+}
+
+#[test]
+fn decoding_records_counts_no_vehicle_encodes() {
+    let _guard = obs_lock();
+    // Build the records with metrics off: only the round trip is measured.
+    ptm_obs::set_metrics_enabled(false);
+    let scheme = EncodingScheme::new(0x0DEC, 3);
+    let mut rng = ChaCha8Rng::seed_from_u64(13);
+    let vehicles = fleet(&mut rng, 300, 3);
+    let records: Vec<_> = (0..4)
+        .map(|p| {
+            direct_record(
+                &scheme,
+                LocationId::new(3),
+                PeriodId::new(p),
+                BitmapSize::new(1 << (8 + p)).expect("pow2"),
+                &vehicles,
+            )
+        })
+        .collect();
+
+    ptm_obs::set_metrics_enabled(true);
+    let names = [
+        "core.encode.vehicles",
+        "core.encode.bits_set",
+        "core.encode.collisions",
+    ];
+    let before: Vec<u64> = names.iter().map(|&n| counter_value(n)).collect();
+    for record in &records {
+        assert!(record.bitmap().count_ones() > 0, "the records carry bits");
+        let back = decode_record(&encode_record(record)).expect("roundtrip");
+        assert_eq!(&back, record);
+    }
+    let after: Vec<u64> = names.iter().map(|&n| counter_value(n)).collect();
+    ptm_obs::set_metrics_enabled(false);
+    assert_eq!(
+        before, after,
+        "decoding a record is not a vehicle encode: {names:?} must not move"
+    );
 }
 
 #[test]
