@@ -1,6 +1,6 @@
 //! Analyzer self-benchmark: the linter runs inside `cargo test`
 //! (`self_check`) and on every CI run, so its own cost is a tracked
-//! number. `scripts/bench.sh` distills these into `BENCH_10.json`.
+//! number. Run with `cargo bench -p ptm-bench --bench analyze`.
 //!
 //! Three pieces are timed separately over this repository's own source
 //! tree, because they scale differently: `workspace_load` is I/O plus
@@ -9,7 +9,7 @@
 //! fixpoint on top), and `lock_analysis` isolates the structural layers —
 //! call-graph construction plus lock-site/may-acquire analysis — that the
 //! concurrency rules added. The group declares files-per-iteration
-//! throughput, and `bench.sh` records the scanned file count next to the
+//! throughput, and the scanned file count is printed next to the
 //! medians, so files/sec is `files * 1e9 / median_ns`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
@@ -35,9 +35,8 @@ fn bench_analyze(c: &mut Criterion) {
         ws.files.len()
     );
     let files = ws.files.len() as u64;
-    // Same line shape the criterion stub prints, so `bench.sh`'s awk pass
-    // picks the count up alongside the medians (files/sec = count * 1e9
-    // / median_ns).
+    // Same line shape the criterion stub prints, so the count reads
+    // alongside the medians (files/sec = count * 1e9 / median_ns).
     println!("bench: analyze/files_scanned count {files}");
 
     let mut group = c.benchmark_group("analyze");

@@ -2,10 +2,8 @@
 //! copying baseline, pipelined (coalesced-commit, batched-ack) ingest
 //! throughput, accept latency while the daemon already holds hundreds
 //! of idle connections, and the cost of stamping a deadline budget into
-//! the v3 request header.
-//!
-//! `scripts/bench.sh` distills these medians into `BENCH_8.json` and the
-//! deadline pair into `BENCH_9.json`.
+//! the v3 request header. Run with `cargo bench -p ptm-bench --bench
+//! reactor`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ptm_core::encoding::{EncodingScheme, LocationId, VehicleSecrets};

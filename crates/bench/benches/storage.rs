@@ -1,6 +1,8 @@
 //! Storage-engine benchmarks: v1 full-replay open vs v2 manifest+index
-//! open on the same 100k-record archive, plus page-cache hit/miss read
-//! latency. `scripts/bench.sh` distills these into `BENCH_7.json`.
+//! open on the same 100k-record archive, plus the latency of one
+//! historical read (`SegmentStore::get`: index lookup, one seek and one
+//! read of the frame, CRC check, decode). Run with
+//! `cargo bench -p ptm-bench --bench storage`.
 //!
 //! The archives are built once, outside the timed loops: records carry
 //! 1 Kibit bitmaps with no encodes, so the setup writes ~16 MB instead of
@@ -81,26 +83,11 @@ fn bench_storage(c: &mut Criterion) {
 
     let location = LocationId::new(LOCATIONS / 2);
     let period = PeriodId::new(PERIODS / 2);
-    let mut hit_store = SegmentStore::open(&v2_dir, opts.clone())
+    let mut store = SegmentStore::open(&v2_dir, opts.clone())
         .expect("open")
         .store;
-    hit_store
-        .get(location, period)
-        .expect("warm read")
-        .expect("record present");
-    group.bench_function("read_hit", |b| {
-        b.iter(|| hit_store.get(location, period).expect("cached read"))
-    });
-
-    // Capacity zero disables admission, so every read walks the index and
-    // re-reads the frame from disk: the pure miss path.
-    let miss_opts = StoreOptions {
-        cache_capacity: 0,
-        ..opts.clone()
-    };
-    let mut miss_store = SegmentStore::open(&v2_dir, miss_opts).expect("open").store;
-    group.bench_function("read_miss", |b| {
-        b.iter(|| miss_store.get(location, period).expect("uncached read"))
+    group.bench_function("read", |b| {
+        b.iter(|| store.get(location, period).expect("read"))
     });
     group.finish();
 

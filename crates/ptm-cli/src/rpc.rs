@@ -331,13 +331,10 @@ pub fn cmd_top(options: &Options) -> Result<(), String> {
             .iter()
             .any(|(k, v)| k == "wedged" && matches!(v, Content::Bool(true)));
         println!(
-            "store: {} segments ({} sealed), active {} B, cache {} hits / {} misses, \
-             {} compactions{}",
+            "store: {} segments ({} sealed), active {} B, {} compactions{}",
             cell("segments"),
             cell("sealed"),
             cell("active_bytes"),
-            cell("cache_hits"),
-            cell("cache_misses"),
             cell("compactions"),
             if wedged { " — WEDGED" } else { "" },
         );

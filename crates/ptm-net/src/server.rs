@@ -30,9 +30,11 @@
 //! never mid-invariant.
 //!
 //! Shard instrumentation (through `ptm-obs`, disabled by default):
-//! `rpc.shard.locations` (gauge, shard count) and
+//! `rpc.shard.locations` (gauge, shard count),
 //! `rpc.shard.lock_wait.read` / `rpc.shard.lock_wait.write` (histograms,
-//! ns spent waiting to acquire a shard lock).
+//! ns spent waiting to acquire a shard lock), and
+//! `net.server.resident_bytes` (gauge, bitmap bytes of every stored record
+//! — in the daemon, the only in-memory copy of an archived record).
 
 use ptm_core::encoding::LocationId;
 use ptm_core::error::EstimateError;
@@ -40,7 +42,7 @@ use ptm_core::p2p::PointToPointEstimator;
 use ptm_core::point::{NaiveAndEstimator, PointEstimator};
 use ptm_core::record::{PeriodId, TrafficRecord};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
@@ -156,6 +158,9 @@ pub struct CentralServer {
     /// Total stored records, maintained alongside the shards so
     /// [`CentralServer::record_count`] never walks the directory.
     total_records: AtomicUsize,
+    /// Bitmap bytes of the stored records; grows with accepted submits
+    /// only (see [`CentralServer::resident_bytes`]).
+    resident_bytes: AtomicU64,
     /// Representative-bit count `s`, needed by the point-to-point estimator.
     s: u32,
 }
@@ -172,6 +177,7 @@ impl CentralServer {
         Self {
             shards: RwLock::new(HashMap::new()),
             total_records: AtomicUsize::new(0),
+            resident_bytes: AtomicU64::new(0),
             s,
         }
     }
@@ -236,11 +242,22 @@ impl CentralServer {
                 .gauge(format!("net.server.records.loc{}", location.get()))
                 .inc();
         }
+        let bytes = record.bitmap().len().div_ceil(8) as u64;
         inner.records.insert(period, record);
         inner.epoch += 1;
         let total = self.total_records.fetch_add(1, Ordering::Relaxed) + 1;
         ptm_obs::gauge!("net.server.records").set(total as i64);
+        let resident = self.resident_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
+        ptm_obs::gauge!("net.server.resident_bytes").set(resident as i64);
         Ok(())
+    }
+
+    /// Bitmap bytes (`len.div_ceil(8)` per record) of every stored record:
+    /// the memory the shards hold resident. Idempotent re-sends and
+    /// rejected conflicts leave it unchanged. Published as the
+    /// `net.server.resident_bytes` gauge.
+    pub fn resident_bytes(&self) -> u64 {
+        self.resident_bytes.load(Ordering::Relaxed)
     }
 
     /// Number of stored records.
@@ -494,6 +511,43 @@ mod tests {
         server.submit(rec.clone()).expect("identical resend");
         assert_eq!(server.record_count(), 1);
         assert_eq!(server.record(loc, PeriodId::new(0)), Some(rec));
+    }
+
+    #[test]
+    fn resident_bytes_track_only_accepted_records() {
+        let server = CentralServer::new(3);
+        let records: Vec<TrafficRecord> = [(1u64, 0u32, 64usize), (1, 1, 4096), (2, 0, 8)]
+            .into_iter()
+            .map(|(loc, period, m)| {
+                let mut r = TrafficRecord::new(
+                    LocationId::new(loc),
+                    PeriodId::new(period),
+                    BitmapSize::new(m).expect("pow2"),
+                );
+                r.set_reported_index(1);
+                r
+            })
+            .collect();
+        for record in &records {
+            server.submit(record.clone()).expect("accepted");
+        }
+        // An idempotent re-send and a rejected conflict store nothing new.
+        server
+            .submit(records[1].clone())
+            .expect("idempotent resend");
+        let mut conflicting = records[2].clone();
+        conflicting.set_reported_index(2);
+        assert!(server.submit(conflicting).is_err());
+
+        let stored: u64 = records
+            .iter()
+            .map(|r| {
+                let stored = server.record(r.location(), r.period()).expect("stored");
+                stored.bitmap().len().div_ceil(8) as u64
+            })
+            .sum();
+        assert_eq!(stored, 8 + 512 + 1);
+        assert_eq!(server.resident_bytes(), stored);
     }
 
     #[test]

@@ -480,7 +480,6 @@ impl RpcServer {
             hooks: store_hooks,
             sync_policy: config.sync_policy,
             rotate_bytes: config.rotate_bytes,
-            ..StoreOptions::default()
         };
         // O(index) startup: the store reads its manifest and footer
         // indexes (scanning only the unsealed active segment); records are
@@ -1753,13 +1752,11 @@ fn stats_json(shared: &Shared) -> String {
     };
     match store_guard {
         Some(store) => out.push_str(&format!(
-            "{{\"segments\":{},\"sealed\":{},\"active_bytes\":{},\"cache_hits\":{},\
-             \"cache_misses\":{},\"compactions\":{},\"wedged\":{}}}",
+            "{{\"segments\":{},\"sealed\":{},\"active_bytes\":{},\"compactions\":{},\
+             \"wedged\":{}}}",
             store.segment_count(),
             store.sealed_count(),
             store.active_bytes(),
-            store.cache_hits(),
-            store.cache_misses(),
             store.compaction_count(),
             store.is_wedged(),
         )),
@@ -1890,9 +1887,8 @@ fn estimate_response(result: Result<f64, ServerError>) -> Response {
 /// per location (the hydrated set is checked first) and cheap once
 /// hydrated: the fast path is a `HashSet` probe.
 ///
-/// Returns an error message when the store contradicts the engine — two
-/// different records for the same `(location, period)` — which, given
-/// write-ahead ordering, means the store was swapped out from under us.
+/// Returns an error message when the read fails or the store contradicts
+/// the engine (see [`hydrate_location`]).
 fn ensure_hydrated_locked(
     shared: &Shared,
     store: &mut SegmentStore,
@@ -1913,28 +1909,7 @@ fn ensure_hydrated_locked(
         return Ok(());
     }
     for location in missing {
-        let records = store
-            .records_for_location(location)
-            .map_err(|err| format!("hydration read failed: {err}"))?;
-        let count = records.len();
-        for record in records {
-            match shared.central.record(record.location(), record.period()) {
-                Some(existing) if existing == *record => {}
-                Some(_) => {
-                    return Err(format!(
-                        "store contradicts query engine at location {} period {}",
-                        record.location().get(),
-                        record.period().get()
-                    ));
-                }
-                None => {
-                    shared
-                        .central
-                        .submit((*record).clone())
-                        .map_err(|err| format!("hydration publish failed: {err}"))?;
-                }
-            }
-        }
+        let count = hydrate_location(shared, store, location)?;
         shared
             .hydrated
             .lock()
@@ -1947,6 +1922,37 @@ fn ensure_hydrated_locked(
         }
     }
     Ok(())
+}
+
+/// Publishes every archived record of `location` in `store` into the query
+/// engine and returns how many there were. Each record is moved out of the
+/// `Arc` the store returns, not cloned: the store keeps no copy, so the
+/// engine's shard holds the only one. `CentralServer::submit` accepts a
+/// record identical to the stored one and refuses a different one; that
+/// refusal means the store contradicts the engine — two different records
+/// for one `(location, period)` — which, given write-ahead ordering, means
+/// the store was swapped out from under us.
+fn hydrate_location(
+    shared: &Shared,
+    store: &mut SegmentStore,
+    location: LocationId,
+) -> Result<usize, String> {
+    let records = store
+        .records_for_location(location)
+        .map_err(|err| format!("hydration read failed: {err}"))?;
+    let count = records.len();
+    for record in records {
+        let record = Arc::try_unwrap(record).unwrap_or_else(|record| (*record).clone());
+        let (location, period) = (record.location(), record.period());
+        shared.central.submit(record).map_err(|_| {
+            format!(
+                "store contradicts query engine at location {} period {}",
+                location.get(),
+                period.get()
+            )
+        })?;
+    }
+    Ok(count)
 }
 
 /// [`ensure_hydrated_locked`] for callers not holding the writer lock
@@ -2352,10 +2358,11 @@ fn try_recover(shared: &Shared, store: &mut MutexGuard<'_, SegmentStore>) -> boo
     // The store is written ahead of the query engine, so durable state can
     // only ever trail what is in memory — never contradict it. Only the
     // hydrated working set needs checking: locations the query engine has
-    // never loaded re-hydrate lazily from the fresh store on next touch. A
-    // record on disk but not in memory (a crash squeezed between commit
-    // and publish) is re-published idempotently; a contradiction means the
-    // directory was swapped out from under us, and ingest stays down.
+    // never loaded re-hydrate lazily from the fresh store on next touch.
+    // Every record is re-published: one already in memory is an idempotent
+    // no-op, one on disk but not in memory (a crash squeezed between commit
+    // and publish) is added, and a contradiction means the directory was
+    // swapped out from under us, so ingest stays down.
     let hydrated: Vec<LocationId> = {
         let set = shared
             .hydrated
@@ -2364,30 +2371,10 @@ fn try_recover(shared: &Shared, store: &mut MutexGuard<'_, SegmentStore>) -> boo
         set.iter().copied().collect()
     };
     for location in hydrated {
-        let records = match recovered.store.records_for_location(location) {
-            Ok(records) => records,
-            Err(err) => {
-                ptm_obs::error!("rpc.server", "reading reopened store during recovery failed";
-                    location = location.get(), error = err.to_string());
-                return false;
-            }
-        };
-        for record in records {
-            match shared.central.record(record.location(), record.period()) {
-                Some(existing) if existing == *record => {}
-                Some(_) => {
-                    ptm_obs::error!("rpc.server", "reopened store contradicts the query engine";
-                        location = record.location().get(), period = record.period().get());
-                    return false;
-                }
-                None => {
-                    if let Err(err) = shared.central.submit((*record).clone()) {
-                        ptm_obs::error!("rpc.server", "republish during recovery failed";
-                            error = err.to_string());
-                        return false;
-                    }
-                }
-            }
+        if let Err(detail) = hydrate_location(shared, &mut recovered.store, location) {
+            ptm_obs::error!("rpc.server", "reconciling reopened store failed";
+                location = location.get(), detail = detail);
+            return false;
         }
     }
     let (records, locations, torn_bytes) = (
@@ -3097,6 +3084,82 @@ mod tests {
             );
             std::thread::sleep(Duration::from_millis(5));
         }
+        server.shutdown().expect("shutdown");
+        cleanup_archive(&path);
+    }
+
+    #[test]
+    fn hydration_checks_engine_records_against_the_archive() {
+        let path = temp_archive("hydrate-check");
+        let location = LocationId::new(12);
+        let query = Request::QueryPoint {
+            location,
+            periods: (0..3).map(PeriodId::new).collect(),
+        };
+        let server = RpcServer::start("127.0.0.1:0", &path, test_config()).expect("start");
+        let mut stream = connect(server.local_addr());
+        for period in 0..3 {
+            let response = exchange(&mut stream, &Request::Upload(sample_record(12, period)));
+            assert_eq!(
+                response,
+                Response::UploadOk {
+                    accepted: 1,
+                    duplicates: 0
+                }
+            );
+        }
+        drop(stream);
+        server.shutdown().expect("shutdown");
+        let is_hydrated = |server: &RpcServer| {
+            server
+                .shared
+                .hydrated
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .contains(&location)
+        };
+
+        // A restarted daemon has not hydrated the location yet. An engine
+        // record that differs from the archived one for (12, 1) makes the
+        // hydration a query triggers refuse, and the location stays cold.
+        let server = RpcServer::start("127.0.0.1:0", &path, test_config()).expect("restart");
+        let different = TrafficRecord::new(
+            location,
+            PeriodId::new(1),
+            BitmapSize::new(512).expect("pow2"),
+        );
+        assert_ne!(different, sample_record(12, 1));
+        server
+            .shared
+            .central
+            .submit(different)
+            .expect("engine slot free");
+        let mut stream = connect(server.local_addr());
+        assert_eq!(
+            exchange(&mut stream, &query),
+            Response::Error {
+                code: ErrorCode::Internal,
+                message: "store contradicts query engine at location 12 period 1".into(),
+            }
+        );
+        assert!(!is_hydrated(&server));
+        drop(stream);
+        server.shutdown().expect("shutdown");
+
+        // An identical engine record is no contradiction: hydration
+        // accepts it as an idempotent re-publish and the query answers.
+        let server = RpcServer::start("127.0.0.1:0", &path, test_config()).expect("restart");
+        server
+            .shared
+            .central
+            .submit(sample_record(12, 1))
+            .expect("engine slot free");
+        let mut stream = connect(server.local_addr());
+        let response = exchange(&mut stream, &query);
+        assert!(matches!(response, Response::Estimate(_)), "{response:?}");
+        assert!(is_hydrated(&server));
+        assert_eq!(server.shared.central.record_count(), 3);
+        drop(stream);
         server.shutdown().expect("shutdown");
         cleanup_archive(&path);
     }

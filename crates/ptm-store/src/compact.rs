@@ -155,7 +155,6 @@ impl SegmentStore {
                 dropped += victim.records;
                 let _ = std::fs::remove_file(&victim.path);
             }
-            self.cache.evict_segment(*id);
         }
         dropped -= merged.records;
         for (location, entry) in merged.index.iter() {
@@ -199,7 +198,7 @@ impl SegmentStore {
     ) -> Result<SealedSegment, StoreError> {
         // Gather live keys per victim, ordered by (segment, location,
         // period) for a deterministic merged layout.
-        let mut live: Vec<(LocationId, PeriodId, FrameLoc)> = Vec::new();
+        let mut live: Vec<((LocationId, PeriodId), FrameLoc)> = Vec::new();
         for id in victims {
             let Some(victim) = self.sealed.get(id) else {
                 continue;
@@ -212,8 +211,7 @@ impl SegmentStore {
                     .is_some_and(|loc| loc.segment == *id && loc.offset == entry.offset)
                 {
                     live.push((
-                        location,
-                        entry.period,
+                        key,
                         FrameLoc {
                             segment: *id,
                             offset: entry.offset,
@@ -234,20 +232,21 @@ impl SegmentStore {
             buf.extend_from_slice(&2u16.to_le_bytes());
             buf.extend_from_slice(&0u16.to_le_bytes());
             let mut offset = crate::segment::HEADER_LEN;
-            for (location, period, loc) in &live {
-                // Re-read and re-verify the victim frame; corruption stops
-                // the pass rather than propagating into the merged file.
-                let payload = self.read_frame_payload(*loc)?;
+            // Re-read and re-verify every victim frame (one open file per
+            // victim); corruption stops the pass rather than propagating
+            // into the merged file.
+            self.read_frames(&live, |(location, period), payload| {
                 buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-                buf.extend_from_slice(&crc32(&payload).to_le_bytes());
-                buf.extend_from_slice(&payload);
+                buf.extend_from_slice(&crc32(payload).to_le_bytes());
+                buf.extend_from_slice(payload);
                 index.insert(*location, *period, offset, payload.len() as u32);
                 offset += 8 + payload.len() as u64;
                 if buf.len() >= 64 * 1024 {
                     io.write_all(&buf)?;
                     buf.clear();
                 }
-            }
+                Ok(())
+            })?;
             // Seal in the same stroke: footer index frame + trailer.
             check_site(&self.opts.hooks.seal, "compaction seal")?;
             let footer = index.encode();

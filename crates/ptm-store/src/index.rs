@@ -40,6 +40,9 @@ pub struct SegmentIndex {
     entries: BTreeMap<u64, Vec<IndexEntry>>,
 }
 
+/// Encoded bytes per entry: `u32 period | u64 offset | u32 len`.
+const ENTRY_LEN: usize = 16;
+
 fn le_u32(bytes: &[u8]) -> u32 {
     let mut raw = [0u8; 4];
     raw.copy_from_slice(&bytes[..4]);
@@ -142,7 +145,9 @@ impl SegmentIndex {
     ///
     /// # Errors
     ///
-    /// [`StoreError::MalformedRecord`] for truncated or trailing bytes.
+    /// [`StoreError::MalformedRecord`] for truncated or trailing bytes, and
+    /// for an entry count the remaining bytes cannot hold (checked before
+    /// anything is reserved for the entries).
     pub fn decode(payload: &[u8]) -> Result<Self, StoreError> {
         let short = |what: &str| StoreError::MalformedRecord {
             reason: format!("segment index truncated in {what}"),
@@ -158,18 +163,21 @@ impl SegmentIndex {
         let mut entries = BTreeMap::new();
         for _ in 0..locations {
             let location = le_u64(take(8, "location id")?);
-            let count = le_u32(take(4, "entry count")?);
-            let mut list = Vec::with_capacity(count as usize);
-            for _ in 0..count {
-                let period = le_u32(take(4, "period")?);
-                let offset = le_u64(take(8, "offset")?);
-                let len = le_u32(take(4, "len")?);
-                list.push(IndexEntry {
-                    period: PeriodId::new(period),
-                    offset,
-                    len,
-                });
-            }
+            // The whole entry block is taken as one bounded slice, so a
+            // count the remaining bytes cannot hold fails before anything
+            // is reserved for it.
+            let count = le_u32(take(4, "entry count")?) as usize;
+            let block = count
+                .checked_mul(ENTRY_LEN)
+                .ok_or_else(|| short("entries"))?;
+            let list: Vec<IndexEntry> = take(block, "entries")?
+                .chunks_exact(ENTRY_LEN)
+                .map(|raw| IndexEntry {
+                    period: PeriodId::new(le_u32(&raw[0..4])),
+                    offset: le_u64(&raw[4..12]),
+                    len: le_u32(&raw[12..16]),
+                })
+                .collect();
             if !list.is_sorted_by_key(|e| e.period.get()) {
                 return Err(StoreError::MalformedRecord {
                     reason: format!("segment index periods unsorted for location {location}"),
@@ -236,5 +244,20 @@ mod tests {
         let mut extended = bytes.clone();
         extended.push(0);
         assert!(SegmentIndex::decode(&extended).is_err());
+    }
+
+    #[test]
+    fn entry_count_beyond_remaining_bytes_is_rejected_before_reserving() {
+        // One location claiming u32::MAX entries with a 4-byte tail: a
+        // CRC-valid but malformed footer must not ask for 64 GiB up front.
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&7u64.to_le_bytes());
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        bytes.extend_from_slice(&[0u8; 4]);
+        assert!(matches!(
+            SegmentIndex::decode(&bytes),
+            Err(StoreError::MalformedRecord { .. })
+        ));
     }
 }

@@ -23,13 +23,13 @@
 //!
 //! * [`segment`] — the [`segment::SegmentStore`]: writes rotate through
 //!   size-bounded segment files, sealed segments carry a footer
-//!   [`index::SegmentIndex`], and `open()` reads manifest + indexes instead
-//!   of replaying every record;
+//!   [`index::SegmentIndex`], `open()` reads manifest + indexes instead
+//!   of replaying every record, and reads go straight to the segment
+//!   files through one frame reader (the store keeps no decoded record
+//!   resident; the daemon's query engine holds the only in-memory copy);
 //! * [`manifest`] — the CRC-checked [`manifest::Manifest`] naming the live
 //!   segment set, committed atomically (temp file + rename);
 //! * [`index`] — per-segment `location → period → frame offset` maps;
-//! * [`cache`] — the fixed-capacity [`cache::PageCache`] historical reads
-//!   go through (pin/unpin, deterministic LRU, hit/miss metrics);
 //! * [`compact`] — crash-safe background compaction: small or superseded
 //!   segments merge into one, published by a single manifest swap.
 //!
@@ -45,7 +45,6 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod archive;
-pub mod cache;
 pub mod codec;
 pub mod compact;
 pub mod crc32;
@@ -55,7 +54,6 @@ pub mod manifest;
 pub mod segment;
 
 pub use archive::{Archive, RecoveredArchive, SyncPolicy};
-pub use cache::PageCache;
 pub use codec::StoreError;
 pub use compact::CompactionReport;
 pub use index::SegmentIndex;

@@ -19,12 +19,17 @@
 //! `open()` therefore reads **manifest + footers only** — O(index), not
 //! O(records): sealed segments load their index from the trailer without
 //! touching record payloads, and only the active segment is scanned
-//! (key-peek, no bitmap decode) with v1 torn-tail recovery. Historical
-//! reads go through a pinned-LRU [`PageCache`] instead of full memory
-//! residency. Background merging lives in [`crate::compact`].
+//! (key-peek, no bitmap decode) with v1 torn-tail recovery.
+//!
+//! Every read — a single [`SegmentStore::get`], a location's whole history
+//! in [`SegmentStore::records_for_location`], compaction's copy of live
+//! frames — goes through one frame reader: one open file per segment, one
+//! seek plus one read per frame into a reused buffer, with each index
+//! entry bounded by its segment's length before anything is allocated and
+//! every frame's length word and CRC checked. The store keeps no decoded
+//! record resident. Background merging lives in [`crate::compact`].
 
 use crate::archive::{build_io, read_exact_or_eof, Archive, ReadOutcome};
-use crate::cache::PageCache;
 use crate::codec::{decode_record, encode_record, peek_key, StoreError};
 use crate::crc32::crc32;
 use crate::index::SegmentIndex;
@@ -91,8 +96,6 @@ pub struct StoreOptions {
     pub sync_policy: SyncPolicy,
     /// The active segment rotates once its committed bytes reach this.
     pub rotate_bytes: u64,
-    /// Decoded-frame page cache capacity (records, not bytes); 0 disables.
-    pub cache_capacity: usize,
 }
 
 impl Default for StoreOptions {
@@ -101,7 +104,6 @@ impl Default for StoreOptions {
             hooks: StoreHooks::disabled(),
             sync_policy: SyncPolicy::Flush,
             rotate_bytes: 8 * 1024 * 1024,
-            cache_capacity: 256,
         }
     }
 }
@@ -523,7 +525,6 @@ pub struct SegmentStore {
     pub(crate) active: ActiveSegment,
     pub(crate) lookup: HashMap<(LocationId, PeriodId), FrameLoc>,
     pub(crate) location_set: BTreeSet<u64>,
-    pub(crate) cache: PageCache,
     pub(crate) compactions: u64,
 }
 
@@ -664,7 +665,6 @@ impl SegmentStore {
         }
 
         let mut store = Self {
-            cache: PageCache::new(opts.cache_capacity),
             dir,
             opts,
             manifest,
@@ -785,16 +785,6 @@ impl SegmentStore {
     /// Committed bytes in the active segment.
     pub fn active_bytes(&self) -> u64 {
         self.active.committed_len
-    }
-
-    /// Lifetime page-cache hits.
-    pub fn cache_hits(&self) -> u64 {
-        self.cache.hits()
-    }
-
-    /// Lifetime page-cache misses.
-    pub fn cache_misses(&self) -> u64 {
-        self.cache.misses()
     }
 
     /// Compactions completed by this store instance.
@@ -976,33 +966,33 @@ impl SegmentStore {
             sealed_segment = retired.id, new_segment = new_id, records = records);
     }
 
-    /// Reads the live record for `(location, period)` through the page
-    /// cache, or `None` when the store has none.
+    /// Reads the live record for `(location, period)` straight from its
+    /// segment file (one frame, uncached), or `None` when the store has
+    /// none.
     ///
     /// # Errors
     ///
-    /// I/O failures and frame corruption on a cache miss.
+    /// I/O failures and frame corruption.
     pub fn get(
         &mut self,
         location: LocationId,
         period: PeriodId,
     ) -> Result<Option<Arc<TrafficRecord>>, StoreError> {
-        let _s = ptm_obs::tspan!("store.cache.lookup");
         let Some(loc) = self.lookup.get(&(location, period)).copied() else {
             return Ok(None);
         };
-        let key = (loc.segment, loc.offset);
-        if let Some(record) = self.cache.get(key) {
-            return Ok(Some(record));
-        }
-        let record = Arc::new(self.read_frame(loc)?);
-        self.cache.insert(key, Arc::clone(&record));
-        Ok(Some(record))
+        let mut record = None;
+        self.read_frames(&[((), loc)], |(), payload| {
+            record = Some(Arc::new(decode_record(payload)?));
+            Ok(())
+        })?;
+        Ok(record)
     }
 
-    /// Loads every live record for `location` (periods ascending) through
-    /// the page cache, pinning the working set for the duration so
-    /// interleaved reads cannot thrash it mid-iteration.
+    /// Loads every live record for `location`, periods ascending. Frames
+    /// are read in `(segment, offset)` order, and each record comes back
+    /// in an `Arc` nothing else holds, so a caller keeping it can move it
+    /// out with `Arc::try_unwrap` instead of cloning.
     ///
     /// # Errors
     ///
@@ -1011,69 +1001,75 @@ impl SegmentStore {
         &mut self,
         location: LocationId,
     ) -> Result<Vec<Arc<TrafficRecord>>, StoreError> {
-        let periods = self.periods_for_location(location);
-        let mut out = Vec::with_capacity(periods.len());
-        let mut pinned = Vec::with_capacity(periods.len());
-        let result = (|| {
-            for period in periods {
-                let Some(loc) = self.lookup.get(&(location, period)).copied() else {
-                    continue;
-                };
-                let key = (loc.segment, loc.offset);
-                let record = match self.cache.get(key) {
-                    Some(record) => record,
-                    None => {
-                        let record = Arc::new(self.read_frame(loc)?);
-                        self.cache.insert(key, Arc::clone(&record));
-                        record
-                    }
-                };
-                self.cache.pin(key);
-                pinned.push(key);
-                out.push(record);
-            }
+        let mut frames: Vec<(PeriodId, FrameLoc)> = self
+            .periods_for_location(location)
+            .into_iter()
+            .filter_map(|period| Some((period, *self.lookup.get(&(location, period))?)))
+            .collect();
+        frames.sort_unstable_by_key(|(_, loc)| (loc.segment, loc.offset));
+        let mut records = Vec::with_capacity(frames.len());
+        self.read_frames(&frames, |period, payload| {
+            records.push((period.get(), decode_record(payload)?));
             Ok(())
-        })();
-        for key in pinned {
-            self.cache.unpin(key);
-        }
-        result.map(|()| out)
+        })?;
+        records.sort_unstable_by_key(|(period, _)| *period);
+        Ok(records
+            .into_iter()
+            .map(|(_, record)| Arc::new(record))
+            .collect())
     }
 
-    /// One seek-and-read of a single frame; CRC-checked and decoded.
-    pub(crate) fn read_frame(&self, loc: FrameLoc) -> Result<TrafficRecord, StoreError> {
-        let payload = self.read_frame_payload(loc)?;
-        decode_record(&payload)
-    }
-
-    /// The raw payload bytes of one frame (CRC-checked, not decoded).
-    pub(crate) fn read_frame_payload(&self, loc: FrameLoc) -> Result<Vec<u8>, StoreError> {
-        let path = if loc.segment == self.active.id {
-            &self.active.path
-        } else {
-            match self.sealed.get(&loc.segment) {
-                Some(segment) => &segment.path,
-                None => {
-                    return Err(StoreError::MalformedRecord {
-                        reason: format!("lookup names unknown segment {}", loc.segment),
-                    })
+    /// The frame reader behind every read. Walks `frames` in the order
+    /// given, opening one file per run of frames from the same segment
+    /// (callers group them by segment), and makes one seek plus one read
+    /// of header and payload per frame into a buffer reused across frames.
+    /// Before the buffer grows, the entry must fit its segment: `len <=
+    /// MAX_PAYLOAD` and `offset + 8 + len` within the file. After the read,
+    /// the header's length word must equal the entry's and the CRC must
+    /// match. `visit` then gets the frame's tag and its payload.
+    pub(crate) fn read_frames<T>(
+        &self,
+        frames: &[(T, FrameLoc)],
+        mut visit: impl FnMut(&T, &[u8]) -> Result<(), StoreError>,
+    ) -> Result<(), StoreError> {
+        let mut buf = Vec::new();
+        for run in frames.chunk_by(|(_, a), (_, b)| a.segment == b.segment) {
+            let Some((_, first)) = run.first() else {
+                continue;
+            };
+            // ptm-analyze: allow(reactor-blocking): store reads run on worker jobs; the reactor edge is `conns.insert` (HashMap) aliasing `SegmentIndex::insert`, whose `location.get()` aliases `SegmentStore::get`
+            let mut file = File::open(self.segment_path(first.segment)?)?;
+            let file_len = file.metadata()?.len();
+            for (tag, loc) in run {
+                let corrupt = || StoreError::CorruptFrame { offset: loc.offset };
+                let end = loc.offset.checked_add(8 + u64::from(loc.len));
+                if loc.len > MAX_PAYLOAD || end.is_none_or(|end| end > file_len) {
+                    return Err(corrupt());
                 }
+                buf.resize(8 + loc.len as usize, 0);
+                file.seek(SeekFrom::Start(loc.offset))?;
+                file.read_exact(&mut buf)?;
+                let (header, payload) = buf.split_at(8);
+                if le_u32(&header[0..4]) != loc.len || crc32(payload) != le_u32(&header[4..8]) {
+                    return Err(corrupt());
+                }
+                visit(tag, payload)?;
             }
-        };
-        // ptm-analyze: allow(reactor-blocking): page-cache fills run on worker queries; the reactor edge is `conns.insert` (HashMap) aliasing cache `insert` methods
-        let mut file = File::open(path)?;
-        file.seek(SeekFrom::Start(loc.offset))?;
-        let mut frame_header = [0u8; 8];
-        file.read_exact(&mut frame_header)?;
-        if le_u32(&frame_header[0..4]) != loc.len {
-            return Err(StoreError::CorruptFrame { offset: loc.offset });
         }
-        let mut payload = vec![0u8; loc.len as usize];
-        file.read_exact(&mut payload)?;
-        if crc32(&payload) != le_u32(&frame_header[4..8]) {
-            return Err(StoreError::CorruptFrame { offset: loc.offset });
+        Ok(())
+    }
+
+    /// The file holding `segment`, active or sealed.
+    fn segment_path(&self, segment: u64) -> Result<&Path, StoreError> {
+        if segment == self.active.id {
+            return Ok(&self.active.path);
         }
-        Ok(payload)
+        match self.sealed.get(&segment) {
+            Some(sealed) => Ok(&sealed.path),
+            None => Err(StoreError::MalformedRecord {
+                reason: format!("lookup names unknown segment {segment}"),
+            }),
+        }
     }
 
     /// Rebuilds the store-wide lookup from segment indexes, ascending
@@ -1234,16 +1230,169 @@ mod tests {
                 .expect("present");
             assert_eq!(*got, *record);
         }
-        // Second pass hits the cache.
-        let misses = store.cache_misses();
+        // Reads are uncached: every pass decodes the frame again and hands
+        // back an Arc nothing else holds.
         for record in &records {
-            store
+            let got = store
                 .get(record.location(), record.period())
                 .expect("read")
                 .expect("present");
+            assert_eq!(Arc::strong_count(&got), 1);
+            assert_eq!(*got, *record);
         }
-        assert_eq!(store.cache_misses(), misses);
-        assert!(store.cache_hits() >= 5);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Copies a (flat) store directory to a fresh temp directory.
+    fn copy_store(src: &Path, name: &str) -> PathBuf {
+        let dst = temp_dir(name);
+        std::fs::create_dir_all(&dst).expect("mkdir");
+        for entry in std::fs::read_dir(src).expect("list") {
+            let entry = entry.expect("entry");
+            std::fs::copy(entry.path(), dst.join(entry.file_name())).expect("copy");
+        }
+        dst
+    }
+
+    /// Rewrites a sealed segment's footer index through `edit` and
+    /// re-checksums the index frame, so only the edited entries lie.
+    fn rewrite_footer_index(path: &Path, edit: impl FnOnce(&mut SegmentIndex)) {
+        let mut bytes = std::fs::read(path).expect("read segment");
+        let index_at = le_u64(&bytes[bytes.len() - TRAILER_LEN as usize..]) as usize;
+        let len = (le_u32(&bytes[index_at..]) & !INDEX_FLAG) as usize;
+        let payload = index_at + 8..index_at + 8 + len;
+        let mut index = SegmentIndex::decode(&bytes[payload.clone()]).expect("footer index");
+        edit(&mut index);
+        let encoded = index.encode();
+        assert_eq!(encoded.len(), len, "entry edits keep the index size");
+        bytes[index_at + 4..index_at + 8].copy_from_slice(&crc32(&encoded).to_le_bytes());
+        bytes[payload].copy_from_slice(&encoded);
+        std::fs::write(path, bytes).expect("write segment");
+    }
+
+    #[test]
+    fn records_for_location_matches_a_model_across_segments_compaction_and_reopen() {
+        let dir = temp_dir("reader-model");
+        let (target, other) = (LocationId::new(7), LocationId::new(8));
+        let mut model: BTreeMap<(u64, u32), TrafficRecord> = BTreeMap::new();
+        let check = |store: &mut SegmentStore, model: &BTreeMap<(u64, u32), TrafficRecord>| {
+            for location in [target, other] {
+                let got: Vec<TrafficRecord> = store
+                    .records_for_location(location)
+                    .expect("read")
+                    .iter()
+                    .map(|record| (**record).clone())
+                    .collect();
+                let want: Vec<TrafficRecord> = model
+                    .range((location.get(), 0)..=(location.get(), u32::MAX))
+                    .map(|(_, record)| record.clone())
+                    .collect();
+                assert_eq!(got, want, "location {}", location.get());
+            }
+        };
+        let targets = sample_records(7, 12);
+        let others = sample_records(8, 6);
+        let mut store = SegmentStore::open(&dir, small_rotate_opts(400))
+            .expect("open")
+            .store;
+        // Interleaved with another location, so the target's frames are
+        // never contiguous; tiny segments rotate every couple of commits.
+        for (record, neighbour) in targets.iter().zip(&others).take(6) {
+            store.append_all([record, neighbour]).expect("append");
+            for r in [record, neighbour] {
+                model.insert((r.location().get(), r.period().get()), r.clone());
+            }
+        }
+        assert!(store.sealed_count() >= 3, "setup must fragment the store");
+        check(&mut store, &model);
+        assert!(store.compact().expect("compact").new_segment.is_some());
+        check(&mut store, &model);
+
+        // Supersede a merged period, then append later periods out of
+        // period order, so offset order and period order disagree.
+        let altered = TrafficRecord::new(
+            target,
+            PeriodId::new(2),
+            BitmapSize::new(1024).expect("pow2"),
+        );
+        assert_ne!(altered, targets[2], "the superseding frame must differ");
+        let later = [11, 9, 10, 6, 8, 7].map(|period| &targets[period]);
+        for record in std::iter::once(&altered).chain(later) {
+            store.append_all([record]).expect("append");
+            model.insert(
+                (record.location().get(), record.period().get()),
+                record.clone(),
+            );
+        }
+        let segments: BTreeSet<u64> = store
+            .lookup
+            .iter()
+            .filter(|((location, _), _)| *location == target)
+            .map(|(_, loc)| loc.segment)
+            .collect();
+        assert!(segments.len() >= 3, "target spread over {segments:?}");
+        check(&mut store, &model);
+        let sealed_loc = store.lookup[&(target, PeriodId::new(0))];
+        assert!(store.sealed.contains_key(&sealed_loc.segment));
+        drop(store);
+
+        let mut store = SegmentStore::open(&dir, StoreOptions::default())
+            .expect("reopen")
+            .store;
+        check(&mut store, &model);
+        drop(store);
+
+        let segment_of = |dir: &Path| dir.join(segment_file_name(sealed_loc.segment));
+        let read_copy = |copy: &Path| {
+            let result = SegmentStore::open(copy, StoreOptions::default())
+                .expect("open copy")
+                .store
+                .records_for_location(target);
+            std::fs::remove_dir_all(copy).ok();
+            result
+        };
+        let corrupt = StoreError::CorruptFrame {
+            offset: sealed_loc.offset,
+        };
+
+        // One flipped payload byte in a sealed frame fails its CRC.
+        let copy = copy_store(&dir, "reader-model-flip");
+        let mut bytes = std::fs::read(segment_of(&copy)).expect("read");
+        bytes[(sealed_loc.offset + 8 + 30) as usize] ^= 0x01;
+        std::fs::write(segment_of(&copy), bytes).expect("write");
+        let err = read_copy(&copy).expect_err("flipped byte");
+        assert_eq!(err.to_string(), corrupt.to_string());
+
+        // An index entry whose len disagrees with the frame header.
+        let copy = copy_store(&dir, "reader-model-len");
+        rewrite_footer_index(&segment_of(&copy), |index| {
+            index.insert(
+                target,
+                PeriodId::new(0),
+                sealed_loc.offset,
+                sealed_loc.len + 1,
+            );
+        });
+        let err = read_copy(&copy).expect_err("len mismatch");
+        assert_eq!(err.to_string(), corrupt.to_string());
+
+        // Entries pointing past the end of the file, or too long to be a
+        // frame at all: an error before any read or allocation.
+        let file_len = std::fs::metadata(segment_of(&dir)).expect("meta").len();
+        for (offset, len) in [
+            (file_len, sealed_loc.len),
+            (file_len - 4, sealed_loc.len),
+            (u64::MAX - 4, sealed_loc.len),
+            (sealed_loc.offset, MAX_PAYLOAD),
+            (sealed_loc.offset, u32::MAX),
+        ] {
+            let copy = copy_store(&dir, "reader-model-past-end");
+            rewrite_footer_index(&segment_of(&copy), |index| {
+                index.insert(target, PeriodId::new(0), offset, len);
+            });
+            let err = read_copy(&copy).expect_err("entry past the end");
+            assert_eq!(err.to_string(), format!("corrupt frame at offset {offset}"));
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -71,14 +71,16 @@ timeout 300 cargo test --quiet -p ptm-integration-tests --test reactor_storm
 echo "==> overload storms (bounded, fixed seeds)"
 timeout 300 cargo test --quiet -p ptm-integration-tests --test overload_storm
 
-# Benchmark correctness-gate smoke: a few rounds of each gated workload
-# against a real in-process daemon. Exit 1 on any failed call, a `Ping`
-# record count that differs from the acked records, or an answer that is
-# not bit-exact against an in-process `CentralServer` — so the record
-# decode and frame/segment CRC paths are checked end to end on every run.
+# Benchmark correctness-gate smoke: a few rounds of each gated workload,
+# plus `mixed`, against a real in-process daemon. Exit 1 on any failed
+# call, a `Ping` record count that differs from the acked records, or an
+# answer that is not bit-exact against an in-process `CentralServer` — so
+# the record decode and frame/segment CRC paths are checked end to end on
+# every run. `mixed` is the one workload where cold-start hydration runs
+# under the writer lock beside live uploads.
 echo "==> benchmark smoke (bounded, correctness gate only)"
 cargo build --release --quiet --offline --manifest-path loadbench/Cargo.toml
-for workload in ingest query; do
+for workload in ingest query mixed; do
     timeout 300 cargo run --release --offline --manifest-path loadbench/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 2 --trace 0
 done

@@ -6,7 +6,7 @@
 //! bench: <group>/<name> median_ns_per_iter <value>
 //! ```
 //!
-//! which `scripts/bench.sh` parses into `BENCH_*.json`. Calibration doubles
+//! so `cargo bench` output greps the same on every run. Calibration doubles
 //! the iteration count until a sample takes ≥ ~2 ms, then the median of 9
 //! timed samples is reported. Absolute numbers are comparable across runs on
 //! the same machine, which is all the repo's trend tracking needs.
