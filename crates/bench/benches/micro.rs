@@ -142,7 +142,8 @@ fn bench_storage(c: &mut Criterion) {
     });
 
     // The archive append path with its permanent (disabled) fault hooks:
-    // four small records buffered and committed with one flush.
+    // four small records buffered and committed with one flush into a
+    // fresh segment store.
     let small_records: Vec<ptm_core::record::TrafficRecord> = (0..4)
         .map(|p| {
             let mut r = ptm_core::record::TrafficRecord::new(
@@ -161,17 +162,19 @@ fn bench_storage(c: &mut Criterion) {
     group.bench_function("archive_append_commit_4_records", |b| {
         b.iter_batched(
             || {
-                let _ = std::fs::remove_file(&bench_path);
-                ptm_store::Archive::create(&bench_path).expect("create")
+                let _ = std::fs::remove_dir_all(&bench_path);
+                ptm_store::SegmentStore::open(&bench_path, ptm_store::StoreOptions::default())
+                    .expect("create")
+                    .store
             },
-            |mut archive| {
-                archive.append_all(small_records.iter()).expect("append");
-                archive
+            |mut store| {
+                store.append_all(small_records.iter()).expect("append");
+                store
             },
             BatchSize::PerIteration,
         )
     });
-    let _ = std::fs::remove_file(&bench_path);
+    let _ = std::fs::remove_dir_all(&bench_path);
     group.finish();
 
     let mut group = c.benchmark_group("wire");

@@ -1,20 +1,19 @@
-//! Storage-engine benchmarks: v1 full-replay open vs v2 manifest+index
-//! open on the same 100k-record archive, plus the latency of one
-//! historical read (`SegmentStore::get`: index lookup, one seek and one
-//! read of the frame, CRC check, decode). Run with
-//! `cargo bench -p ptm-bench --bench storage`.
+//! Storage-engine benchmarks: the manifest+index open of a 100k-record
+//! segment store, plus the latency of one historical read
+//! (`SegmentStore::get`: index lookup, one seek and one read of the frame,
+//! CRC check, decode). Run with `cargo bench -p ptm-bench --bench storage`.
 //!
-//! The archives are built once, outside the timed loops: records carry
-//! 1 Kibit bitmaps with no encodes, so the setup writes ~16 MB instead of
+//! The store is built once, outside the timed loops: records carry 1 Kibit
+//! bitmaps with no encodes, so the setup writes ~16 MB instead of
 //! gigabytes while keeping the ratio that matters honest — a record frame
-//! is ~10× the size of its 17-byte index entry, so a v1 open replays every
-//! frame byte while a v2 open reads only manifest + footer indexes.
+//! is ~10× the size of its 17-byte index entry, and the open reads only
+//! manifest + footer indexes, never a frame.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ptm_core::encoding::LocationId;
 use ptm_core::params::BitmapSize;
 use ptm_core::record::{PeriodId, TrafficRecord};
-use ptm_store::{Archive, SegmentStore, StoreOptions};
+use ptm_store::{SegmentStore, StoreOptions};
 use std::path::PathBuf;
 
 const LOCATIONS: u64 = 100;
@@ -33,13 +32,6 @@ fn tiny_records() -> Vec<TrafficRecord> {
         }
     }
     records
-}
-
-fn build_v1(path: &PathBuf, records: &[TrafficRecord]) {
-    let mut archive = Archive::create(path).expect("v1 create");
-    for chunk in records.chunks(1024) {
-        archive.append_all(chunk.iter()).expect("v1 append");
-    }
 }
 
 fn build_v2(dir: &PathBuf, opts: &StoreOptions, records: &[TrafficRecord]) {
@@ -63,15 +55,10 @@ fn bench_storage(c: &mut Criterion) {
         ..StoreOptions::default()
     };
 
-    let v1_path = base.join("archive-v1.ptma");
-    build_v1(&v1_path, &records);
     let v2_dir = base.join("archive-v2.ptma");
     build_v2(&v2_dir, &opts, &records);
 
     let mut group = c.benchmark_group("store");
-    group.bench_function("v1_open_100k", |b| {
-        b.iter(|| Archive::open(&v1_path).expect("v1 open").records.len())
-    });
     group.bench_function("v2_open_100k", |b| {
         b.iter(|| {
             SegmentStore::open(&v2_dir, opts.clone())

@@ -228,7 +228,7 @@ pub struct SpanGuard {
 impl SpanGuard {
     /// Opens a span under the thread's current context, or as the root of
     /// a freshly minted trace if there is none (how the daemon traces
-    /// requests from v2 clients that carry no context).
+    /// requests that carry no context).
     pub fn enter(name: &'static str) -> Self {
         if !tracing_enabled() {
             return Self { open: None };

@@ -22,8 +22,9 @@
 //!   buffers, and a bounded worker pool runs estimate/commit work so slow
 //!   storage never stalls the wire — wrapping
 //!   [`ptm_net::CentralServer`]'s location-sharded store, write-ahead
-//!   persistence into a [`ptm_store::Archive`] (append + flush before the
-//!   records become queryable, replayed on restart), idempotent duplicate
+//!   persistence into a [`ptm_store::SegmentStore`] (append + flush before
+//!   the records become queryable, hydrated lazily per location after a
+//!   restart), idempotent duplicate
 //!   handling, panic containment with poison-recovering locks, graceful
 //!   drain on shutdown. Consecutive pipelined uploads from one connection
 //!   coalesce into a single commit and their acks batch into one write.
@@ -59,13 +60,13 @@
 //! use ptm_rpc::{ClientConfig, RpcClient, RpcServer, ServerConfig};
 //!
 //! let archive = std::env::temp_dir().join(format!("ptm-rpc-doc-{}.ptma", std::process::id()));
-//! # let _ = std::fs::remove_file(&archive);
+//! # let _ = std::fs::remove_dir_all(&archive);
 //! let server = RpcServer::start("127.0.0.1:0", &archive, ServerConfig::default()).unwrap();
 //! let mut client = RpcClient::connect(server.local_addr(), ClientConfig::default()).unwrap();
 //! let info = client.ping().unwrap();
 //! assert_eq!(info.version, ptm_rpc::PROTOCOL_VERSION);
 //! server.shutdown().unwrap();
-//! # let _ = std::fs::remove_file(&archive);
+//! # let _ = std::fs::remove_dir_all(&archive);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -1,18 +1,17 @@
-//! The versioned RPC message codec carried inside transport frames.
+//! The RPC message codec carried inside transport frames.
 //!
-//! Every payload starts with the protocol version and a message tag; v3
-//! adds a flags byte and an optional trace-context header between the tag
-//! and the body. The body layout depends on the tag (all integers
+//! Every payload starts with the protocol version, a message tag and a
+//! flags byte, then an optional trace-context and deadline header, then
+//! the body. The body layout depends on the tag (all integers
 //! little-endian):
 //!
 //! ```text
-//! byte 0: protocol version (this build speaks 3, decodes 1..=3)
+//! byte 0: protocol version (3; any other value is rejected)
 //! byte 1: message tag
-//! v3 only:
-//!   byte 2: flags (bit 0 = trace context present, bit 1 = deadline
-//!           present; other bits must be 0)
-//!   if flags bit 0: trace_id u64 | parent_span u64
-//!   if flags bit 1: deadline_ms u32 (remaining caller budget)
+//! byte 2: flags (bit 0 = trace context present, bit 1 = deadline
+//!         present; other bits must be 0)
+//! if flags bit 0: trace_id u64 | parent_span u64
+//! if flags bit 1: deadline_ms u32 (remaining caller budget)
 //!
 //! requests:
 //!   1 ping          (empty body)
@@ -34,19 +33,14 @@
 //!   135 going away  retry_after_ms u32 (server draining; reconnect later)
 //! ```
 //!
-//! Version history: v1 had a `version u8 | s u32` pong body and no
-//! overloaded response. v2 extends the pong with a health summary and adds
-//! tag 132 for load shedding (see `docs/FAULTS.md`). v3 inserts the flags
-//! byte, letting requests carry a trace context (`docs/OBSERVABILITY.md`
-//! § Tracing) and a remaining-deadline budget (`docs/RPC.md` § Request
-//! lifecycle under overload), and adds the stats introspection pair
-//! (tags 7/133) plus the deadline/drain responses (tags 134/135 — encoded
-//! as tag 132 for v2 peers, never sent to v1 peers).
-//!
-//! Older peers keep working: v1/v2 payloads (no flags byte) still decode —
-//! the daemon mints a local trace when no context is carried — and replies
-//! are encoded in the requester's version so an old client never sees a
-//! header it does not understand.
+//! The trace context joins the daemon's spans to the caller's
+//! (`docs/OBSERVABILITY.md` § Tracing); the deadline lets the daemon drop
+//! work its caller has given up on (`docs/RPC.md` § Request lifecycle
+//! under overload). Every client of the daemon ships in this workspace and
+//! speaks [`PROTOCOL_VERSION`], so there is no negotiation: a payload whose
+//! first byte is any other version decodes to
+//! [`ProtoError::VersionMismatch`], which the daemon answers with
+//! `Error{VersionMismatch}` before closing the connection.
 //!
 //! Traffic records ride in the exact `ptm-store` on-disk payload encoding,
 //! so the daemon archives the bytes it validated and a reader of the
@@ -56,11 +50,8 @@ use ptm_core::encoding::LocationId;
 use ptm_core::record::{PeriodId, TrafficRecord};
 use ptm_store::codec::{decode_record, encode_record};
 
-/// The protocol version this build emits.
+/// The protocol version this build speaks, the only one it decodes.
 pub const PROTOCOL_VERSION: u8 = 3;
-
-/// The oldest protocol version this build still decodes.
-pub const MIN_PROTOCOL_VERSION: u8 = 1;
 
 /// Header flag bit: a `trace_id u64 | parent_span u64` pair follows.
 const FLAG_TRACE: u8 = 0b0000_0001;
@@ -83,15 +74,14 @@ pub const MAX_BATCH_RECORDS: usize = 4096;
 pub enum ProtoError {
     /// The payload ended before the message was complete.
     Truncated,
-    /// The version byte is outside
-    /// [`MIN_PROTOCOL_VERSION`]`..=`[`PROTOCOL_VERSION`].
+    /// The version byte is not [`PROTOCOL_VERSION`].
     VersionMismatch {
         /// Version the peer sent.
         got: u8,
-        /// Newest version this build speaks.
+        /// The version this build speaks.
         want: u8,
     },
-    /// A v3 flags byte set bits this build does not know.
+    /// The flags byte set bits this build does not know.
     UnknownFlags(u8),
     /// Unknown message tag.
     UnknownTag(u8),
@@ -223,7 +213,7 @@ pub enum Request {
     Stats,
 }
 
-/// Trace context carried in a v3 header: which trace the request belongs
+/// Trace context carried in the header: which trace the request belongs
 /// to and which client-side span is its parent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WireTrace {
@@ -233,20 +223,18 @@ pub struct WireTrace {
     pub parent_span: u64,
 }
 
-/// A decoded request plus its header metadata: the version the peer spoke
-/// (replies must be encoded in it) and the carried trace context, if any.
+/// A decoded request plus its header metadata: the carried trace context
+/// and remaining deadline, if any.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecodedRequest {
     /// The request message.
     pub request: Request,
-    /// Protocol version of the incoming payload.
-    pub version: u8,
-    /// Trace context from the v3 header (`None` for v1/v2 or flags bit 0
-    /// unset — the daemon then mints a local trace).
+    /// Trace context from the header (`None` when flags bit 0 is unset —
+    /// the daemon then mints a local trace).
     pub trace: Option<WireTrace>,
-    /// Remaining caller budget from the v3 header (`None` for v1/v2 or
-    /// flags bit 1 unset). The receiver anchors this at frame arrival to
-    /// drop doomed work instead of executing it.
+    /// Remaining caller budget from the header (`None` when flags bit 1 is
+    /// unset). The receiver anchors this at frame arrival to drop doomed
+    /// work instead of executing it.
     pub deadline_ms: Option<u32>,
 }
 
@@ -296,12 +284,11 @@ pub enum Response {
     Stats(String),
     /// The request's wire deadline expired before a worker picked it up;
     /// the server dropped it unexecuted. Retryable if the caller still has
-    /// budget left (v3 only; encoded as [`Response::Overloaded`] for v2).
+    /// budget left.
     DeadlineExceeded,
     /// The server is draining for shutdown: it finished or will finish
     /// in-flight work but takes nothing new. Retryable against another
-    /// (or the restarted) instance after `retry_after_ms` (v3 only;
-    /// encoded as [`Response::Overloaded`] for v2, clean close for v1).
+    /// (or the restarted) instance after `retry_after_ms`.
     GoingAway {
         /// Hand-off hint: how long to wait before reconnecting, ms.
         retry_after_ms: u32,
@@ -404,84 +391,62 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Builds a payload header in the requested version: v1/v2 are
-/// `version | tag`, v3 appends the flags byte and, when present, the
-/// 16-byte trace header and the 4-byte remaining-deadline field.
-fn header_for(version: u8, tag: u8, trace: Option<WireTrace>, deadline_ms: Option<u32>) -> Vec<u8> {
+/// Builds a payload header: `version | tag | flags`, then the 16-byte
+/// trace header and the 4-byte remaining-deadline field when present.
+fn header_for(tag: u8, trace: Option<WireTrace>, deadline_ms: Option<u32>) -> Vec<u8> {
     let mut out = Vec::new();
-    header_into(version, tag, trace, deadline_ms, &mut out);
+    header_into(tag, trace, deadline_ms, &mut out);
     out
 }
 
-/// Appends the header for the requested version to `out` — the
-/// buffer-reuse form of [`header_for`].
-fn header_into(
-    version: u8,
-    tag: u8,
-    trace: Option<WireTrace>,
-    deadline_ms: Option<u32>,
-    out: &mut Vec<u8>,
-) {
-    out.push(version);
-    out.push(tag);
-    if version >= 3 {
-        let mut flags = 0u8;
-        if trace.is_some() {
-            flags |= FLAG_TRACE;
-        }
-        if deadline_ms.is_some() {
-            flags |= FLAG_DEADLINE;
-        }
-        out.push(flags);
-        if let Some(t) = trace {
-            out.extend_from_slice(&t.trace_id.to_le_bytes());
-            out.extend_from_slice(&t.parent_span.to_le_bytes());
-        }
-        if let Some(budget) = deadline_ms {
-            out.extend_from_slice(&budget.to_le_bytes());
-        }
+/// Appends the header to `out` — the buffer-reuse form of [`header_for`].
+fn header_into(tag: u8, trace: Option<WireTrace>, deadline_ms: Option<u32>, out: &mut Vec<u8>) {
+    let mut flags = 0u8;
+    if trace.is_some() {
+        flags |= FLAG_TRACE;
+    }
+    if deadline_ms.is_some() {
+        flags |= FLAG_DEADLINE;
+    }
+    out.extend_from_slice(&[PROTOCOL_VERSION, tag, flags]);
+    if let Some(t) = trace {
+        out.extend_from_slice(&t.trace_id.to_le_bytes());
+        out.extend_from_slice(&t.parent_span.to_le_bytes());
+    }
+    if let Some(budget) = deadline_ms {
+        out.extend_from_slice(&budget.to_le_bytes());
     }
 }
 
-/// Reads the protocol version a buffered payload claims to speak without
-/// decoding the rest, `None` on an empty payload. The shed path uses this
-/// to pick an encoding every peer version survives before any full decode.
-pub fn peek_version(payload: &[u8]) -> Option<u8> {
-    payload.first().copied()
-}
-
-/// Reads `version | tag | [flags | trace | deadline]`, accepting every
-/// version in [`MIN_PROTOCOL_VERSION`]`..=`[`PROTOCOL_VERSION`].
-#[allow(clippy::type_complexity)]
+/// Reads `version | tag | flags | [trace] | [deadline]`, accepting only
+/// [`PROTOCOL_VERSION`].
 fn read_header(
     reader: &mut Reader<'_>,
-) -> Result<(u8, u8, Option<WireTrace>, Option<u32>), ProtoError> {
+) -> Result<(u8, Option<WireTrace>, Option<u32>), ProtoError> {
     let version = reader.u8()?;
-    if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) {
+    if version != PROTOCOL_VERSION {
         return Err(ProtoError::VersionMismatch {
             got: version,
             want: PROTOCOL_VERSION,
         });
     }
     let tag = reader.u8()?;
-    let mut trace = None;
-    let mut deadline_ms = None;
-    if version >= 3 {
-        let flags = reader.u8()?;
-        if flags & !KNOWN_FLAGS != 0 {
-            return Err(ProtoError::UnknownFlags(flags));
-        }
-        if flags & FLAG_TRACE != 0 {
-            trace = Some(WireTrace {
-                trace_id: reader.u64()?,
-                parent_span: reader.u64()?,
-            });
-        }
-        if flags & FLAG_DEADLINE != 0 {
-            deadline_ms = Some(reader.u32()?);
-        }
+    let flags = reader.u8()?;
+    if flags & !KNOWN_FLAGS != 0 {
+        return Err(ProtoError::UnknownFlags(flags));
     }
-    Ok((version, tag, trace, deadline_ms))
+    let mut trace = None;
+    if flags & FLAG_TRACE != 0 {
+        trace = Some(WireTrace {
+            trace_id: reader.u64()?,
+            parent_span: reader.u64()?,
+        });
+    }
+    let mut deadline_ms = None;
+    if flags & FLAG_DEADLINE != 0 {
+        deadline_ms = Some(reader.u32()?);
+    }
+    Ok((tag, trace, deadline_ms))
 }
 
 fn push_periods(out: &mut Vec<u8>, periods: &[PeriodId]) {
@@ -511,20 +476,20 @@ pub fn encode_request(request: &Request) -> Vec<u8> {
     encode_request_with(request, None, None)
 }
 
-/// Encodes a request payload with an optional trace context in the v3
+/// Encodes a request payload with an optional trace context in the
 /// header (framing not included).
 pub fn encode_request_traced(request: &Request, trace: Option<WireTrace>) -> Vec<u8> {
     encode_request_with(request, trace, None)
 }
 
 /// Encodes a request payload with optional trace context and remaining
-/// deadline budget in the v3 header (framing not included).
+/// deadline budget in the header (framing not included).
 pub fn encode_request_with(
     request: &Request,
     trace: Option<WireTrace>,
     deadline_ms: Option<u32>,
 ) -> Vec<u8> {
-    let header = |tag| header_for(PROTOCOL_VERSION, tag, trace, deadline_ms);
+    let header = |tag| header_for(tag, trace, deadline_ms);
     match request {
         Request::Ping => header(TAG_PING),
         Request::Upload(record) => {
@@ -569,8 +534,8 @@ pub fn encode_request_with(
     }
 }
 
-/// Decodes a request payload together with its header metadata (peer
-/// version and optional trace context).
+/// Decodes a request payload together with its header metadata (optional
+/// trace context and deadline).
 ///
 /// # Errors
 ///
@@ -578,7 +543,7 @@ pub fn encode_request_with(
 /// lengths, malformed embedded records, trailing bytes.
 pub fn decode_request(payload: &[u8]) -> Result<DecodedRequest, ProtoError> {
     let mut r = Reader::new(payload);
-    let (version, tag, trace, deadline_ms) = read_header(&mut r)?;
+    let (tag, trace, deadline_ms) = read_header(&mut r)?;
     let request = match tag {
         TAG_PING => Request::Ping,
         TAG_UPLOAD => Request::Upload(read_embedded_record(r.rest())?),
@@ -613,39 +578,31 @@ pub fn decode_request(payload: &[u8]) -> Result<DecodedRequest, ProtoError> {
     r.finish()?;
     Ok(DecodedRequest {
         request,
-        version,
         trace,
         deadline_ms,
     })
 }
 
-/// Encodes a response payload (framing not included) in
-/// [`PROTOCOL_VERSION`].
+/// Encodes a response payload (framing not included).
 pub fn encode_response(response: &Response) -> Vec<u8> {
-    encode_response_for(PROTOCOL_VERSION, response)
-}
-
-/// Encodes a response payload in the given protocol version, so a reply
-/// never carries a header newer than what the requester speaks.
-pub fn encode_response_for(version: u8, response: &Response) -> Vec<u8> {
     let mut out = Vec::new();
-    encode_response_into(version, response, &mut out);
+    encode_response_into(response, &mut out);
     out
 }
 
-/// Encodes a response payload in the given protocol version directly into
-/// `out` — the zero-allocation form of [`encode_response_for`] used by the
-/// reactor's reusable per-connection write buffers.
-pub fn encode_response_into(version: u8, response: &Response, out: &mut Vec<u8>) {
+/// Encodes a response payload directly into `out` — the zero-allocation
+/// form of [`encode_response`] used by the reactor's reusable
+/// per-connection write buffers.
+pub fn encode_response_into(response: &Response, out: &mut Vec<u8>) {
     match response {
         Response::Pong {
-            version: peer,
+            version,
             s,
             records,
             degraded,
         } => {
-            header_into(version, TAG_PONG, None, None, out);
-            out.push(*peer);
+            header_into(TAG_PONG, None, None, out);
+            out.push(*version);
             out.extend_from_slice(&s.to_le_bytes());
             out.extend_from_slice(&records.to_le_bytes());
             out.push(u8::from(*degraded));
@@ -654,16 +611,16 @@ pub fn encode_response_into(version: u8, response: &Response, out: &mut Vec<u8>)
             accepted,
             duplicates,
         } => {
-            header_into(version, TAG_UPLOAD_OK, None, None, out);
+            header_into(TAG_UPLOAD_OK, None, None, out);
             out.extend_from_slice(&accepted.to_le_bytes());
             out.extend_from_slice(&duplicates.to_le_bytes());
         }
         Response::Estimate(value) => {
-            header_into(version, TAG_ESTIMATE, None, None, out);
+            header_into(TAG_ESTIMATE, None, None, out);
             out.extend_from_slice(&value.to_bits().to_le_bytes());
         }
         Response::Error { code, message } => {
-            header_into(version, TAG_ERROR, None, None, out);
+            header_into(TAG_ERROR, None, None, out);
             out.push(*code as u8);
             let bytes = message.as_bytes();
             let len = bytes.len().min(u16::MAX as usize);
@@ -671,32 +628,16 @@ pub fn encode_response_into(version: u8, response: &Response, out: &mut Vec<u8>)
             out.extend_from_slice(&bytes[..len]);
         }
         Response::Overloaded { retry_after_ms } => {
-            header_into(version, TAG_OVERLOADED, None, None, out);
+            header_into(TAG_OVERLOADED, None, None, out);
             out.extend_from_slice(&retry_after_ms.to_le_bytes());
         }
         Response::Stats(json) => {
-            header_into(version, TAG_STATS_REPLY, None, None, out);
+            header_into(TAG_STATS_REPLY, None, None, out);
             out.extend_from_slice(json.as_bytes());
         }
-        // The v3-only overload answers downgrade to the v2 shed tag so an
-        // older peer still gets a decodable, retryable frame. v1 predates
-        // every overload tag; the server closes those connections cleanly
-        // instead of encoding for them (same discipline as Overloaded).
-        Response::DeadlineExceeded => {
-            if version >= 3 {
-                header_into(version, TAG_DEADLINE_EXCEEDED, None, None, out);
-            } else {
-                header_into(version, TAG_OVERLOADED, None, None, out);
-                out.extend_from_slice(&0u32.to_le_bytes());
-            }
-        }
+        Response::DeadlineExceeded => header_into(TAG_DEADLINE_EXCEEDED, None, None, out),
         Response::GoingAway { retry_after_ms } => {
-            let tag = if version >= 3 {
-                TAG_GOING_AWAY
-            } else {
-                TAG_OVERLOADED
-            };
-            header_into(version, tag, None, None, out);
+            header_into(TAG_GOING_AWAY, None, None, out);
             out.extend_from_slice(&retry_after_ms.to_le_bytes());
         }
     }
@@ -709,7 +650,7 @@ pub fn encode_response_into(version: u8, response: &Response, out: &mut Vec<u8>)
 /// Any [`ProtoError`].
 pub fn decode_response(payload: &[u8]) -> Result<Response, ProtoError> {
     let mut r = Reader::new(payload);
-    let (_version, tag, _trace, _deadline) = read_header(&mut r)?;
+    let (tag, _trace, _deadline) = read_header(&mut r)?;
     let response = match tag {
         TAG_PONG => Response::Pong {
             version: r.u8()?,
@@ -799,9 +740,9 @@ mod tests {
         ];
         for request in requests {
             let payload = encode_request(&request);
+            assert_eq!(payload[0], PROTOCOL_VERSION);
             let decoded = decode_request(&payload).expect("decode");
             assert_eq!(decoded.request, request, "{request:?}");
-            assert_eq!(decoded.version, PROTOCOL_VERSION);
             assert_eq!(decoded.trace, None, "untraced encode carries no context");
         }
     }
@@ -816,40 +757,6 @@ mod tests {
         let decoded = decode_request(&payload).expect("decode");
         assert_eq!(decoded.request, Request::Ping);
         assert_eq!(decoded.trace, Some(trace));
-    }
-
-    #[test]
-    fn v1_and_v2_requests_still_decode() {
-        // Old headers have no flags byte; the body starts right after the
-        // tag and no trace context is carried.
-        for version in [1u8, 2] {
-            let mut payload = vec![version, TAG_QUERY_VOLUME];
-            payload.extend_from_slice(&9u64.to_le_bytes());
-            payload.extend_from_slice(&4u32.to_le_bytes());
-            let decoded = decode_request(&payload).expect("old version decodes");
-            assert_eq!(decoded.version, version);
-            assert_eq!(decoded.trace, None);
-            assert_eq!(
-                decoded.request,
-                Request::QueryVolume {
-                    location: LocationId::new(9),
-                    period: PeriodId::new(4),
-                }
-            );
-        }
-    }
-
-    #[test]
-    fn responses_encode_in_requester_version() {
-        let response = Response::Overloaded { retry_after_ms: 9 };
-        let v2 = encode_response_for(2, &response);
-        assert_eq!(v2[0], 2);
-        assert_eq!(v2.len(), 2 + 4, "v2 header has no flags byte");
-        assert_eq!(decode_response(&v2), Ok(response.clone()));
-        let v3 = encode_response_for(3, &response);
-        assert_eq!(v3[0], 3);
-        assert_eq!(v3.len(), 3 + 4, "v3 header has a flags byte");
-        assert_eq!(decode_response(&v3), Ok(response));
     }
 
     #[test]
@@ -901,28 +808,6 @@ mod tests {
     }
 
     #[test]
-    fn overload_answers_downgrade_to_v2_overloaded() {
-        // A v2 peer never sees tags 134/135: both drain/deadline answers
-        // arrive as the v2 shed tag it already understands.
-        for (response, want_hint) in [
-            (Response::DeadlineExceeded, 0),
-            (Response::GoingAway { retry_after_ms: 80 }, 80),
-        ] {
-            let v2 = encode_response_for(2, &response);
-            assert_eq!(v2[0], 2, "header version");
-            assert_eq!(
-                decode_response(&v2),
-                Ok(Response::Overloaded {
-                    retry_after_ms: want_hint
-                })
-            );
-            let v3 = encode_response_for(3, &response);
-            assert_eq!(v3[0], 3);
-            assert_eq!(decode_response(&v3), Ok(response));
-        }
-    }
-
-    #[test]
     fn error_range_variants_are_marked() {
         assert!(Response::DeadlineExceeded.is_error());
         assert!(Response::GoingAway { retry_after_ms: 1 }.is_error());
@@ -965,6 +850,8 @@ mod tests {
                 retry_after_ms: 250,
             },
             Response::Stats("{\"counters\":{}}".into()),
+            Response::DeadlineExceeded,
+            Response::GoingAway { retry_after_ms: 80 },
         ];
         for response in responses {
             let payload = encode_response(&response);
@@ -981,15 +868,24 @@ mod tests {
 
     #[test]
     fn version_mismatch_detected() {
-        let mut payload = encode_request(&Request::Ping);
-        payload[0] = 99;
-        assert_eq!(
-            decode_request(&payload),
-            Err(ProtoError::VersionMismatch {
-                got: 99,
-                want: PROTOCOL_VERSION
-            })
-        );
+        // Any first byte but PROTOCOL_VERSION is rejected — on a full v3
+        // payload and on the bare two-byte `version | tag` header the
+        // retired v1/v2 dialects sent.
+        for got in [0u8, 1, 2, 4, 99] {
+            let mut full = encode_request(&Request::QueryVolume {
+                location: LocationId::new(9),
+                period: PeriodId::new(4),
+            });
+            full[0] = got;
+            let want = ProtoError::VersionMismatch {
+                got,
+                want: PROTOCOL_VERSION,
+            };
+            for payload in [full, vec![got, TAG_PING]] {
+                assert_eq!(decode_request(&payload), Err(want.clone()), "{payload:?}");
+                assert_eq!(decode_response(&payload), Err(want.clone()), "{payload:?}");
+            }
+        }
     }
 
     #[test]
@@ -1041,14 +937,14 @@ mod tests {
     #[test]
     fn oversized_counts_rejected() {
         // Batch count beyond the ceiling.
-        let mut payload = header_for(PROTOCOL_VERSION, TAG_UPLOAD_BATCH, None, None);
+        let mut payload = header_for(TAG_UPLOAD_BATCH, None, None);
         payload.extend_from_slice(&(MAX_BATCH_RECORDS as u32 + 1).to_le_bytes());
         assert_eq!(
             decode_request(&payload),
             Err(ProtoError::BadLength(MAX_BATCH_RECORDS + 1))
         );
         // Period count beyond the ceiling.
-        let mut payload = header_for(PROTOCOL_VERSION, TAG_QUERY_POINT, None, None);
+        let mut payload = header_for(TAG_QUERY_POINT, None, None);
         payload.extend_from_slice(&7u64.to_le_bytes());
         payload.extend_from_slice(&(MAX_QUERY_PERIODS as u16 + 1).to_le_bytes());
         assert_eq!(
@@ -1059,7 +955,7 @@ mod tests {
 
     #[test]
     fn malformed_embedded_record_reported() {
-        let mut payload = header_for(PROTOCOL_VERSION, TAG_UPLOAD, None, None);
+        let mut payload = header_for(TAG_UPLOAD, None, None);
         payload.extend_from_slice(&[1, 2, 3]);
         assert!(matches!(
             decode_request(&payload),

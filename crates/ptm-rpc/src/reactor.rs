@@ -9,8 +9,8 @@
 //!
 //! Since the overload-control work the pool is **class-aware**: each job
 //! is submitted under a [`JobClass`] into that class's own bounded queue,
-//! workers always drain the highest class first (control > query >
-//! upload), and a full class queue rejects the submission immediately so
+//! workers always drain the higher class first (query > upload), and a
+//! full class queue rejects the submission immediately so
 //! the caller can shed with a retry hint instead of letting latency grow
 //! unbounded. Each dequeued job carries its measured queue sojourn, which
 //! the server feeds into its CoDel-style `retry_after_ms` hint and uses to
@@ -26,27 +26,24 @@ use std::time::{Duration, Instant};
 
 /// Scheduling class of a submitted job, highest priority first.
 ///
-/// Control traffic (ping, stats) must stay answerable during an incident,
-/// queries are latency-sensitive, and uploads are throughput work the
-/// RSU fleet retries anyway — so that is the shed order, last first.
+/// Queries are latency-sensitive, and uploads are throughput work the RSU
+/// fleet retries anyway — so that is the shed order, last first. (Ping and
+/// stats never reach the pool: the reactor answers them inline.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum JobClass {
-    /// Ping / stats introspection: never starved, smallest queue.
-    Control = 0,
     /// Estimate queries.
-    Query = 1,
+    Query = 0,
     /// Upload / upload-batch ingest.
-    Upload = 2,
+    Upload = 1,
 }
 
 /// Number of [`JobClass`] values (queue-array size).
-pub(crate) const CLASS_COUNT: usize = 3;
+pub(crate) const CLASS_COUNT: usize = 2;
 
 impl JobClass {
     /// Lowercase name used in metric suffixes (`rpc.shed.by_class.*`).
     pub fn name(self) -> &'static str {
         match self {
-            JobClass::Control => "control",
             JobClass::Query => "query",
             JobClass::Upload => "upload",
         }
@@ -202,7 +199,7 @@ fn worker_loop<J, C>(shared: &PoolShared<J, C>, run: &(dyn Fn(J, Duration) -> C 
         let queued = {
             let mut queues = shared.queues.lock().unwrap_or_else(PoisonError::into_inner);
             loop {
-                // Strict priority: control first, uploads last.
+                // Strict priority: queries first, uploads last.
                 if let Some(hit) = (0..CLASS_COUNT)
                     .find_map(|class| queues[class].pop_front().map(|queued| (queued, class)))
                 {
@@ -241,7 +238,7 @@ fn worker_loop<J, C>(shared: &PoolShared<J, C>, run: &(dyn Fn(J, Duration) -> C 
 mod tests {
     use super::*;
 
-    const OPEN: [usize; CLASS_COUNT] = [0, 0, 0];
+    const OPEN: [usize; CLASS_COUNT] = [0, 0];
 
     fn drain_until<C: Send + 'static>(pool: &WorkerPool<u32, C>, want: usize) -> Vec<C> {
         let deadline = Instant::now() + Duration::from_secs(5);
@@ -268,7 +265,7 @@ mod tests {
         out.sort_unstable();
         assert_eq!(out, (0..16).map(|j| j * 2).collect::<Vec<_>>());
         assert_eq!(pool.inflight(), 0);
-        assert_eq!(pool.depths(), [0, 0, 0]);
+        assert_eq!(pool.depths(), [0, 0]);
         pool.shutdown_and_join();
     }
 
@@ -286,7 +283,7 @@ mod tests {
         // The panicked job must not leak the inflight gauge or its class
         // depth (regression: gauges return to zero after a panic).
         assert_eq!(pool.inflight(), 0);
-        assert_eq!(pool.depths(), [0, 0, 0]);
+        assert_eq!(pool.depths(), [0, 0]);
         pool.shutdown_and_join();
     }
 
@@ -294,7 +291,7 @@ mod tests {
     fn zero_worker_request_still_gets_one_thread() {
         let pool =
             WorkerPool::new(0, "test-min", OPEN, |job: u32, _queued| job + 1).expect("spawn");
-        pool.submit(JobClass::Control, 41).expect("submit");
+        pool.submit(JobClass::Query, 41).expect("submit");
         assert_eq!(drain_until(&pool, 1), vec![42]);
         pool.shutdown_and_join();
     }
@@ -306,7 +303,7 @@ mod tests {
         let held = gate.lock().expect("gate");
         let pool = {
             let gate = Arc::clone(&gate);
-            WorkerPool::new(1, "test-cap", [1, 1, 2], move |job: u32, _queued| {
+            WorkerPool::new(1, "test-cap", [1, 2], move |job: u32, _queued| {
                 drop(gate.lock().unwrap_or_else(PoisonError::into_inner));
                 job
             })
@@ -327,22 +324,20 @@ mod tests {
             Err(3),
             "upload queue at cap rejects"
         );
-        // Other classes keep their own headroom.
+        // The query class keeps its own headroom.
         pool.submit(JobClass::Query, 10).expect("query admitted");
         assert_eq!(pool.submit(JobClass::Query, 11), Err(11));
-        pool.submit(JobClass::Control, 20)
-            .expect("control admitted");
-        assert_eq!(pool.depths(), [1, 1, 2]);
+        assert_eq!(pool.depths(), [1, 2]);
         drop(held);
-        let _ = drain_until(&pool, 5);
-        assert_eq!(pool.depths(), [0, 0, 0]);
+        let _ = drain_until(&pool, 4);
+        assert_eq!(pool.depths(), [0, 0]);
         assert_eq!(pool.inflight(), 0);
         pool.shutdown_and_join();
     }
 
     #[test]
-    fn control_class_drains_before_queued_uploads() {
-        // One worker, blocked; then queue uploads before a control job.
+    fn query_class_drains_before_queued_uploads() {
+        // One worker, blocked; then queue uploads before a query job.
         let gate = Arc::new(Mutex::new(()));
         let held = gate.lock().expect("gate");
         let pool = {
@@ -364,15 +359,15 @@ mod tests {
         for job in [1, 2, 3] {
             pool.submit(JobClass::Upload, job).expect("queued upload");
         }
-        pool.submit(JobClass::Control, 99).expect("queued control");
+        pool.submit(JobClass::Query, 99).expect("queued query");
         drop(held);
         let out = drain_until(&pool, 5);
-        // The control job ran before every upload that was queued with it.
-        let control_at = out.iter().position(|&j| j == 99).expect("control ran");
+        // The query job ran before every upload that was queued with it.
+        let query_at = out.iter().position(|&j| j == 99).expect("query ran");
         let first_upload = out.iter().position(|&j| j == 1).expect("upload ran");
         assert!(
-            control_at < first_upload,
-            "control must preempt queued uploads: {out:?}"
+            query_at < first_upload,
+            "query must preempt queued uploads: {out:?}"
         );
         pool.shutdown_and_join();
     }

@@ -10,8 +10,7 @@
 //! Lifecycle:
 //!
 //! 1. **Startup** — open (or create) the [`ptm_store::SegmentStore`] at
-//!    the configured path (transparently migrating a v1 single-file
-//!    archive into a segment directory first). Startup is **O(index)**:
+//!    the configured path. Startup is **O(index)**:
 //!    the store reads its manifest and per-segment footer indexes instead
 //!    of decoding every record, and records are *hydrated* into the
 //!    in-memory query engine lazily, per location, the first time ingest
@@ -66,11 +65,9 @@
 //! backlog instead of being answered inline on the accept path (which
 //! used to stall every other accept behind one slow peer). A shed
 //! connection costs no worker and sends nothing unsolicited; when its
-//! first frame arrives, the reactor peeks the protocol version and
-//! answers `Overloaded` encoded no newer than the peer speaks — or, for a
-//! v1 peer (whose decoder predates the `Overloaded` tag), closes cleanly
-//! without a byte, which its retry loop handles as a transport error.
-//! Beyond the backlog bound, excess sockets are dropped immediately.
+//! first frame arrives, the reactor answers it `Overloaded` (`GoingAway`
+//! while draining) and closes. Beyond the backlog bound, excess sockets
+//! are dropped immediately.
 //!
 //! Query answers are cached in an epoch-invalidated [`QueryCache`]: each
 //! accepted record bumps its location's epoch, and a cached answer is
@@ -88,8 +85,8 @@
 use crate::cache::{QueryCache, QueryKey};
 use crate::frame::{append_frame_with, FrameDecoder, FrameError, DEFAULT_MAX_FRAME_LEN};
 use crate::proto::{
-    decode_request, encode_response_into, peek_version, ErrorCode, ProtoError, Request, Response,
-    WireTrace, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    decode_request, encode_response_into, ErrorCode, ProtoError, Request, Response, WireTrace,
+    PROTOCOL_VERSION,
 };
 use crate::reactor::{JobClass, WorkerPool, CLASS_COUNT};
 use ptm_core::record::TrafficRecord;
@@ -127,8 +124,8 @@ pub struct ServerConfig {
     /// disables caching.
     pub cache_capacity: usize,
     /// Connections served concurrently before new ones are shed (answered
-    /// with [`Response::Overloaded`] once they speak, or closed cleanly
-    /// for peers too old to decode it); 0 removes the cap.
+    /// with [`Response::Overloaded`] once they speak, then closed); 0
+    /// removes the cap.
     pub max_connections: usize,
     /// Worker threads running estimate/commit jobs off the event loop; at
     /// least one is always spawned.
@@ -484,11 +481,10 @@ impl RpcServer {
         // O(index) startup: the store reads its manifest and footer
         // indexes (scanning only the unsealed active segment); records are
         // hydrated into the query engine lazily, per location, on first
-        // touch. A v1 single-file archive is migrated into segments here,
-        // once.
+        // touch.
         let opened = {
             let _replay_span = ptm_obs::tspan!("rpc.server.replay");
-            SegmentStore::open_or_migrate(&archive_path, store_opts.clone())?
+            SegmentStore::open(&archive_path, store_opts.clone())?
         };
         let replay = ReplayReport {
             records: opened.store.record_count(),
@@ -497,11 +493,6 @@ impl RpcServer {
         if replay.torn_bytes > 0 {
             ptm_obs::warn!("rpc.server", "archive had a torn tail";
                 torn_bytes = replay.torn_bytes, path = archive_path.display().to_string());
-        }
-        if opened.migrated_records > 0 {
-            ptm_obs::info!("rpc.server", "migrated v1 archive into segment store";
-                records = opened.migrated_records,
-                path = archive_path.display().to_string());
         }
         let location_total = opened.store.location_count();
         ptm_obs::counter!("rpc.server.replay.records").add(replay.records as u64);
@@ -601,8 +592,7 @@ impl RpcServer {
 
     /// Begins a graceful drain: the daemon stops admitting new work and
     /// answers every *new* request with [`Response::GoingAway`] carrying
-    /// the measured `retry_after_ms` hint (downgraded to `Overloaded` for
-    /// v2 peers; v1 peers get a clean close — never an undecodable frame),
+    /// the measured `retry_after_ms` hint, then closes that connection,
     /// while jobs already dispatched run to completion and their replies
     /// flush. Once [`RpcServer::drain_complete`] reports quiescence, call
     /// [`RpcServer::shutdown`] to checkpoint the store and exit.
@@ -674,14 +664,14 @@ const PENDING_CAP: usize = 512;
 /// Upload frames coalesced into a single worker job / archive commit.
 const MAX_COALESCED_FRAMES: usize = 64;
 
-/// Bounded per-class worker-queue capacities (control, query, upload):
-/// admission control's backstop. Control stays tiny because ping/stats are
-/// answered inline on the reactor thread and only ever queue as a
-/// fallback; queries are latency-sensitive so their queue is kept short;
-/// uploads tolerate the deepest backlog because the RSU retry loop
-/// absorbs a shed cheaply. A full queue rejects at submit time and the
-/// requester is answered `Overloaded` with the measured-delay hint.
-const CLASS_QUEUE_CAPS: [usize; CLASS_COUNT] = [64, 128, 512];
+/// Bounded per-class worker-queue capacities (query, upload): admission
+/// control's backstop. Queries are latency-sensitive so their queue is
+/// kept short; uploads tolerate the deeper backlog because the RSU retry
+/// loop absorbs a shed cheaply. (Ping and stats are answered inline on the
+/// reactor thread and never queue.) A full queue rejects at submit time
+/// and the requester is answered `Overloaded` with the measured-delay
+/// hint.
+const CLASS_QUEUE_CAPS: [usize; CLASS_COUNT] = [128, 512];
 
 /// How long after the last activity the reactor keeps spin-yielding
 /// before idle sleeps start escalating. Request/response exchanges with
@@ -697,17 +687,15 @@ const OUT_RECLAIM_ABOVE: usize = 256 * 1024;
 /// it up.
 struct DecodedFrame {
     request: Request,
-    version: u8,
     trace: Option<WireTrace>,
     /// When the frame left the socket; the gap to dispatch is the
     /// request's queue wait.
     arrived: Instant,
     /// The wire deadline: `arrived` plus the remaining-budget
-    /// `deadline_ms` a v3 client stamped behind `FLAG_DEADLINE`. A job
+    /// `deadline_ms` the client stamped behind `FLAG_DEADLINE`. A job
     /// still queued past this instant is *doomed* — its caller has already
     /// given up — and is answered [`Response::DeadlineExceeded`] instead
-    /// of executed. `None` (v1/v2 peers, or an unstamped v3 request) never
-    /// dooms.
+    /// of executed. `None` (an unstamped request) never dooms.
     deadline: Option<Instant>,
 }
 
@@ -730,7 +718,6 @@ enum JobKind {
 /// connection's output buffer.
 struct Reply {
     response: Response,
-    version: u8,
     trace: Option<ptm_obs::TraceContext>,
 }
 
@@ -770,7 +757,7 @@ struct Conn {
     job_inflight: bool,
     /// True for connections admitted over the cap: no worker touches
     /// them, nothing unsolicited is sent, and their first frame is
-    /// answered with a version-appropriate shed (or a clean close).
+    /// answered with a shed before the connection closes.
     shed: bool,
     /// When the last complete frame finished (idle cutoff baseline).
     last_frame: Instant,
@@ -826,20 +813,19 @@ fn queue_reply(conn: &mut Conn, reply: &Reply) {
     };
     let before = conn.out.len();
     append_frame_with(&mut conn.out, |buf| {
-        encode_response_into(reply.version, &reply.response, buf);
+        encode_response_into(&reply.response, buf);
     });
     ptm_obs::counter!("rpc.server.frames.out").inc();
     ptm_obs::counter!("rpc.server.bytes.out").add((conn.out.len() - before) as u64);
 }
 
-/// Queues an untraced reply in the server's own protocol version — the
-/// reactor's inline path for decode errors and malformed frames.
+/// Queues an untraced reply — the reactor's inline path for decode errors,
+/// malformed frames, sheds and drain hand-offs.
 fn queue_error_reply(conn: &mut Conn, response: Response) {
     queue_reply(
         conn,
         &Reply {
             response,
-            version: PROTOCOL_VERSION,
             trace: None,
         },
     );
@@ -889,34 +875,18 @@ fn flush_conn(conn: &mut Conn, stall_budget: Duration) -> Result<(), CloseKind> 
     Ok(())
 }
 
-/// A shed connection's first complete frame decides its goodbye: peers on
-/// a version that knows the `Overloaded` tag (v2+) get it encoded no
-/// newer than they speak — `GoingAway` instead when the daemon is
-/// draining (the encoder downgrades it to `Overloaded` for v2) — while v1
-/// peers (or garbage) get a clean close — never a frame their decoder
-/// cannot read.
-fn answer_shed_hello(conn: &mut Conn, shared: &Shared, payload: &[u8]) {
+/// Answers a shed connection's first complete frame, whatever it holds,
+/// with `Overloaded` — `GoingAway` instead while the daemon is draining —
+/// and closes the connection once the reply flushes.
+fn answer_shed_hello(conn: &mut Conn, shared: &Shared) {
     let retry_after_ms = retry_hint_ms(shared);
-    match peek_version(payload) {
-        Some(version) if version > MIN_PROTOCOL_VERSION => {
-            let floor = version.min(PROTOCOL_VERSION);
-            let response = if shared.draining.load(Ordering::SeqCst) {
-                ptm_obs::counter!("rpc.server.going_away").inc();
-                Response::GoingAway { retry_after_ms }
-            } else {
-                Response::Overloaded { retry_after_ms }
-            };
-            queue_reply(
-                conn,
-                &Reply {
-                    response,
-                    version: floor,
-                    trace: None,
-                },
-            );
-        }
-        _ => {}
-    }
+    let response = if shared.draining.load(Ordering::SeqCst) {
+        ptm_obs::counter!("rpc.server.going_away").inc();
+        Response::GoingAway { retry_after_ms }
+    } else {
+        Response::Overloaded { retry_after_ms }
+    };
+    queue_error_reply(conn, response);
     conn.close_after_flush = true;
 }
 
@@ -959,32 +929,20 @@ fn read_conn(conn: &mut Conn, shared: &Shared, activity: &mut bool) -> Result<()
                         ptm_obs::counter!("rpc.server.frames.in").inc();
                         ptm_obs::counter!("rpc.server.bytes.in").add(payload.len() as u64 + 8);
                         if conn.shed {
-                            let payload = payload.to_vec();
-                            answer_shed_hello(conn, shared, &payload);
+                            answer_shed_hello(conn, shared);
                             return Ok(());
                         }
                         match decode_request(payload) {
                             Ok(decoded) => {
                                 if shared.draining.load(Ordering::SeqCst) {
-                                    // Draining: hand the peer off. v2+
-                                    // gets GoingAway (the encoder
-                                    // downgrades v2 to Overloaded); v1
-                                    // predates every shed tag and gets a
-                                    // clean close instead of an
-                                    // undecodable frame.
+                                    // Draining: hand the peer off.
                                     ptm_obs::counter!("rpc.server.going_away").inc();
-                                    if decoded.version > MIN_PROTOCOL_VERSION {
-                                        queue_reply(
-                                            conn,
-                                            &Reply {
-                                                response: Response::GoingAway {
-                                                    retry_after_ms: retry_hint_ms(shared),
-                                                },
-                                                version: decoded.version.min(PROTOCOL_VERSION),
-                                                trace: None,
-                                            },
-                                        );
-                                    }
+                                    queue_error_reply(
+                                        conn,
+                                        Response::GoingAway {
+                                            retry_after_ms: retry_hint_ms(shared),
+                                        },
+                                    );
                                     conn.close_after_flush = true;
                                     return Ok(());
                                 }
@@ -993,7 +951,6 @@ fn read_conn(conn: &mut Conn, shared: &Shared, activity: &mut bool) -> Result<()
                                     .map(|ms| now + Duration::from_millis(u64::from(ms)));
                                 conn.pending.push_back(DecodedFrame {
                                     request: decoded.request,
-                                    version: decoded.version,
                                     trace: decoded.trace,
                                     arrived: now,
                                     deadline,
@@ -1099,47 +1056,27 @@ fn read_conn(conn: &mut Conn, shared: &Shared, activity: &mut bool) -> Result<()
     }
 }
 
-/// Admission class of one request: control traffic (ping, stats) beats
-/// queries beats uploads — both in worker-queue priority and in shed
-/// order under pressure.
-fn class_of(request: &Request) -> JobClass {
-    match request {
-        Request::Ping | Request::Stats => JobClass::Control,
-        Request::Upload(_) | Request::UploadBatch(_) => JobClass::Upload,
-        Request::QueryVolume { .. } | Request::QueryPoint { .. } | Request::QueryP2p { .. } => {
-            JobClass::Query
-        }
-    }
-}
-
 /// Answers every frame of a rejected job with `Overloaded` carrying the
-/// measured-delay hint (admission control: the class queue was full), in
-/// each requester's own version, and counts the shed per class.
+/// measured-delay hint (admission control: the class queue was full), and
+/// counts the shed per class.
 fn shed_rejected_job(conn: &mut Conn, shared: &Shared, job: Job, class: JobClass) {
     let frames = match job.kind {
-        JobKind::Single(frame) => vec![frame],
-        JobKind::Ingest(frames) => frames,
+        JobKind::Single(_) => 1,
+        JobKind::Ingest(frames) => frames.len(),
     };
     let retry_after_ms = retry_hint_ms(shared);
     if ptm_obs::metrics_enabled() {
         ptm_obs::registry()
             .counter(format!("rpc.shed.by_class.{}", class.name()))
-            .add(frames.len() as u64);
+            .add(frames as u64);
     }
-    for frame in frames {
-        queue_reply(
-            conn,
-            &Reply {
-                response: Response::Overloaded { retry_after_ms },
-                version: frame.version,
-                trace: None,
-            },
-        );
+    for _ in 0..frames {
+        queue_error_reply(conn, Response::Overloaded { retry_after_ms });
     }
 }
 
-/// Dispatches the connection's pending work. Control frames (ping, stats)
-/// are answered **inline on the reactor thread** — the introspection an
+/// Dispatches the connection's pending work. Ping and stats frames are
+/// answered **inline on the reactor thread** — the introspection an
 /// operator needs most during an incident stays answerable at 100% worker
 /// saturation, because it never enters the worker queue at all
 /// (`stats_json` only ever try-locks the writer, so this cannot stall the
@@ -1159,8 +1096,7 @@ fn maybe_dispatch(conn: &mut Conn, shared: &Shared, pool: &WorkerPool<Job, Compl
         let Some(front) = conn.pending.front() else {
             return;
         };
-        let class = class_of(&front.request);
-        if class == JobClass::Control {
+        if matches!(front.request, Request::Ping | Request::Stats) {
             let Some(frame) = conn.pending.pop_front() else {
                 return;
             };
@@ -1171,7 +1107,7 @@ fn maybe_dispatch(conn: &mut Conn, shared: &Shared, pool: &WorkerPool<Job, Compl
             // sweep.
             continue;
         }
-        let kind = if is_upload(&front.request) {
+        let (class, kind) = if is_upload(&front.request) {
             let mut frames = Vec::new();
             while frames.len() < MAX_COALESCED_FRAMES {
                 match conn.pending.front() {
@@ -1183,10 +1119,10 @@ fn maybe_dispatch(conn: &mut Conn, shared: &Shared, pool: &WorkerPool<Job, Compl
                     _ => break,
                 }
             }
-            JobKind::Ingest(frames)
+            (JobClass::Upload, JobKind::Ingest(frames))
         } else {
             match conn.pending.pop_front() {
-                Some(f) => JobKind::Single(f),
+                Some(f) => (JobClass::Query, JobKind::Single(f)),
                 None => return,
             }
         };
@@ -1362,9 +1298,10 @@ fn reactor_loop(listener: TcpListener, shared: Arc<Shared>, pool: WorkerPool<Job
         }
         shared.worker_inflight.store(inflight, Ordering::Relaxed);
         ptm_obs::gauge!("rpc.server.worker_inflight").set(inflight as i64);
-        ptm_obs::gauge!("rpc.server.queue_depth.control").set(depths[0] as i64);
-        ptm_obs::gauge!("rpc.server.queue_depth.query").set(depths[1] as i64);
-        ptm_obs::gauge!("rpc.server.queue_depth.upload").set(depths[2] as i64);
+        ptm_obs::gauge!("rpc.server.queue_depth.query")
+            .set(depths[JobClass::Query as usize] as i64);
+        ptm_obs::gauge!("rpc.server.queue_depth.upload")
+            .set(depths[JobClass::Upload as usize] as i64);
 
         // Drain quiescence: once draining, the loop keeps running —
         // answering new requests with GoingAway — until every admitted
@@ -1501,7 +1438,6 @@ fn run_job(shared: &Shared, job: Job, sojourn: Duration) -> Completion {
                         code: ErrorCode::Internal,
                         message: "internal error: request handler panicked".into(),
                     },
-                    version: PROTOCOL_VERSION,
                     trace: None,
                 }],
                 close: true,
@@ -1513,11 +1449,10 @@ fn run_job(shared: &Shared, job: Job, sojourn: Duration) -> Completion {
 /// Answers a doomed frame: its wire deadline expired while it waited in
 /// the worker queue, so the caller has already given up — executing it
 /// would burn a worker on an answer nobody reads.
-fn doomed_reply(frame: &DecodedFrame) -> Reply {
+fn doomed_reply() -> Reply {
     ptm_obs::counter!("rpc.server.deadline_dropped").inc();
     Reply {
         response: Response::DeadlineExceeded,
-        version: frame.version,
         trace: None,
     }
 }
@@ -1532,7 +1467,7 @@ fn execute_job(shared: &Shared, kind: JobKind) -> Vec<Reply> {
     match kind {
         JobKind::Single(frame) => {
             if doomed(&frame) {
-                vec![doomed_reply(&frame)]
+                vec![doomed_reply()]
             } else {
                 vec![run_single(shared, frame)]
             }
@@ -1545,7 +1480,7 @@ fn execute_job(shared: &Shared, kind: JobKind) -> Vec<Reply> {
             let mut live = Vec::new();
             for frame in frames {
                 if doomed(&frame) {
-                    slots.push(Some(doomed_reply(&frame)));
+                    slots.push(Some(doomed_reply()));
                 } else {
                     slots.push(None);
                     live.push(frame);
@@ -1565,7 +1500,6 @@ fn execute_job(shared: &Shared, kind: JobKind) -> Vec<Reply> {
                             code: ErrorCode::Internal,
                             message: "ingest produced no reply".into(),
                         },
-                        version: PROTOCOL_VERSION,
                         trace: None,
                     })
                 })
@@ -1575,8 +1509,8 @@ fn execute_job(shared: &Shared, kind: JobKind) -> Vec<Reply> {
 }
 
 /// Opens the request's dispatch span — joining the trace context carried
-/// in a v3 header, or rooting a locally minted trace for v1/v2 peers — and
-/// records the queue wait since the frame left the socket.
+/// in the header, or rooting a locally minted trace for an untraced
+/// request — and records the queue wait since the frame left the socket.
 fn open_dispatch(trace: Option<WireTrace>, arrived: Instant) -> ptm_obs::trace::SpanGuard {
     let root = match trace {
         Some(wire) => ptm_obs::tspan!(
@@ -1592,9 +1526,9 @@ fn open_dispatch(trace: Option<WireTrace>, arrived: Instant) -> ptm_obs::trace::
     root
 }
 
-/// Handles one control frame (ping, stats) **inline on the reactor
-/// thread**. This is deliberately a separate entry point from
-/// [`run_single`]: the control path must stay free of blocking work
+/// Handles one ping or stats frame **inline on the reactor thread**. This
+/// is deliberately a separate entry point from [`run_single`]: the
+/// control path must stay free of blocking work
 /// (query estimation, store commits), and keeping it as its own function
 /// lets `ptm-analyze`'s `reactor-blocking` rule check that statically —
 /// everything reachable from here runs with every connection stalled
@@ -1602,7 +1536,6 @@ fn open_dispatch(trace: Option<WireTrace>, arrived: Instant) -> ptm_obs::trace::
 fn run_control(shared: &Shared, frame: DecodedFrame) -> Reply {
     let root = open_dispatch(frame.trace, frame.arrived);
     let trace = root.context();
-    let version = frame.version;
     let response = match frame.request {
         Request::Ping => Response::Pong {
             version: PROTOCOL_VERSION,
@@ -1611,59 +1544,25 @@ fn run_control(shared: &Shared, frame: DecodedFrame) -> Reply {
             degraded: shared.degraded.flag.load(Ordering::SeqCst),
         },
         Request::Stats => Response::Stats(stats_json(shared)),
-        // Unreachable: `maybe_dispatch` routes only `JobClass::Control`
-        // frames here. Answering instead of delegating to `run_single`
-        // keeps the reactor's static call graph free of the worker-side
+        // Unreachable: `maybe_dispatch` routes only ping and stats frames
+        // here. Answering instead of delegating to `run_single` keeps the
+        // reactor's static call graph free of the worker-side
         // query/ingest paths.
         _ => Response::Error {
             code: ErrorCode::Internal,
             message: "non-control frame routed to the control path".into(),
         },
     };
-    Reply {
-        response,
-        version,
-        trace,
-    }
+    Reply { response, trace }
 }
 
-/// Handles one non-upload frame (ping, query, stats) on a pool worker.
-/// Every downstream stage (lock wait, estimate, encode-reply) parents
-/// into the dispatch span, so one round trip is one connected span tree.
+/// Handles one query frame on a pool worker. Every downstream stage
+/// (lock wait, estimate, encode-reply) parents into the dispatch span, so
+/// one round trip is one connected span tree.
 fn run_single(shared: &Shared, frame: DecodedFrame) -> Reply {
     let root = open_dispatch(frame.trace, frame.arrived);
     let trace = root.context();
-    let version = frame.version;
     let response = match frame.request {
-        Request::Ping => Response::Pong {
-            version: PROTOCOL_VERSION,
-            s: shared.config.s,
-            records: shared.record_total.load(Ordering::SeqCst) as u64,
-            degraded: shared.degraded.flag.load(Ordering::SeqCst),
-        },
-        // Uploads route through ingest jobs; this arm only exists so a
-        // misrouted frame still gets a correct (if uncoalesced) answer.
-        request @ (Request::Upload(_) | Request::UploadBatch(_)) => {
-            drop(root);
-            let mut replies = ingest_frames(
-                shared,
-                vec![DecodedFrame {
-                    request,
-                    version,
-                    trace: frame.trace,
-                    arrived: frame.arrived,
-                    deadline: frame.deadline,
-                }],
-            );
-            return replies.pop().unwrap_or(Reply {
-                response: Response::Error {
-                    code: ErrorCode::Internal,
-                    message: "ingest produced no reply".into(),
-                },
-                version,
-                trace: None,
-            });
-        }
         Request::QueryVolume { location, period } => {
             ptm_obs::counter!("rpc.server.queries").inc();
             answer_cached(shared, QueryKey::Volume { location, period }, |central| {
@@ -1695,13 +1594,16 @@ fn run_single(shared: &Shared, frame: DecodedFrame) -> Reply {
                 central.estimate_p2p_persistent(location_a, location_b, &periods)
             })
         }
-        Request::Stats => Response::Stats(stats_json(shared)),
+        // Unreachable: `maybe_dispatch` answers ping and stats inline and
+        // sends uploads to ingest jobs.
+        Request::Ping | Request::Stats | Request::Upload(_) | Request::UploadBatch(_) => {
+            Response::Error {
+                code: ErrorCode::Internal,
+                message: "non-query frame routed to a query job".into(),
+            }
+        }
     };
-    Reply {
-        response,
-        version,
-        trace,
-    }
+    Reply { response, trace }
 }
 
 /// Renders the live introspection document answered to [`Request::Stats`]
@@ -1734,10 +1636,9 @@ fn stats_json(shared: &Shared) -> String {
     // reports live queue pressure even at 100% worker saturation.
     out.push_str(&format!(
         ",\"overload\":{{\"queue_delay_us\":{},\"worker_inflight\":{},\
-         \"queue_depth\":{{\"control\":{},\"query\":{},\"upload\":{}}}}}",
+         \"queue_depth\":{{\"query\":{},\"upload\":{}}}}}",
         shared.queue_delay_us.load(Ordering::Relaxed),
         shared.worker_inflight.load(Ordering::Relaxed),
-        shared.queue_depths[JobClass::Control as usize].load(Ordering::Relaxed),
         shared.queue_depths[JobClass::Query as usize].load(Ordering::Relaxed),
         shared.queue_depths[JobClass::Upload as usize].load(Ordering::Relaxed),
     ));
@@ -2007,23 +1908,22 @@ fn ingest_frames(shared: &Shared, frames: Vec<DecodedFrame>) -> Vec<Reply> {
     // (which parent off the thread-local current span) land inside it;
     // later frames get their queue wait recorded and their trace context
     // captured for the encode-reply stage.
-    let mut metas: Vec<(u8, Option<ptm_obs::TraceContext>)> = Vec::with_capacity(frames.len());
+    let mut traces: Vec<Option<ptm_obs::TraceContext>> = Vec::with_capacity(frames.len());
     let mut requests: Vec<Request> = Vec::with_capacity(frames.len());
     let mut root0: Option<ptm_obs::trace::SpanGuard> = None;
     for (i, frame) in frames.into_iter().enumerate() {
         let root = open_dispatch(frame.trace, frame.arrived);
-        metas.push((frame.version, root.context()));
+        traces.push(root.context());
         requests.push(frame.request);
         if i == 0 {
             root0 = Some(root);
         }
     }
     let _root0 = root0;
-    let shed_reply = |(version, trace): &(u8, Option<ptm_obs::TraceContext>)| Reply {
+    let shed_reply = |trace: &Option<ptm_obs::TraceContext>| Reply {
         response: Response::Overloaded {
             retry_after_ms: shared.config.retry_after_ms,
         },
-        version: *version,
         trace: *trace,
     };
 
@@ -2039,14 +1939,13 @@ fn ingest_frames(shared: &Shared, frames: Vec<DecodedFrame>) -> Vec<Reply> {
             FaultAction::Panic => panic!("injected ingest fault"),
             FaultAction::Delay(pause) => std::thread::sleep(pause),
             _ => {
-                return metas
+                return traces
                     .iter()
-                    .map(|(version, trace)| Reply {
+                    .map(|trace| Reply {
                         response: Response::Error {
                             code: ErrorCode::Internal,
                             message: "injected ingest fault".into(),
                         },
-                        version: *version,
                         trace: *trace,
                     })
                     .collect();
@@ -2057,11 +1956,11 @@ fn ingest_frames(shared: &Shared, frames: Vec<DecodedFrame>) -> Vec<Reply> {
     // uploads fast — or, if the cooldown has passed, probe a reopen and
     // resume ingest on success. Queries never reach this path.
     if shared.degraded.flag.load(Ordering::SeqCst) && !try_recover(shared, &mut store) {
-        return metas
+        return traces
             .iter()
-            .map(|meta| {
+            .map(|trace| {
                 ptm_obs::counter!("rpc.shed.uploads").inc();
-                shed_reply(meta)
+                shed_reply(trace)
             })
             .collect();
     }
@@ -2194,16 +2093,15 @@ fn ingest_frames(shared: &Shared, frames: Vec<DecodedFrame>) -> Vec<Reply> {
         }
         return verdicts
             .iter()
-            .zip(&metas)
-            .map(|(verdict, meta)| match verdict {
+            .zip(&traces)
+            .map(|(verdict, trace)| match verdict {
                 FrameVerdict::Staged { .. } => {
                     ptm_obs::counter!("rpc.shed.uploads").inc();
-                    shed_reply(meta)
+                    shed_reply(trace)
                 }
                 FrameVerdict::Rejected(response) => Reply {
                     response: response.clone(),
-                    version: meta.0,
-                    trace: meta.1,
+                    trace: *trace,
                 },
             })
             .collect();
@@ -2219,8 +2117,8 @@ fn ingest_frames(shared: &Shared, frames: Vec<DecodedFrame>) -> Vec<Reply> {
     let mut duplicates_total = 0u64;
     let replies: Vec<Reply> = verdicts
         .into_iter()
-        .zip(&metas)
-        .map(|(verdict, meta)| {
+        .zip(&traces)
+        .map(|(verdict, trace)| {
             let response = match verdict {
                 FrameVerdict::Rejected(response) => response,
                 FrameVerdict::Staged { range, duplicates } => {
@@ -2252,8 +2150,7 @@ fn ingest_frames(shared: &Shared, frames: Vec<DecodedFrame>) -> Vec<Reply> {
             };
             Reply {
                 response,
-                version: meta.0,
-                trace: meta.1,
+                trace: *trace,
             }
         })
         .collect();
@@ -2346,15 +2243,14 @@ fn try_recover(shared: &Shared, store: &mut MutexGuard<'_, SegmentStore>) -> boo
     // Reopen from disk through the same hooks, so chaos schedules carry
     // across the swap. Open re-runs torn-tail recovery, which is what
     // heals a wedged store whose rollback truncate failed.
-    let mut recovered =
-        match SegmentStore::open_or_migrate(&shared.archive_path, shared.store_opts.clone()) {
-            Ok(opened) => opened,
-            Err(err) => {
-                ptm_obs::warn!("rpc.server", "degraded-mode reopen probe failed";
-                    error = err.to_string());
-                return false;
-            }
-        };
+    let mut recovered = match SegmentStore::open(&shared.archive_path, shared.store_opts.clone()) {
+        Ok(opened) => opened,
+        Err(err) => {
+            ptm_obs::warn!("rpc.server", "degraded-mode reopen probe failed";
+                error = err.to_string());
+            return false;
+        }
+    };
     // The store is written ahead of the query engine, so durable state can
     // only ever trail what is in memory — never contradict it. Only the
     // hydrated working set needs checking: locations the query engine has
@@ -2409,20 +2305,18 @@ mod tests {
     fn temp_archive(name: &str) -> PathBuf {
         let mut path = std::env::temp_dir();
         path.push(format!("ptm-rpc-server-{}-{name}.ptma", std::process::id()));
-        // The path may hold a leftover v1 file or a v2 segment directory.
-        let _ = std::fs::remove_file(&path);
+        // The path may hold a segment directory from an earlier run.
         let _ = std::fs::remove_dir_all(&path);
         path
     }
 
     fn cleanup_archive(path: &PathBuf) {
-        let _ = std::fs::remove_file(path);
         let _ = std::fs::remove_dir_all(path);
     }
 
     /// Post-shutdown durable record count, read straight off the disk.
     fn archived_records(path: &PathBuf) -> usize {
-        let opened = SegmentStore::open_or_migrate(path, StoreOptions::default()).expect("open");
+        let opened = SegmentStore::open(path, StoreOptions::default()).expect("open");
         opened.store.record_count()
     }
 
@@ -2848,56 +2742,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_client_at_capacity_gets_clean_close_not_undecodable_frame() {
-        // Regression for the shed-path versioning bug: the Overloaded
-        // response used to be encoded in the server's own protocol
-        // version before any peer bytes were read, so a v1 client at
-        // capacity received a frame its decoder rejects (v1 predates the
-        // Overloaded tag). Now the reactor peeks the hello's version
-        // byte: v2+ gets Overloaded encoded no newer than it speaks, v1
-        // gets a clean close with zero bytes.
-        let path = temp_archive("shed-v1");
-        let config = ServerConfig {
-            max_connections: 1,
-            retry_after_ms: 44,
-            ..test_config()
-        };
-        let server = RpcServer::start("127.0.0.1:0", &path, config).expect("start");
-        let addr = server.local_addr();
-
-        let mut held = connect(addr);
-        assert!(matches!(
-            exchange(&mut held, &Request::Ping),
-            Response::Pong { .. }
-        ));
-
-        // Hand-crafted v1 ping: `version | tag` (tag 1 = Ping), no flags
-        // byte.
-        let mut v1 = connect(addr);
-        write_frame(&mut v1, &[1, 1]).expect("write v1 ping");
-        match read_frame(&mut v1, DEFAULT_MAX_FRAME_LEN).expect("read") {
-            ReadOutcome::Closed => {}
-            other => panic!("v1 shed must close cleanly with zero bytes, got {other:?}"),
-        }
-
-        // A v2 peer gets Overloaded carried in a v2 header, never v3.
-        let mut v2 = connect(addr);
-        write_frame(&mut v2, &[2, 1]).expect("write v2 ping");
-        match read_frame(&mut v2, DEFAULT_MAX_FRAME_LEN).expect("read") {
-            ReadOutcome::Frame(bytes) => {
-                assert_eq!(bytes[0], 2, "reply header newer than the peer speaks");
-                assert_eq!(
-                    crate::proto::decode_response(&bytes).expect("decode"),
-                    Response::Overloaded { retry_after_ms: 44 }
-                );
-            }
-            other => panic!("expected a v2 Overloaded frame, got {other:?}"),
-        }
-        server.shutdown().expect("shutdown");
-        cleanup_archive(&path);
-    }
-
-    #[test]
     fn drain_answers_going_away_then_reports_complete() {
         let path = temp_archive("drain");
         let config = ServerConfig {
@@ -2949,46 +2793,43 @@ mod tests {
     }
 
     #[test]
-    fn draining_server_version_matrix_stays_protocol_clean() {
-        // Same discipline as the shed-path versioning fix: a draining
-        // server must never send a peer a frame its decoder predates. v1
-        // (no GoingAway, no Overloaded) gets a clean close; v2 gets the
-        // hand-off downgraded to the Overloaded tag it understands, in a
-        // v2 header; v3 gets GoingAway itself.
-        let path = temp_archive("drain-matrix");
-        let config = ServerConfig {
-            retry_after_ms: 58,
-            ..test_config()
-        };
-        let server = RpcServer::start("127.0.0.1:0", &path, config).expect("start");
+    fn other_protocol_versions_get_one_typed_rejection() {
+        // Every client in the workspace speaks PROTOCOL_VERSION. Any other
+        // first byte — the retired two-byte v1/v2 headers included — is
+        // answered Error{VersionMismatch}, and the connection closes.
+        let path = temp_archive("version-reject");
+        let server = RpcServer::start("127.0.0.1:0", &path, test_config()).expect("start");
         let addr = server.local_addr();
-        server.drain();
-
-        let mut v1 = connect(addr);
-        write_frame(&mut v1, &[1, 1]).expect("write v1 ping");
-        match read_frame(&mut v1, DEFAULT_MAX_FRAME_LEN).expect("read") {
-            ReadOutcome::Closed => {}
-            other => panic!("v1 at a draining server must close cleanly, got {other:?}"),
-        }
-
-        let mut v2 = connect(addr);
-        write_frame(&mut v2, &[2, 1]).expect("write v2 ping");
-        match read_frame(&mut v2, DEFAULT_MAX_FRAME_LEN).expect("read") {
-            ReadOutcome::Frame(bytes) => {
-                assert_eq!(bytes[0], 2, "reply header newer than the peer speaks");
-                assert_eq!(
+        for frame in [&[1u8, 1][..], &[2, 1], &[4, 1, 0]] {
+            let mut stream = connect(addr);
+            write_frame(&mut stream, frame).expect("write");
+            match read_frame(&mut stream, DEFAULT_MAX_FRAME_LEN).expect("read") {
+                ReadOutcome::Frame(bytes) => assert_eq!(
                     crate::proto::decode_response(&bytes).expect("decode"),
-                    Response::Overloaded { retry_after_ms: 58 }
-                );
+                    Response::Error {
+                        code: ErrorCode::VersionMismatch,
+                        message: format!(
+                            "client speaks version {}, server speaks {PROTOCOL_VERSION}",
+                            frame[0]
+                        ),
+                    }
+                ),
+                other => panic!("expected a VersionMismatch frame for {frame:?}, got {other:?}"),
             }
-            other => panic!("expected a v2 Overloaded frame, got {other:?}"),
+            assert!(
+                matches!(
+                    read_frame(&mut stream, DEFAULT_MAX_FRAME_LEN),
+                    Ok(ReadOutcome::Closed)
+                ),
+                "connection must close after rejecting {frame:?}"
+            );
         }
-
-        let mut v3 = connect(addr);
-        assert_eq!(
-            exchange(&mut v3, &Request::Ping),
-            Response::GoingAway { retry_after_ms: 58 }
-        );
+        // The daemon still serves a client that speaks its version.
+        let mut stream = connect(addr);
+        assert!(matches!(
+            exchange(&mut stream, &Request::Ping),
+            Response::Pong { .. }
+        ));
         server.shutdown().expect("shutdown");
         cleanup_archive(&path);
     }

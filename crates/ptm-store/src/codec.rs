@@ -37,8 +37,9 @@ pub enum StoreError {
     BadHeader,
     /// A record size in the payload is not a power of two.
     BadBitmapSize(usize),
-    /// A failed commit could not be rolled back; the archive refuses
-    /// appends until rebuilt ([`crate::Archive::compact`]) or reopened.
+    /// A failed commit could not be rolled back; the store refuses
+    /// appends until it is reopened, which truncates the torn tail and
+    /// clears the wedge.
     Wedged,
 }
 
@@ -50,12 +51,7 @@ impl std::fmt::Display for StoreError {
             Self::MalformedRecord { reason } => write!(f, "malformed record: {reason}"),
             Self::BadHeader => write!(f, "not a ptm archive (bad magic or version)"),
             Self::BadBitmapSize(size) => write!(f, "bitmap size {size} is not a power of two"),
-            Self::Wedged => {
-                write!(
-                    f,
-                    "archive wedged after failed rollback; compact or reopen required"
-                )
-            }
+            Self::Wedged => write!(f, "archive wedged after failed rollback; reopen required"),
         }
     }
 }

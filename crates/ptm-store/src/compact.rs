@@ -18,11 +18,10 @@
 //! active segment after the merge — which carry a higher rank once that
 //! segment seals — keep superseding the merged copies across a restart.
 
-use crate::archive::build_io;
 use crate::codec::StoreError;
 use crate::crc32::crc32;
 use crate::index::SegmentIndex;
-use crate::io::check_site;
+use crate::io::{build_io, check_site};
 use crate::manifest::SegmentMeta;
 use crate::segment::{FrameLoc, SealedSegment, SegmentStore};
 use ptm_core::record::PeriodId;

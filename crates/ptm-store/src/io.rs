@@ -1,17 +1,30 @@
-//! Pluggable storage backends for the archive.
+//! Pluggable storage backends for the segment store.
 //!
-//! [`Archive`](crate::Archive) writes through a boxed [`StorageIo`] rather
-//! than a raw [`File`], so tests (and `ptm serve --faults`) can interpose
-//! [`HookedIo`] — a backend that consults [`ptm_fault`] fault sites before
-//! every write, flush, fsync, and truncate. With no plan configured the
-//! archive talks to a plain [`FileIo`] and the hooks cost nothing.
+//! The active segment ([`crate::SegmentStore`]) and compaction's merged
+//! segment write through a boxed [`StorageIo`] rather than a raw [`File`],
+//! so tests (and `ptm serve --faults`) can interpose [`HookedIo`] — a
+//! backend that consults [`ptm_fault`] fault sites before every write,
+//! flush, fsync, and truncate. With no plan configured the store talks to
+//! a plain [`FileIo`] and the hooks cost nothing.
 
 use ptm_fault::{sites, FaultAction, FaultPlan, SiteHandle};
 use std::fmt::Debug;
 use std::fs::File;
 use std::io::{self, Write};
 
-/// The operations the archive needs from its backing storage.
+/// When a commit is considered durable.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum SyncPolicy {
+    /// Commits flush to the OS (data survives a process crash, not
+    /// necessarily a power cut). The default.
+    #[default]
+    Flush,
+    /// Every commit also fsyncs; an fsync failure rolls the commit back, so
+    /// an acked batch is on stable storage.
+    Fsync,
+}
+
+/// The operations the store needs from its backing storage.
 ///
 /// This is [`Write`] plus the two durability calls a write-ahead log relies
 /// on: fsync ([`StorageIo::sync`]) and truncate ([`StorageIo::set_len`], the
@@ -39,7 +52,7 @@ pub struct FileIo {
 }
 
 impl FileIo {
-    /// Wraps an already-opened file (the archive opens it in append mode,
+    /// Wraps an already-opened file (the store opens it in append mode,
     /// so writes land at EOF even after a [`StorageIo::set_len`] rollback).
     pub fn new(file: File) -> Self {
         Self { file }
@@ -66,7 +79,7 @@ impl StorageIo for FileIo {
     }
 }
 
-/// One [`SiteHandle`] per archive fault site.
+/// One [`SiteHandle`] per store fault site.
 #[derive(Debug, Clone, Default)]
 pub struct StoreHooks {
     /// Fires on every backend `write` call.
@@ -77,10 +90,10 @@ pub struct StoreHooks {
     pub sync: SiteHandle,
     /// Fires on every backend `set_len` (rollback truncate) call.
     pub set_len: SiteHandle,
-    /// Fires on every segment-store manifest commit (v2 store only).
+    /// Fires on every segment-store manifest commit.
     pub manifest: SiteHandle,
     /// Fires on every segment seal — the footer index frame + trailer
-    /// written at rotation (v2 store only).
+    /// written at rotation.
     pub seal: SiteHandle,
 }
 
@@ -110,6 +123,16 @@ impl StoreHooks {
             || self.set_len.is_active()
             || self.manifest.is_active()
             || self.seal.is_active()
+    }
+}
+
+/// The backend for an append-mode segment file: plain [`FileIo`], wrapped
+/// in [`HookedIo`] only when a fault plan is active.
+pub(crate) fn build_io(file: File, hooks: &StoreHooks) -> Box<dyn StorageIo> {
+    if hooks.is_active() {
+        Box::new(HookedIo::new(FileIo::new(file), hooks.clone()))
+    } else {
+        Box::new(FileIo::new(file))
     }
 }
 
@@ -219,5 +242,22 @@ impl<B: StorageIo> StorageIo for HookedIo<B> {
             apply_control(action, "set_len")?;
         }
         self.inner.set_len(len)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ptm_fault::Rule;
+
+    #[test]
+    fn disabled_hooks_are_inert() {
+        let hooks = StoreHooks::disabled();
+        assert!(!hooks.is_active());
+        let plan = FaultPlan::builder(1)
+            .rule(sites::STORE_WRITE, Rule::nth(1, FaultAction::Reset))
+            .build()
+            .expect("plan");
+        assert!(StoreHooks::from_plan(&plan).is_active());
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! A store is a **directory**: a CRC-checked [`Manifest`] naming the live
 //! segment set, plus one `seg-<id>.ptms` file per segment. Writes go to the
-//! single *active* segment (v1-style transactional commits through the
+//! single *active* segment (transactional commits through the
 //! [`StorageIo`] fault boundary) and rotate to a fresh segment once the
 //! active one reaches `rotate_bytes`. Rotation *seals* the outgoing
 //! segment: a footer [`SegmentIndex`] frame — its length word carries the
@@ -11,7 +11,7 @@
 //!
 //! ```text
 //! segment: "PTMS" (4) | version u16 = 2 | reserved u16
-//!          record frames:  len u32 | crc32 u32 | payload          (as v1)
+//!          record frames:  len u32 | crc32 u32 | payload
 //!          sealed only:    (len | 0x8000_0000) u32 | crc32 u32 | index
 //!                          index frame offset u64 | "PTMF"
 //! ```
@@ -19,7 +19,10 @@
 //! `open()` therefore reads **manifest + footers only** — O(index), not
 //! O(records): sealed segments load their index from the trailer without
 //! touching record payloads, and only the active segment is scanned
-//! (key-peek, no bitmap decode) with v1 torn-tail recovery.
+//! (key-peek, no bitmap decode) with torn-tail recovery: a final frame cut
+//! short by a crash is discarded and the file truncated back to the last
+//! complete frame, while a checksum failure with complete frames after it
+//! is media damage, reported as [`StoreError::CorruptFrame`].
 //!
 //! Every read — a single [`SegmentStore::get`], a location's whole history
 //! in [`SegmentStore::records_for_location`], compaction's copy of live
@@ -29,13 +32,11 @@
 //! every frame's length word and CRC checked. The store keeps no decoded
 //! record resident. Background merging lives in [`crate::compact`].
 
-use crate::archive::{build_io, read_exact_or_eof, Archive, ReadOutcome};
 use crate::codec::{decode_record, encode_record, peek_key, StoreError};
 use crate::crc32::crc32;
 use crate::index::SegmentIndex;
-use crate::io::{check_site, StorageIo, StoreHooks};
+use crate::io::{build_io, check_site, StorageIo, StoreHooks, SyncPolicy};
 use crate::manifest::{Manifest, SegmentMeta, MANIFEST_TEMP};
-use crate::SyncPolicy;
 use ptm_core::record::{PeriodId, TrafficRecord};
 use ptm_core::LocationId;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -131,7 +132,8 @@ pub(crate) struct SealedSegment {
     pub(crate) rank: u64,
 }
 
-/// The write head: one unsealed segment with v1-style buffered commits.
+/// The write head: one unsealed segment with buffered, transactional
+/// commits.
 #[derive(Debug)]
 pub(crate) struct ActiveSegment {
     pub(crate) id: u64,
@@ -219,7 +221,7 @@ impl ActiveSegment {
 
     /// Writes everything pending and returns the committed entries, or
     /// rolls the file back to the committed watermark (wedging on a failed
-    /// truncate, exactly like the v1 archive).
+    /// truncate).
     fn commit(
         &mut self,
         sync_policy: SyncPolicy,
@@ -350,6 +352,31 @@ impl ActiveSegment {
     }
 }
 
+/// How much of a buffer [`read_exact_or_eof`] filled.
+enum ReadOutcome {
+    Full,
+    Partial,
+    Eof,
+}
+
+/// `read_exact` that tells a clean EOF (nothing read) from a torn one
+/// (some bytes, then EOF).
+fn read_exact_or_eof<R: Read>(reader: &mut R, buf: &mut [u8]) -> Result<ReadOutcome, StoreError> {
+    let mut filled = 0usize;
+    while filled < buf.len() {
+        let n = reader.read(&mut buf[filled..])?;
+        if n == 0 {
+            return Ok(if filled == 0 {
+                ReadOutcome::Eof
+            } else {
+                ReadOutcome::Partial
+            });
+        }
+        filled += n;
+    }
+    Ok(ReadOutcome::Full)
+}
+
 /// What scanning a segment file found.
 #[derive(Debug)]
 pub(crate) enum ScanOutcome {
@@ -394,7 +421,7 @@ pub(crate) fn scan_segment(path: &Path, segment_id: u64) -> Result<ScanOutcome, 
         let mut frame_header = [0u8; 8];
         match read_exact_or_eof(&mut reader, &mut frame_header)? {
             ReadOutcome::Eof => break,
-            ReadOutcome::Partial(_) => {
+            ReadOutcome::Partial => {
                 torn_bytes = file_len - offset;
                 break;
             }
@@ -410,7 +437,7 @@ pub(crate) fn scan_segment(path: &Path, segment_id: u64) -> Result<ScanOutcome, 
         let mut payload = vec![0u8; len as usize];
         match read_exact_or_eof(&mut reader, &mut payload)? {
             ReadOutcome::Full => {}
-            ReadOutcome::Eof | ReadOutcome::Partial(_) => {
+            ReadOutcome::Eof | ReadOutcome::Partial => {
                 torn_bytes = file_len - offset;
                 break;
             }
@@ -510,9 +537,6 @@ pub struct OpenedStore {
     /// Bytes discarded from the active segment's torn tail (0 after a
     /// clean shutdown).
     pub torn_bytes: u64,
-    /// Records replayed from a v1 archive by a one-shot migration (0 when
-    /// the store was already segmented).
-    pub migrated_records: u64,
 }
 
 /// The segmented archive. See the module docs for the on-disk format.
@@ -539,7 +563,9 @@ impl SegmentStore {
     ///
     /// # Errors
     ///
-    /// Manifest/segment corruption and I/O failures.
+    /// Manifest/segment corruption and I/O failures — including
+    /// [`StoreError::Io`] when `dir` names a regular file, which is left
+    /// untouched.
     pub fn open(dir: impl AsRef<Path>, opts: StoreOptions) -> Result<OpenedStore, StoreError> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
@@ -677,51 +703,7 @@ impl SegmentStore {
         store.rebuild_lookup();
         ptm_obs::gauge!("store.archive.wedged").set(0);
         store.publish_gauges();
-        Ok(OpenedStore {
-            store,
-            torn_bytes,
-            migrated_records: 0,
-        })
-    }
-
-    /// Opens the store at `path`, transparently migrating a v1 single-file
-    /// archive into a segment directory first (one-shot: the v1 file is
-    /// replayed once, ingested into sealed segments, and replaced by the
-    /// directory, so later startups never replay it again).
-    ///
-    /// Crash-safe: the migration builds under `<path>.migrating` and the
-    /// v1 file is deleted only after the full segment set (manifest
-    /// included) is durable; the final rename is retried on reopen.
-    ///
-    /// # Errors
-    ///
-    /// v1 archive corruption, manifest/segment corruption, I/O failures.
-    pub fn open_or_migrate(
-        path: impl AsRef<Path>,
-        opts: StoreOptions,
-    ) -> Result<OpenedStore, StoreError> {
-        let path = path.as_ref();
-        let staging = migration_staging_path(path);
-        if path.is_dir() {
-            let _ = std::fs::remove_dir_all(&staging);
-            return Self::open(path, opts);
-        }
-        if path.is_file() {
-            let migrated = migrate_v1(path, &staging, &opts)?;
-            let mut opened = Self::open(path, opts)?;
-            opened.migrated_records = migrated;
-            return Ok(opened);
-        }
-        // Path absent: either a fresh store, or a crash after the v1 file
-        // was removed but before the staging directory was renamed.
-        if staging.join(crate::manifest::MANIFEST_FILE).is_file() {
-            std::fs::rename(&staging, path)?;
-            ptm_obs::info!("store.archive", "completed interrupted v1 migration";
-                path = path.display().to_string());
-        } else {
-            let _ = std::fs::remove_dir_all(&staging);
-        }
-        Self::open(path, opts)
+        Ok(OpenedStore { store, torn_bytes })
     }
 
     /// The directory this store lives in.
@@ -1117,57 +1099,6 @@ impl SegmentStore {
             ptm_obs::gauge!("store.segment.active_bytes").set(self.active.committed_len as i64);
         }
     }
-}
-
-/// `<path>.migrating`, the staging directory for a v1 migration.
-fn migration_staging_path(path: &Path) -> PathBuf {
-    let name = path
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "archive".to_string());
-    path.with_file_name(format!("{name}.migrating"))
-}
-
-/// Replays a v1 single-file archive into a sealed segment store staged at
-/// `staging`, then atomically replaces the file with the directory.
-/// Returns the number of migrated records.
-fn migrate_v1(v1_path: &Path, staging: &Path, opts: &StoreOptions) -> Result<u64, StoreError> {
-    let _s = ptm_obs::tspan!("store.migrate");
-    ptm_obs::info!("store.replay", "migrating v1 archive to segments";
-        path = v1_path.display().to_string());
-    let recovered = Archive::open(v1_path)?;
-    let total = recovered.records.len() as u64;
-    let _ = std::fs::remove_dir_all(staging);
-    {
-        // Plain hooks: migration is a recovery path, and burning chaos
-        // schedules on it would skew every fault plan that follows.
-        let staged_opts = StoreOptions {
-            hooks: StoreHooks::disabled(),
-            ..opts.clone()
-        };
-        let mut staged = SegmentStore::open(staging, staged_opts)?.store;
-        let mut migrated = 0u64;
-        for record in &recovered.records {
-            staged.append(record)?;
-            migrated += 1;
-            if migrated.is_multiple_of(512) {
-                staged.flush()?;
-            }
-            ptm_obs::counter!("store.replay.records").inc();
-            if migrated.is_multiple_of(REPLAY_PROGRESS_EVERY) {
-                ptm_obs::info!("store.replay", "migration progress";
-                    records = migrated, total = total);
-            }
-        }
-        staged.checkpoint()?;
-    }
-    drop(recovered);
-    std::fs::remove_file(v1_path)?;
-    std::fs::rename(staging, v1_path)?;
-    ptm_obs::counter!("store.migrate.records").add(total);
-    ptm_obs::info!("store.replay", "v1 migration complete";
-        records = total, path = v1_path.display().to_string());
-    Ok(total)
 }
 
 #[cfg(test)]
@@ -1664,61 +1595,6 @@ mod tests {
     }
 
     #[test]
-    fn migration_ingests_v1_archive_once() {
-        let dir = temp_dir("migrate");
-        let v1_path = dir.clone(); // reuse the unique temp name as the file path
-        let records = sample_records(4, 8);
-        {
-            let mut archive = Archive::create(&v1_path).expect("create v1");
-            archive.append_all(&records).expect("fill v1");
-            archive.sync().expect("sync");
-        }
-        let opened =
-            SegmentStore::open_or_migrate(&v1_path, small_rotate_opts(700)).expect("migrate");
-        assert_eq!(opened.migrated_records, 8);
-        let mut store = opened.store;
-        assert!(v1_path.is_dir(), "the file was replaced by a directory");
-        assert_eq!(store.record_count(), 8);
-        for record in &records {
-            let got = store
-                .get(record.location(), record.period())
-                .expect("read")
-                .expect("present");
-            assert_eq!(*got, *record);
-        }
-        drop(store);
-        // Second open: already a directory, no migration.
-        let opened =
-            SegmentStore::open_or_migrate(&v1_path, StoreOptions::default()).expect("reopen");
-        assert_eq!(opened.migrated_records, 0);
-        assert_eq!(opened.store.record_count(), 8);
-        std::fs::remove_dir_all(&v1_path).ok();
-    }
-
-    #[test]
-    fn interrupted_migration_rename_is_completed() {
-        let dir = temp_dir("migrate-crash");
-        let v1_path = dir.clone();
-        let records = sample_records(6, 3);
-        {
-            let mut archive = Archive::create(&v1_path).expect("create v1");
-            archive.append_all(&records).expect("fill");
-        }
-        // Run the migration, then simulate the crash window: the staging
-        // dir is complete but the rename never happened.
-        let staging = migration_staging_path(&v1_path);
-        migrate_v1(&v1_path, &staging, &StoreOptions::default()).expect("migrate");
-        std::fs::rename(&v1_path, &staging).expect("undo rename");
-        assert!(!v1_path.exists());
-
-        let opened =
-            SegmentStore::open_or_migrate(&v1_path, StoreOptions::default()).expect("resume");
-        assert_eq!(opened.store.record_count(), 3);
-        assert!(v1_path.is_dir());
-        std::fs::remove_dir_all(&v1_path).ok();
-    }
-
-    #[test]
     fn mid_batch_write_error_rolls_back_store() {
         let dir = temp_dir("midbatch");
         let plan = FaultPlan::builder(11)
@@ -1747,6 +1623,165 @@ mod tests {
         assert_eq!(opened.torn_bytes, 0);
         assert_eq!(opened.store.record_count(), 3);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn fsync_failure_rolls_back_under_fsync_policy() {
+        let dir = temp_dir("fsync-rollback");
+        // fsync #1 is the first commit's; #2 fails the second commit.
+        let plan = FaultPlan::builder(12)
+            .rule(
+                sites::STORE_SYNC,
+                Rule::nth(2, FaultAction::Error(ErrorKind::Other)),
+            )
+            .build()
+            .expect("plan");
+        let opts = StoreOptions {
+            hooks: StoreHooks::from_plan(&plan),
+            sync_policy: SyncPolicy::Fsync,
+            ..StoreOptions::default()
+        };
+        let records = sample_records(6, 3);
+        let mut store = SegmentStore::open(&dir, opts).expect("open").store;
+        assert_eq!(store.sync_policy(), SyncPolicy::Fsync);
+        store.append_all(&records[..1]).expect("first commit");
+        let committed_bytes = store.active_bytes();
+
+        store
+            .append_all(&records[1..])
+            .expect_err("failed fsync must fail the commit");
+        assert_eq!(store.record_count(), 1);
+        assert_eq!(store.active_bytes(), committed_bytes);
+        assert_eq!(
+            std::fs::metadata(dir.join(segment_file_name(0)))
+                .expect("meta")
+                .len(),
+            committed_bytes,
+            "the unsynced frames are truncated away"
+        );
+        assert!(!store.is_wedged());
+
+        assert_eq!(store.append_all(&records[1..]).expect("retry syncs"), 2);
+        assert_eq!(store.record_count(), 3);
+        drop(store);
+        let mut store = SegmentStore::open(&dir, StoreOptions::default())
+            .expect("reopen")
+            .store;
+        let got: Vec<TrafficRecord> = store
+            .records_for_location(LocationId::new(6))
+            .expect("read")
+            .iter()
+            .map(|record| (**record).clone())
+            .collect();
+        assert_eq!(got, records, "each record exactly once, bit-exact");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn failed_rollback_wedges_store_until_reopen() {
+        let dir = temp_dir("wedged");
+        // Write #1 lands the first commit. The second commit writes 4 bytes,
+        // then hits ENOSPC, and the rollback truncate fails.
+        let plan = FaultPlan::builder(13)
+            .rule(sites::STORE_WRITE, Rule::nth(2, FaultAction::Short(4)))
+            .rule(
+                sites::STORE_WRITE,
+                Rule::nth(3, FaultAction::Error(ErrorKind::StorageFull)),
+            )
+            .rule(
+                sites::STORE_SET_LEN,
+                Rule::nth(1, FaultAction::Error(ErrorKind::Other)),
+            )
+            .build()
+            .expect("plan");
+        let opts = StoreOptions {
+            hooks: StoreHooks::from_plan(&plan),
+            ..StoreOptions::default()
+        };
+        let records = sample_records(3, 3);
+        let mut store = SegmentStore::open(&dir, opts).expect("open").store;
+        store.append_all(&records[..1]).expect("acked record");
+
+        store.append_all(&records[1..]).expect_err("commit fails");
+        assert!(store.is_wedged(), "failed truncate must wedge the store");
+        assert!(matches!(store.append(&records[1]), Err(StoreError::Wedged)));
+        assert!(matches!(
+            store.append_all(&records[1..]),
+            Err(StoreError::Wedged)
+        ));
+        assert_eq!(store.record_count(), 1);
+        drop(store);
+
+        // A reopen discards the 4 torn bytes and keeps the acked record.
+        let opened = SegmentStore::open(&dir, StoreOptions::default()).expect("reopen");
+        assert_eq!(opened.torn_bytes, 4);
+        let mut store = opened.store;
+        assert!(!store.is_wedged());
+        assert_eq!(store.record_count(), 1);
+        assert_eq!(
+            store
+                .get(records[0].location(), records[0].period())
+                .expect("read")
+                .as_deref(),
+            Some(&records[0])
+        );
+        assert_eq!(
+            store.append_all(&records[1..]).expect("appends work again"),
+            2
+        );
+        drop(store);
+        let opened = SegmentStore::open(&dir, StoreOptions::default()).expect("clean");
+        assert_eq!(opened.torn_bytes, 0);
+        assert_eq!(opened.store.record_count(), 3);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn corrupt_active_segment_is_an_error_not_a_skip() {
+        let dir = temp_dir("corrupt");
+        {
+            let mut store = SegmentStore::open(&dir, StoreOptions::default())
+                .expect("open")
+                .store;
+            store.append_all(&sample_records(5, 3)).expect("batch");
+        }
+        let seg_path = dir.join(segment_file_name(0));
+        // Flip a payload byte in the FIRST frame; complete frames follow,
+        // so this is media damage, not a torn tail.
+        let mut bytes = std::fs::read(&seg_path).expect("read");
+        bytes[30] ^= 0xFF;
+        std::fs::write(&seg_path, &bytes).expect("write");
+        match SegmentStore::open(&dir, StoreOptions::default()) {
+            Err(StoreError::CorruptFrame { offset }) => assert_eq!(offset, HEADER_LEN),
+            other => panic!("expected CorruptFrame, got {other:?}"),
+        }
+        assert_eq!(
+            std::fs::read(&seg_path).expect("reread"),
+            bytes,
+            "a corrupt segment is reported, never truncated"
+        );
+
+        bytes[..4].copy_from_slice(b"NOTA");
+        std::fs::write(&seg_path, &bytes).expect("write");
+        assert!(matches!(
+            SegmentStore::open(&dir, StoreOptions::default()),
+            Err(StoreError::BadHeader)
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn regular_file_at_store_path_is_refused_untouched() {
+        let path = temp_dir("file-in-the-way");
+        let contents = b"PTMA\x01\x00\x00\x00 not a segment directory".to_vec();
+        std::fs::write(&path, &contents).expect("write file");
+        assert!(matches!(
+            SegmentStore::open(&path, StoreOptions::default()),
+            Err(StoreError::Io(_))
+        ));
+        assert!(path.is_file());
+        assert_eq!(std::fs::read(&path).expect("reread"), contents);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

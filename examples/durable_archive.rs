@@ -3,10 +3,11 @@
 //!
 //! The central server accumulates one small bitmap per RSU per period for
 //! years — records must outlive the collection process. This example runs a
-//! 28-day campaign at one RSU, persisting each day to an append-only
-//! archive with CRC-framed records, then simulates a crash (torn final
-//! frame), recovers, finishes the campaign, and answers calendar queries
-//! from the reloaded data.
+//! 28-day campaign at one RSU, persisting each day to a segment store
+//! (a directory of append-only segment files with CRC-framed records),
+//! then simulates a crash (torn final frame in the active segment),
+//! recovers, finishes the campaign, and answers calendar queries from the
+//! reloaded data.
 //!
 //! ```sh
 //! cargo run --release -p ptm-examples --bin durable_archive
@@ -16,7 +17,7 @@ use ptm_core::encoding::{EncodingScheme, LocationId, VehicleSecrets};
 use ptm_core::params::SystemParams;
 use ptm_core::point::PointEstimator;
 use ptm_core::record::{PeriodId, TrafficRecord};
-use ptm_store::Archive;
+use ptm_store::{SegmentStore, StoreOptions};
 use ptm_traffic::generate::fill_transients;
 use ptm_traffic::periods::{Calendar, Weekday};
 use rand::SeedableRng;
@@ -35,6 +36,7 @@ fn main() {
 
     let mut path = std::env::temp_dir();
     path.push(format!("ptm-campaign-{}.ptma", std::process::id()));
+    let _ = std::fs::remove_dir_all(&path);
 
     let make_record = |period: PeriodId, rng: &mut ChaCha12Rng| -> TrafficRecord {
         let mut record = TrafficRecord::new(location, period, size);
@@ -49,53 +51,64 @@ fn main() {
 
     // Days 0..14 recorded, then the collector "crashes" mid-append.
     {
-        let mut archive = Archive::create(&path).expect("create archive");
+        let mut store = SegmentStore::open(&path, StoreOptions::default())
+            .expect("create archive")
+            .store;
         for day in 0..14u32 {
-            archive
+            store
                 .append(&make_record(PeriodId::new(day), &mut rng))
                 .expect("append");
         }
-        archive.sync().expect("sync");
+        store.sync().expect("sync");
     }
-    // Simulate the crash: chop bytes off the file tail.
-    let len = std::fs::metadata(&path).expect("meta").len();
+    // Simulate the crash: chop bytes off the active segment's tail. Two
+    // weeks of records stay far below the 8 MiB rotation threshold, so the
+    // first segment file is still the active one.
+    let segment = path.join("seg-00000000.ptms");
+    let len = std::fs::metadata(&segment).expect("meta").len();
     let file = std::fs::OpenOptions::new()
         .write(true)
-        .open(&path)
+        .open(&segment)
         .expect("open");
     file.set_len(len - 37).expect("truncate");
     drop(file);
     println!(
-        "simulated crash: truncated the archive mid-frame ({len} -> {} bytes)",
+        "simulated crash: truncated the active segment mid-frame ({len} -> {} bytes)",
         len - 37
     );
 
     // Recovery: the torn day 13 frame is dropped; re-record it and go on.
-    let mut recovered = Archive::open(&path).expect("recover");
+    let recovered = SegmentStore::open(&path, StoreOptions::default()).expect("recover");
+    let mut store = recovered.store;
     println!(
         "recovered {} intact records, discarded {} torn bytes",
-        recovered.records.len(),
+        store.record_count(),
         recovered.torn_bytes
     );
-    let mut records = recovered.records.clone();
     // Deterministic regeneration of the lost day, then the rest of the month.
     let mut rng2 = ChaCha12Rng::seed_from_u64(1000);
-    for day in records.len() as u32..28 {
-        let record = make_record(PeriodId::new(day), &mut rng2);
-        recovered.archive.append(&record).expect("append");
-        records.push(record);
+    for day in store.record_count() as u32..28 {
+        store
+            .append(&make_record(PeriodId::new(day), &mut rng2))
+            .expect("append");
     }
-    recovered.archive.sync().expect("sync");
+    // Clean shutdown: commit, fsync and seal the segment with its index.
+    store.checkpoint().expect("checkpoint");
+    drop(store);
 
     // Reload everything from disk and query.
-    let reloaded = Archive::open(&path).expect("reload");
-    assert_eq!(reloaded.records.len(), 28);
+    let records = SegmentStore::open(&path, StoreOptions::default())
+        .expect("reload")
+        .store
+        .records_for_location(location)
+        .expect("read");
+    assert_eq!(records.len(), 28);
     println!("\nqueries answered from the on-disk archive alone:");
     let estimator = PointEstimator::new();
     let week2_workdays: Vec<TrafficRecord> = calendar
         .workdays_of_week(1)
         .into_iter()
-        .map(|p| reloaded.records[p.get() as usize].clone())
+        .map(|p| (*records[p.get() as usize]).clone())
         .collect();
     let est = estimator.estimate(&week2_workdays).expect("estimate");
     println!("  persistent over week-2 workdays: {est:.0}  (truth 900)");
@@ -106,10 +119,13 @@ fn main() {
     let (lo, hi) = with_err.interval(2.0);
     println!("  with conservative 2-sigma bars:  [{lo:.0}, {hi:.0}]");
 
-    let storage = std::fs::metadata(&path).expect("meta").len();
+    let storage: u64 = std::fs::read_dir(&path)
+        .expect("list archive")
+        .map(|entry| entry.expect("entry").metadata().expect("meta").len())
+        .sum();
     println!(
         "\nwhole 28-day campaign: {storage} bytes on disk ({} bytes/day, identities stored: none)",
         storage / 28
     );
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&path).ok();
 }

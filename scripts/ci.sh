@@ -26,6 +26,16 @@ cargo run -q -p ptm-analyze -- check --json-out out/analysis.json \
 echo "==> cargo build --release"
 cargo build --workspace --release
 
+# The runnable examples: clippy compiles them, this runs each one, so an
+# example that panics (or hangs) against today's API fails CI. Every
+# `examples/<name>.rs` is the `<name>` binary of the ptm-examples package.
+echo "==> examples (bounded)"
+for src in examples/*.rs; do
+    example="$(basename "$src" .rs)"
+    echo "--> $example"
+    timeout 120 "target/release/$example" > /dev/null
+done
+
 # Bounded like the integration suites below: a hung unit test fails CI
 # (exit 124) instead of wedging it. Compiling stays outside the bound.
 echo "==> cargo test (bounded)"

@@ -50,14 +50,12 @@ fn lock() -> MutexGuard<'static, ()> {
 fn temp_archive(name: &str) -> PathBuf {
     let mut path = std::env::temp_dir();
     path.push(format!("ptm-chaos-{}-{name}.ptma", std::process::id()));
-    // The path may hold a leftover v1 file or a v2 segment directory.
-    let _ = std::fs::remove_file(&path);
+    // The path may hold a segment directory from an earlier run.
     let _ = std::fs::remove_dir_all(&path);
     path
 }
 
 fn cleanup_archive(path: &PathBuf) {
-    let _ = std::fs::remove_file(path);
     let _ = std::fs::remove_dir_all(path);
 }
 

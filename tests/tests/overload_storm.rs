@@ -111,7 +111,7 @@ fn assert_gauges_settle(client: &mut RpcClient, context: &str) {
     loop {
         let snapshot = client.stats().expect("stats");
         if snapshot.contains("\"worker_inflight\":0")
-            && snapshot.contains("\"queue_depth\":{\"control\":0,\"query\":0,\"upload\":0}")
+            && snapshot.contains("\"queue_depth\":{\"query\":0,\"upload\":0}")
         {
             return;
         }

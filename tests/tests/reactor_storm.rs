@@ -57,7 +57,7 @@ fn assert_overload_gauges_settled(addr: std::net::SocketAddr, context: &str) {
     loop {
         let snapshot = client.stats().expect("stats");
         if snapshot.contains("\"worker_inflight\":0")
-            && snapshot.contains("\"queue_depth\":{\"control\":0,\"query\":0,\"upload\":0}")
+            && snapshot.contains("\"queue_depth\":{\"query\":0,\"upload\":0}")
         {
             return;
         }

@@ -33,14 +33,12 @@ fn lock() -> MutexGuard<'static, ()> {
 fn temp_archive(name: &str) -> PathBuf {
     let mut path = std::env::temp_dir();
     path.push(format!("ptm-rpc-it-{}-{name}.ptma", std::process::id()));
-    // The path may hold a leftover v1 file or a v2 segment directory.
-    let _ = std::fs::remove_file(&path);
+    // The path may hold a segment directory from an earlier run.
     let _ = std::fs::remove_dir_all(&path);
     path
 }
 
 fn cleanup_archive(path: &PathBuf) {
-    let _ = std::fs::remove_file(path);
     let _ = std::fs::remove_dir_all(path);
 }
 
@@ -203,7 +201,7 @@ fn retry_after_server_killed_mid_campaign_leaves_no_duplicate_frames() {
     // The store holds exactly one live frame per record — no duplicates
     // (a re-archived duplicate would supersede, not coexist, so the key
     // count equals the record count exactly).
-    let opened = SegmentStore::open_or_migrate(&path, StoreOptions::default()).expect("open");
+    let opened = SegmentStore::open(&path, StoreOptions::default()).expect("open");
     let store = opened.store;
     assert_eq!(store.record_count(), records.len());
     let mut keys = 0usize;

@@ -32,14 +32,12 @@ fn lock() -> MutexGuard<'static, ()> {
 fn temp_archive(name: &str) -> PathBuf {
     let mut path = std::env::temp_dir();
     path.push(format!("ptm-trace-it-{}-{name}.ptma", std::process::id()));
-    // The path may hold a leftover v1 file or a v2 segment directory.
-    let _ = std::fs::remove_file(&path);
+    // The path may hold a segment directory from an earlier run.
     let _ = std::fs::remove_dir_all(&path);
     path
 }
 
 fn cleanup_archive(path: &PathBuf) {
-    let _ = std::fs::remove_file(path);
     let _ = std::fs::remove_dir_all(path);
 }
 
@@ -309,16 +307,17 @@ fn untraced_clients_still_get_local_server_traces() {
     let server =
         RpcServer::start("127.0.0.1:0", &archive, ServerConfig::default()).expect("daemon starts");
 
-    // A raw v1 frame: no flags byte, no trace context on the wire.
+    // A raw ping frame with flags 0: no trace context on the wire.
     {
         use ptm_rpc::frame::{read_frame, write_frame};
+        use ptm_rpc::proto::{encode_request, Request};
         use ptm_rpc::DEFAULT_MAX_FRAME_LEN;
         let mut stream =
             std::net::TcpStream::connect(server.local_addr()).expect("loopback connect");
         stream
             .set_read_timeout(Some(Duration::from_secs(5)))
             .expect("timeout");
-        write_frame(&mut stream, &[1u8, 1u8]).expect("send v1 ping");
+        write_frame(&mut stream, &encode_request(&Request::Ping)).expect("send untraced ping");
         read_frame(&mut stream, DEFAULT_MAX_FRAME_LEN).expect("pong frame");
     }
 
@@ -331,7 +330,7 @@ fn untraced_clients_still_get_local_server_traces() {
     let dispatch = spans
         .iter()
         .find(|s| s.name == "rpc.server.dispatch")
-        .expect("v1 request still dispatched under a span");
+        .expect("untraced request still dispatched under a span");
     assert!(
         dispatch.parent.is_none(),
         "headerless request gets a locally minted root trace: {dispatch:?}"
