@@ -7,7 +7,6 @@ use crate::workspace::Workspace;
 
 mod crate_header;
 mod determinism;
-mod error_retryability;
 mod fault_site_registry;
 mod gauge_balance;
 mod lock_order;
@@ -19,7 +18,6 @@ mod reactor_blocking;
 
 pub use crate_header::CrateHeader;
 pub use determinism::Determinism;
-pub use error_retryability::ErrorRetryability;
 pub use fault_site_registry::FaultSiteRegistry;
 pub use gauge_balance::GaugeBalance;
 pub use lock_order::LockOrder;
@@ -54,7 +52,6 @@ pub fn all() -> Vec<Box<dyn Rule>> {
         Box::new(MetricRegistry),
         Box::new(FaultSiteRegistry),
         Box::new(ProtoTags),
-        Box::new(ErrorRetryability),
         Box::new(Determinism),
         Box::new(CrateHeader),
         Box::new(LockOrder),

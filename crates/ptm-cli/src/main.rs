@@ -84,7 +84,6 @@ COMMANDS:
                 (--archive PATH [--addr A] [--s N] [--duration-secs N]
                  [--cache N: query-cache entries, 0 disables; default 1024]
                  [--max-connections N: 0 removes the cap; default 256]
-                 [--inflight N: uncached estimates per location; default 8]
                  [--workers N: reactor worker threads; default 4]
                  [--retry-after-ms N: shed-response hint; default 250]
                  [--sync flush|fsync: archive durability; default flush]

@@ -41,7 +41,6 @@ fn cmd_health(addr: &str) -> Result<(), String> {
         connect_timeout: Duration::from_secs(1),
         io_timeout: Duration::from_secs(2),
         max_attempts: 1,
-        breaker_threshold: 0,
         ..ClientConfig::default()
     };
     let mut client = RpcClient::connect(addr, config).map_err(|e| e.to_string())?;
@@ -89,9 +88,6 @@ pub fn cmd_serve(options: &Options) -> Result<(), String> {
     }
     if let Some(cap) = opt_usize(options, "max-connections")? {
         config.max_connections = cap;
-    }
-    if let Some(inflight) = opt_usize(options, "inflight")? {
-        config.max_inflight_estimates = inflight;
     }
     if let Some(workers) = opt_usize(options, "workers")? {
         if workers == 0 {

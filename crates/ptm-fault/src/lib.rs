@@ -65,8 +65,8 @@ pub mod sites {
     pub const RPC_READ: &str = "rpc.read";
     /// RPC server stream writes (response frames leaving).
     pub const RPC_WRITE: &str = "rpc.write";
-    /// Estimate execution inside the server's in-flight gate (latency or
-    /// failure while computing a query answer).
+    /// Estimate execution on a server worker, once per uncached query
+    /// (latency or failure while computing a query answer).
     pub const RPC_ESTIMATE: &str = "rpc.estimate";
     /// Ingest execution under the server's writer lock, checked once per
     /// coalesced ingest job just after the lock is taken. A `panic` here

@@ -1,20 +1,22 @@
 //! The retrying RPC client.
 //!
 //! [`RpcClient`] opens (and transparently re-opens) one TCP connection to a
-//! daemon and exposes typed calls for every [`crate::proto::Request`]. Each
-//! call retries on *retryable* failures — connection refused/reset, timeouts,
-//! a stream closed mid-exchange, a checksum-mangled response — with capped
-//! exponential backoff plus jitter, and fails fast on *fatal* ones — any
-//! error the server actually answered with (version mismatch, conflicting
-//! duplicate, malformed request, missing record).
+//! daemon and exposes typed calls for every [`crate::proto::Request`]. Every
+//! call — a single request/response exchange or a pipelined upload — runs
+//! through one retry loop. It retries on *retryable* failures — connection
+//! refused/reset, timeouts, a stream closed mid-exchange, a
+//! checksum-mangled response, a server answer asking for a retry — with
+//! capped exponential backoff plus jitter, and fails fast on *fatal* ones —
+//! any error the server actually answered with (version mismatch,
+//! conflicting duplicate, malformed request, missing record).
 //!
 //! Retrying an upload whose ack was lost is safe because the daemon's ingest
 //! is idempotent: an identical re-send is acked as a duplicate, not stored
 //! twice. That at-least-once contract is what lets this client treat every
 //! ambiguous transport failure as "try again".
 //!
-//! Several mechanisms keep a retrying fleet from making a bad situation
-//! worse (see `docs/FAULTS.md`):
+//! Three mechanisms keep a retrying fleet from making a bad situation worse
+//! (see `docs/FAULTS.md`):
 //!
 //! * a server [`Response::Overloaded`] answer is retried after at least
 //!   its `retry_after_ms` hint, not hammered on the normal backoff;
@@ -23,14 +25,6 @@
 //!   attempt stamps its *remaining* budget into the v3 request header, so
 //!   the server can drop the request instead of executing it once this
 //!   client has already given up ([`Response::DeadlineExceeded`]);
-//! * a **retry budget** ([`ClientConfig::retry_budget`]) — a token bucket
-//!   spent one per retry and refilled one per successful call — bounds how
-//!   much retry pressure a persistently failing client adds on top of its
-//!   per-call attempt cap;
-//! * a **circuit breaker** opens after
-//!   [`ClientConfig::breaker_threshold`] consecutive failed calls, failing
-//!   further calls instantly ([`ClientError::CircuitOpen`]) until a
-//!   cooldown passes and one half-open probe call is let through;
 //! * a server [`Response::GoingAway`] answer (graceful drain) is a clean
 //!   hand-off: the client drops the doomed connection and retries —
 //!   against the restarted instance — after the server's hint.
@@ -69,25 +63,11 @@ pub struct ClientConfig {
     pub backoff_cap: Duration,
     /// Seed for the jitter PRNG (deterministic in tests).
     pub jitter_seed: u64,
-    /// Largest response frame accepted.
-    pub max_frame_len: u32,
     /// Total wall-clock budget per call, spanning every attempt and
     /// backoff sleep. `None` (the default) leaves only `max_attempts` as
     /// the bound. A call that would sleep past the budget fails with
     /// [`ClientError::DeadlineExceeded`] instead of sleeping.
     pub deadline: Option<Duration>,
-    /// Consecutive failed *calls* before the circuit breaker opens; 0
-    /// disables the breaker.
-    pub breaker_threshold: u32,
-    /// Minimum time the breaker stays open. A server `retry_after_ms`
-    /// hint larger than this extends the hold.
-    pub breaker_cooldown: Duration,
-    /// Capacity of the retry token bucket; 0 disables it. Every retry
-    /// sleep spends one token and every successful call refills one (up
-    /// to this capacity), so a client whose calls keep failing runs dry
-    /// and fails fast instead of compounding a server's overload with
-    /// `max_attempts` retries per call, forever.
-    pub retry_budget: u32,
 }
 
 impl Default for ClientConfig {
@@ -99,11 +79,7 @@ impl Default for ClientConfig {
             backoff_base: Duration::from_millis(50),
             backoff_cap: Duration::from_secs(2),
             jitter_seed: 0x9E37_79B9_7F4A_7C15,
-            max_frame_len: DEFAULT_MAX_FRAME_LEN,
             deadline: None,
-            breaker_threshold: 8,
-            breaker_cooldown: Duration::from_millis(500),
-            retry_budget: 32,
         }
     }
 }
@@ -123,11 +99,12 @@ pub enum ClientError {
     UnexpectedResponse(String),
     /// The response payload failed to decode.
     Proto(ProtoError),
-    /// Every attempt failed on transport errors; the last one is kept.
+    /// Every attempt failed on a transport error or a retryable server
+    /// answer; the last one is kept.
     Exhausted {
         /// Attempts made (equals `max_attempts`).
         attempts: u32,
-        /// The final transport-level failure.
+        /// The final failure.
         last: String,
     },
     /// A request that can never be sent (e.g. an oversized batch).
@@ -138,12 +115,6 @@ pub enum ClientError {
         attempts: u32,
         /// The most recent failure (empty if the first attempt never ran).
         last: String,
-    },
-    /// The circuit breaker is open: recent calls kept failing, so this one
-    /// failed instantly without touching the network.
-    CircuitOpen {
-        /// How long until the breaker admits a half-open probe call.
-        retry_after: Duration,
     },
 }
 
@@ -159,13 +130,6 @@ impl std::fmt::Display for ClientError {
             Self::InvalidRequest(detail) => write!(f, "invalid request: {detail}"),
             Self::DeadlineExceeded { attempts, last } => {
                 write!(f, "deadline exceeded after {attempts} attempts: {last}")
-            }
-            Self::CircuitOpen { retry_after } => {
-                write!(
-                    f,
-                    "circuit breaker open; retry in {} ms",
-                    retry_after.as_millis()
-                )
             }
         }
     }
@@ -197,46 +161,83 @@ pub struct ServerInfo {
     pub degraded: bool,
 }
 
+/// Why one attempt did not produce the call's answer.
 enum AttemptError {
-    /// Transport-level; worth retrying on a fresh connection.
-    Retryable(String),
-    /// Application-level; retrying is pointless.
+    /// Worth another attempt: a transport fault, or a server answer that
+    /// asks for one.
+    Retry {
+        /// What went wrong, kept as the call's `last` failure.
+        detail: String,
+        /// The server's `retry_after_ms` hint, which floors the next
+        /// backoff.
+        hint_ms: Option<u32>,
+        /// Whether the connection is done for: drop it and reconnect on
+        /// the next attempt.
+        reconnect: bool,
+    },
+    /// Retrying cannot help.
     Fatal(ClientError),
 }
 
-/// How one decoded server answer steers the retry loop.
-enum Disposition {
-    /// The call's actual answer (success or payload); hand it to the
-    /// caller.
-    Done,
-    /// A healthy server asking for space: keep the connection, retry
-    /// after at least the hint.
-    RetryAfter(u32),
-    /// The server dropped the queued request past its wire deadline.
-    /// Retryable: the next attempt stamps a fresh remaining-budget
-    /// header, so it only runs if this call still has time left.
-    RetryDoomed,
-    /// Graceful-drain hand-off: drop the doomed connection, retry after
-    /// the hint (against the restarted or replacement instance).
-    RetryElsewhere(u32),
-    /// The server answered with an application error; retrying cannot
-    /// help.
-    Fatal,
+impl AttemptError {
+    /// A transport fault: retry on a fresh connection after the normal
+    /// backoff.
+    fn transport(detail: impl Into<String>) -> Self {
+        Self::Retry {
+            detail: detail.into(),
+            hint_ms: None,
+            reconnect: true,
+        }
+    }
 }
 
-/// Classifies a decoded response as retryable or fatal.
+/// Separates the call's answer from the server answers that stand in for
+/// it, and counts the latter.
 ///
-/// Every error-range [`Response`] variant (the set [`Response::is_error`]
-/// matches in `proto.rs`) must have an arm here — the `error-retryability`
-/// rule in ptm-analyze fails the build when a new error variant is added
-/// to the protocol without deciding its retry semantics.
-fn classify_response(response: &Response) -> Disposition {
+/// Every [`Response`] variant is listed and there is no `_` arm, so a new
+/// variant does not compile until its retry semantics are chosen here.
+fn classify_response(response: Response) -> Result<Response, AttemptError> {
     match response {
-        Response::Overloaded { retry_after_ms } => Disposition::RetryAfter(*retry_after_ms),
-        Response::DeadlineExceeded => Disposition::RetryDoomed,
-        Response::GoingAway { retry_after_ms } => Disposition::RetryElsewhere(*retry_after_ms),
-        Response::Error { .. } => Disposition::Fatal,
-        _ => Disposition::Done,
+        Response::Pong { .. }
+        | Response::UploadOk { .. }
+        | Response::Estimate(_)
+        | Response::Stats(_) => Ok(response),
+        // A healthy server asking for space: keep the connection, retry
+        // after at least the hint.
+        Response::Overloaded { retry_after_ms } => {
+            ptm_obs::counter!("rpc.client.overloaded").inc();
+            Err(AttemptError::Retry {
+                detail: format!("server overloaded; asked to retry after {retry_after_ms} ms"),
+                hint_ms: Some(retry_after_ms),
+                reconnect: false,
+            })
+        }
+        // The server dropped the queued request past its wire deadline.
+        // The next attempt only runs if the call still has budget left.
+        Response::DeadlineExceeded => {
+            ptm_obs::counter!("rpc.client.deadline_dropped").inc();
+            Err(AttemptError::Retry {
+                detail: "server dropped the request past its wire deadline".into(),
+                hint_ms: None,
+                reconnect: false,
+            })
+        }
+        // Graceful drain: this connection is done serving. Drop it and
+        // retry elsewhere after the hint.
+        Response::GoingAway { retry_after_ms } => {
+            ptm_obs::counter!("rpc.client.going_away").inc();
+            Err(AttemptError::Retry {
+                detail: format!("server going away; asked to hand off after {retry_after_ms} ms"),
+                hint_ms: Some(retry_after_ms),
+                reconnect: true,
+            })
+        }
+        Response::Error { code, message } => {
+            if code == ErrorCode::VersionMismatch {
+                ptm_obs::counter!("rpc.client.version_mismatch").inc();
+            }
+            Err(AttemptError::Fatal(ClientError::Server { code, message }))
+        }
     }
 }
 
@@ -268,25 +269,56 @@ fn retryable_io(kind: io::ErrorKind) -> bool {
     )
 }
 
+/// Classifies a failed connect, send or receive: `what` names the step.
+fn classify_io_error(what: &str, err: &io::Error) -> AttemptError {
+    let detail = format!("{what}: {err}");
+    if retryable_io(err.kind()) {
+        AttemptError::transport(detail)
+    } else {
+        AttemptError::Fatal(ClientError::Exhausted {
+            attempts: 0,
+            last: detail,
+        })
+    }
+}
+
 fn classify_frame_error(err: FrameError) -> AttemptError {
     match err {
         // A mangled or cut-off response is a transport fault: the request
         // may or may not have been applied, and idempotent ingest makes a
         // blind retry safe either way.
         FrameError::Truncated | FrameError::Stalled | FrameError::BadCrc { .. } => {
-            AttemptError::Retryable(err.to_string())
+            AttemptError::transport(err.to_string())
         }
-        FrameError::Io(io_err) if retryable_io(io_err.kind()) => {
-            AttemptError::Retryable(io_err.to_string())
-        }
-        FrameError::Io(io_err) => AttemptError::Fatal(ClientError::Exhausted {
-            attempts: 0,
-            last: io_err.to_string(),
-        }),
+        FrameError::Io(io_err) => classify_io_error("receive", &io_err),
         FrameError::TooLarge { .. } => {
             AttemptError::Fatal(ClientError::UnexpectedResponse(err.to_string()))
         }
     }
+}
+
+/// Reads, decodes and classifies one response frame.
+fn read_response(stream: &mut TcpStream, io_timeout: Duration) -> Result<Response, AttemptError> {
+    // The stall budget lets a response that is already arriving keep
+    // dribbling in for up to another io_timeout, instead of failing the
+    // attempt at the first mid-frame timeout.
+    let bytes = match read_frame_with_stall(stream, DEFAULT_MAX_FRAME_LEN, Some(io_timeout)) {
+        Ok(ReadOutcome::Frame(bytes)) => bytes,
+        // The io_timeout read deadline surfaces as Idle when it fires
+        // before the first response byte; for a client awaiting an answer
+        // that is a timeout, not idleness.
+        Ok(ReadOutcome::Idle) => return Err(AttemptError::transport("response timed out")),
+        Ok(ReadOutcome::Closed) => {
+            return Err(AttemptError::transport(
+                "connection closed awaiting response",
+            ))
+        }
+        Err(err) => return Err(classify_frame_error(err)),
+    };
+    ptm_obs::counter!("rpc.client.frames.in").inc();
+    let response =
+        decode_response(&bytes).map_err(|err| AttemptError::Fatal(ClientError::Proto(err)))?;
+    classify_response(response)
 }
 
 /// A client for one daemon address. Not thread-safe; open one per thread.
@@ -295,13 +327,6 @@ pub struct RpcClient {
     config: ClientConfig,
     stream: Option<TcpStream>,
     jitter_state: u64,
-    /// Consecutive failed calls, for the circuit breaker.
-    consecutive_failures: u32,
-    /// While `Some`, the breaker is open and calls before this instant
-    /// fail fast; the first call after it is the half-open probe.
-    open_until: Option<Instant>,
-    /// Remaining retry tokens (see [`ClientConfig::retry_budget`]).
-    retry_tokens: u32,
 }
 
 impl RpcClient {
@@ -318,15 +343,11 @@ impl RpcClient {
             .next()
             .ok_or_else(|| ClientError::InvalidRequest("address resolved to nothing".into()))?;
         let jitter_state = config.jitter_seed | 1;
-        let retry_tokens = config.retry_budget;
         Ok(Self {
             addr,
             config,
             stream: None,
             jitter_state,
-            consecutive_failures: 0,
-            open_until: None,
-            retry_tokens,
         })
     }
 
@@ -421,8 +442,9 @@ impl RpcClient {
     /// Outcome semantics match issuing [`RpcClient::upload`] per record:
     /// acks are counted per record, an `Overloaded` shed pauses the
     /// pipeline and retries only the unacked records after the server's
-    /// hint, and a transport failure reconnects and re-sends every unacked
-    /// record (safe because ingest is idempotent).
+    /// hint, and a transport failure or a `GoingAway` hand-off reconnects
+    /// and re-sends every unacked record (safe because ingest is
+    /// idempotent).
     ///
     /// # Errors
     ///
@@ -434,23 +456,14 @@ impl RpcClient {
         records: &[TrafficRecord],
         window: usize,
     ) -> Result<UploadSummary, ClientError> {
+        let mut summary = UploadSummary {
+            accepted: 0,
+            duplicates: 0,
+        };
         if records.is_empty() {
-            return Ok(UploadSummary {
-                accepted: 0,
-                duplicates: 0,
-            });
+            return Ok(summary);
         }
         let window = window.clamp(1, MAX_PIPELINE_WINDOW);
-        if let Some(until) = self.open_until {
-            let now = Instant::now();
-            if now < until {
-                ptm_obs::counter!("rpc.client.breaker.rejected").inc();
-                return Err(ClientError::CircuitOpen {
-                    retry_after: until - now,
-                });
-            }
-            self.open_until = None;
-        }
         let call_span = ptm_obs::tspan!("rpc.client.request");
         let wire = call_span.context().map(|ctx| WireTrace {
             trace_id: ctx.trace_id,
@@ -467,85 +480,29 @@ impl RpcClient {
             .map(|record| encode_request_with(&Request::Upload(record.clone()), wire, stamp))
             .collect();
         let mut acked = vec![false; records.len()];
-        let mut summary = UploadSummary {
-            accepted: 0,
-            duplicates: 0,
-        };
-        let attempts = self.config.max_attempts.max(1);
-        let started = Instant::now();
-        let mut last = String::new();
-        let mut retry_hint: Option<Duration> = None;
-        let mut last_hint: Option<u32> = None;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                let backoff = self.backoff(attempt);
-                let delay = retry_hint.take().map_or(backoff, |hint| hint.max(backoff));
-                if let Some(budget) = self.config.deadline {
-                    if started.elapsed() + delay >= budget {
-                        ptm_obs::counter!("rpc.client.deadline_exceeded").inc();
-                        self.record_failure(last_hint);
-                        return Err(ClientError::DeadlineExceeded {
-                            attempts: attempt,
-                            last,
-                        });
-                    }
-                }
-                if !self.spend_retry_token() {
-                    self.record_failure(last_hint);
-                    return Err(ClientError::Exhausted {
-                        attempts: attempt,
-                        last: format!("retry budget exhausted ({last})"),
-                    });
-                }
-                ptm_obs::counter!("rpc.client.retries").inc();
-                std::thread::sleep(delay);
-            }
-            match self.pipeline_attempt(&payloads, &mut acked, window, &mut summary) {
-                Ok(None) => {
-                    self.on_success();
-                    return Ok(summary);
-                }
-                Ok(Some(retry_after_ms)) => {
-                    ptm_obs::counter!("rpc.client.overloaded").inc();
-                    retry_hint = Some(Duration::from_millis(u64::from(retry_after_ms)));
-                    last_hint = Some(retry_after_ms);
-                    last = format!("server overloaded; asked to retry after {retry_after_ms} ms");
-                }
-                Err(AttemptError::Fatal(err)) => {
-                    self.record_failure(None);
-                    return Err(err);
-                }
-                Err(AttemptError::Retryable(detail)) => {
-                    ptm_obs::debug!("rpc.client", "pipelined attempt failed";
-                        attempt = attempt + 1, error = detail.clone());
-                    self.stream = None;
-                    last = detail;
-                }
-            }
-        }
-        ptm_obs::counter!("rpc.client.exhausted").inc();
-        self.record_failure(last_hint);
-        Err(ClientError::Exhausted { attempts, last })
+        self.with_retries(|client, _| {
+            client.pipeline_attempt(&payloads, &mut acked, window, &mut summary)
+        })?;
+        Ok(summary)
     }
 
     /// One pipelined pass over every record not yet acked: frames are
     /// written in `window`-sized waves (one batched vectored write per
-    /// wave), then the wave's acks are drained in order. Returns `Ok(None)`
-    /// when every record is acked, `Ok(Some(hint))` when the server shed
-    /// part of the pass with `Overloaded`.
+    /// wave), then the wave's acks are drained in order. Succeeds when
+    /// every record is acked; a shed or doomed record ends the pass after
+    /// its wave, so the retry loop backs off before re-sending the
+    /// unacked tail.
     fn pipeline_attempt(
         &mut self,
         payloads: &[Vec<u8>],
         acked: &mut [bool],
         window: usize,
         summary: &mut UploadSummary,
-    ) -> Result<Option<u32>, AttemptError> {
+    ) -> Result<(), AttemptError> {
         let io_timeout = self.config.io_timeout;
-        let max_frame_len = self.config.max_frame_len;
         let stream = self.ensure_stream()?;
         let pending: Vec<usize> = (0..payloads.len()).filter(|&i| !acked[i]).collect();
         let mut wave_buf = Vec::new();
-        let mut shed_hint: Option<u32> = None;
         for wave in pending.chunks(window) {
             wave_buf.clear();
             for &index in wave {
@@ -553,87 +510,48 @@ impl RpcClient {
                     out.extend_from_slice(&payloads[index]);
                 });
             }
-            stream.write_all(&wave_buf).map_err(|err| {
-                if retryable_io(err.kind()) {
-                    AttemptError::Retryable(format!("send: {err}"))
-                } else {
-                    AttemptError::Fatal(ClientError::Exhausted {
-                        attempts: 0,
-                        last: format!("send: {err}"),
-                    })
-                }
-            })?;
+            stream
+                .write_all(&wave_buf)
+                .map_err(|err| classify_io_error("send", &err))?;
             ptm_obs::counter!("rpc.client.frames.out").add(wave.len() as u64);
+            let mut shed: Option<AttemptError> = None;
             for &index in wave {
-                let bytes = match read_frame_with_stall(stream, max_frame_len, Some(io_timeout)) {
-                    Ok(ReadOutcome::Frame(bytes)) => bytes,
-                    Ok(ReadOutcome::Idle) => {
-                        return Err(AttemptError::Retryable("response timed out".into()))
+                match read_response(stream, io_timeout) {
+                    Ok(Response::UploadOk {
+                        accepted,
+                        duplicates,
+                    }) => {
+                        acked[index] = true;
+                        summary.accepted += accepted;
+                        summary.duplicates += duplicates;
                     }
-                    Ok(ReadOutcome::Closed) => {
-                        return Err(AttemptError::Retryable(
-                            "connection closed awaiting response".into(),
-                        ))
-                    }
-                    Err(err) => return Err(classify_frame_error(err)),
-                };
-                ptm_obs::counter!("rpc.client.frames.in").inc();
-                let response = decode_response(&bytes)
-                    .map_err(|err| AttemptError::Fatal(ClientError::Proto(err)))?;
-                match classify_response(&response) {
-                    Disposition::Done => match response {
-                        Response::UploadOk {
-                            accepted,
-                            duplicates,
-                        } => {
-                            acked[index] = true;
-                            summary.accepted += accepted;
-                            summary.duplicates += duplicates;
+                    Ok(other) => return Err(AttemptError::Fatal(unexpected("UploadOk", &other))),
+                    // Shed or doomed, on a connection that still serves:
+                    // the record stays unacked, and the rest of the
+                    // wave's acks are already on their way. A hinted
+                    // retry replaces an unhinted one, so the pause
+                    // honours the server's hint.
+                    Err(
+                        retry @ AttemptError::Retry {
+                            reconnect: false,
+                            hint_ms,
+                            ..
+                        },
+                    ) => {
+                        if shed.is_none() || hint_ms.is_some() {
+                            shed = Some(retry);
                         }
-                        other => {
-                            return Err(AttemptError::Fatal(unexpected("UploadOk", &other)));
-                        }
-                    },
-                    Disposition::RetryAfter(retry_after_ms) => {
-                        shed_hint = Some(retry_after_ms);
                     }
-                    // The record's frame sat in the worker queue past the
-                    // stamped deadline; it stays unacked and the next
-                    // pass re-sends it (normal backoff, no hint).
-                    Disposition::RetryDoomed => {
-                        ptm_obs::counter!("rpc.client.deadline_dropped").inc();
-                        shed_hint = Some(shed_hint.unwrap_or(0));
-                    }
-                    // Graceful drain mid-pipeline: the connection is done
-                    // serving. Surface as a transport-style retry so the
-                    // outer loop reconnects and re-sends the unacked tail
-                    // (idempotent ingest makes that safe).
-                    Disposition::RetryElsewhere(retry_after_ms) => {
-                        ptm_obs::counter!("rpc.client.going_away").inc();
-                        return Err(AttemptError::Retryable(format!(
-                            "server going away; asked to hand off after {retry_after_ms} ms"
-                        )));
-                    }
-                    Disposition::Fatal => match response {
-                        Response::Error { code, message } => {
-                            if code == ErrorCode::VersionMismatch {
-                                ptm_obs::counter!("rpc.client.version_mismatch").inc();
-                            }
-                            return Err(AttemptError::Fatal(ClientError::Server { code, message }));
-                        }
-                        other => {
-                            return Err(AttemptError::Fatal(unexpected("UploadOk", &other)));
-                        }
-                    },
+                    Err(err) => return Err(err),
                 }
             }
-            if shed_hint.is_some() {
+            if let Some(retry) = shed {
                 // The server is shedding: stop pushing more waves and let
-                // the caller back off before retrying the unacked tail.
-                break;
+                // the retry loop back off before the unacked tail.
+                return Err(retry);
             }
         }
-        Ok(shed_hint)
+        Ok(())
     }
 
     /// Queries the traffic-volume estimate for one location and period.
@@ -706,21 +624,8 @@ impl RpcClient {
         }
     }
 
-    /// One request/response exchange with retries, bounded by the attempt
-    /// count, the optional deadline budget, and the circuit breaker.
+    /// One request/response exchange, retried.
     fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
-        if let Some(until) = self.open_until {
-            let now = Instant::now();
-            if now < until {
-                ptm_obs::counter!("rpc.client.breaker.rejected").inc();
-                return Err(ClientError::CircuitOpen {
-                    retry_after: until - now,
-                });
-            }
-            // Cooldown over: this call is the half-open probe. Success
-            // closes the breaker; failure re-opens it for another hold.
-            self.open_until = None;
-        }
         // One span covers the whole call — every attempt, backoff sleep,
         // and the final decode share it — and its context rides the v3
         // request header so the daemon's spans join this trace.
@@ -729,226 +634,85 @@ impl RpcClient {
             trace_id: ctx.trace_id,
             parent_span: ctx.span_id,
         });
+        self.with_retries(|client, remaining_ms| {
+            // Re-encoded per attempt: the stamped header carries the
+            // budget still remaining *now*, so the server sees how long
+            // this attempt — not the original call — is worth queueing.
+            let payload = encode_request_with(request, wire, remaining_ms);
+            let io_timeout = client.config.io_timeout;
+            let stream = client.ensure_stream()?;
+            write_frame_vectored(stream, &payload)
+                .map_err(|err| classify_io_error("send", &err))?;
+            ptm_obs::counter!("rpc.client.frames.out").inc();
+            read_response(stream, io_timeout)
+        })
+    }
+
+    /// The retry loop every call runs through. Runs `attempt` until it
+    /// succeeds or fails fatally, bounded by the attempt count and the
+    /// optional deadline budget. Between attempts it sleeps the jittered
+    /// backoff, floored by the server's hint when the last answer carried
+    /// one. `attempt` gets the deadline budget still remaining, for its
+    /// request header.
+    fn with_retries<T>(
+        &mut self,
+        mut attempt: impl FnMut(&mut Self, Option<u32>) -> Result<T, AttemptError>,
+    ) -> Result<T, ClientError> {
         let attempts = self.config.max_attempts.max(1);
         let started = Instant::now();
         let mut last = String::new();
-        // A server retry_after_ms hint floors the next backoff, and the
-        // latest hint seeds the breaker hold if this call exhausts.
-        let mut retry_hint: Option<Duration> = None;
-        let mut last_hint: Option<u32> = None;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                let backoff = self.backoff(attempt);
-                let delay = retry_hint.take().map_or(backoff, |hint| hint.max(backoff));
+        let mut hint: Option<Duration> = None;
+        for n in 0..attempts {
+            if n > 0 {
+                let backoff = self.backoff(n);
+                let delay = hint.take().map_or(backoff, |hint| hint.max(backoff));
                 if let Some(budget) = self.config.deadline {
                     if started.elapsed() + delay >= budget {
                         ptm_obs::counter!("rpc.client.deadline_exceeded").inc();
-                        self.record_failure(last_hint);
-                        return Err(ClientError::DeadlineExceeded {
-                            attempts: attempt,
-                            last,
-                        });
+                        return Err(ClientError::DeadlineExceeded { attempts: n, last });
                     }
-                }
-                if !self.spend_retry_token() {
-                    self.record_failure(last_hint);
-                    return Err(ClientError::Exhausted {
-                        attempts: attempt,
-                        last: format!("retry budget exhausted ({last})"),
-                    });
                 }
                 ptm_obs::counter!("rpc.client.retries").inc();
                 std::thread::sleep(delay);
             }
-            // Re-encoded per attempt: the stamped header carries the
-            // budget still remaining *now*, so the server sees how long
-            // this attempt — not the original call — is worth queueing.
-            let payload = encode_request_with(
-                request,
-                wire,
-                remaining_budget_ms(started, self.config.deadline),
-            );
-            match self.attempt(&payload) {
-                Ok(response) => match classify_response(&response) {
-                    Disposition::Done => {
-                        // Any decoded answer means the transport and
-                        // server are alive: the breaker resets.
-                        self.on_success();
-                        return Ok(response);
-                    }
-                    Disposition::Fatal => {
-                        // The breaker resets even for an error frame —
-                        // the server is speaking, and nothing about a
-                        // retry improves its answer.
-                        self.on_success();
-                        if let Response::Error { code, message } = response {
-                            if code == ErrorCode::VersionMismatch {
-                                ptm_obs::counter!("rpc.client.version_mismatch").inc();
-                            }
-                            return Err(ClientError::Server { code, message });
-                        }
-                        return Err(unexpected("a decodable answer", &response));
-                    }
-                    // An overload shed is a healthy server asking for
-                    // space: keep the connection, honor the hint, retry.
-                    Disposition::RetryAfter(retry_after_ms) => {
-                        ptm_obs::counter!("rpc.client.overloaded").inc();
-                        retry_hint = Some(Duration::from_millis(u64::from(retry_after_ms)));
-                        last_hint = Some(retry_after_ms);
-                        last =
-                            format!("server overloaded; asked to retry after {retry_after_ms} ms");
-                    }
-                    // The server dropped the queued request past its wire
-                    // deadline. The next attempt re-stamps whatever
-                    // budget is left; the deadline check above ends the
-                    // call once none remains.
-                    Disposition::RetryDoomed => {
-                        ptm_obs::counter!("rpc.client.deadline_dropped").inc();
-                        last = "server dropped the request past its wire deadline".into();
-                    }
-                    // Graceful drain: this connection is done serving.
-                    // Drop it and retry elsewhere after the hint.
-                    Disposition::RetryElsewhere(retry_after_ms) => {
-                        ptm_obs::counter!("rpc.client.going_away").inc();
-                        self.stream = None;
-                        retry_hint = Some(Duration::from_millis(u64::from(retry_after_ms)));
-                        last_hint = Some(retry_after_ms);
-                        last = format!(
-                            "server going away; asked to hand off after {retry_after_ms} ms"
-                        );
-                    }
-                },
-                Err(AttemptError::Fatal(err)) => {
-                    self.record_failure(None);
-                    return Err(err);
-                }
-                Err(AttemptError::Retryable(detail)) => {
+            let remaining_ms = remaining_budget_ms(started, self.config.deadline);
+            match attempt(self, remaining_ms) {
+                Ok(value) => return Ok(value),
+                Err(AttemptError::Fatal(err)) => return Err(err),
+                Err(AttemptError::Retry {
+                    detail,
+                    hint_ms,
+                    reconnect,
+                }) => {
                     ptm_obs::debug!("rpc.client", "attempt failed";
-                        attempt = attempt + 1, error = detail.clone());
-                    self.stream = None;
+                        attempt = n + 1, error = detail.clone());
+                    if reconnect {
+                        self.stream = None;
+                    }
+                    hint = hint_ms.map(|ms| Duration::from_millis(u64::from(ms)));
                     last = detail;
                 }
             }
         }
         ptm_obs::counter!("rpc.client.exhausted").inc();
-        self.record_failure(last_hint);
         Err(ClientError::Exhausted { attempts, last })
     }
 
-    /// Resets the breaker after any decoded server answer, and refills
-    /// one retry token (successes earn back the right to retry later).
-    fn on_success(&mut self) {
-        self.consecutive_failures = 0;
-        self.open_until = None;
-        if self.config.retry_budget != 0 && self.retry_tokens < self.config.retry_budget {
-            self.retry_tokens += 1;
-            ptm_obs::counter!("rpc.client.retry_budget.refilled").inc();
-        }
-    }
-
-    /// Takes one retry token. `false` means the bucket is dry: the call
-    /// must give up now instead of adding more retry pressure to a
-    /// server that has not answered a success in a long time.
-    fn spend_retry_token(&mut self) -> bool {
-        if self.config.retry_budget == 0 {
-            return true;
-        }
-        if self.retry_tokens == 0 {
-            ptm_obs::counter!("rpc.client.retry_budget.exhausted").inc();
-            return false;
-        }
-        self.retry_tokens -= 1;
-        ptm_obs::counter!("rpc.client.retry_budget.spent").inc();
-        true
-    }
-
-    /// Counts one failed call toward the breaker, opening it at the
-    /// threshold for `max(retry_after hint, breaker_cooldown)`.
-    fn record_failure(&mut self, hint_ms: Option<u32>) {
-        if self.config.breaker_threshold == 0 {
-            return;
-        }
-        self.consecutive_failures = self.consecutive_failures.saturating_add(1);
-        if self.consecutive_failures >= self.config.breaker_threshold {
-            let hold = hint_ms
-                .map(|ms| Duration::from_millis(u64::from(ms)))
-                .map_or(self.config.breaker_cooldown, |hint| {
-                    hint.max(self.config.breaker_cooldown)
-                });
-            self.open_until = Some(Instant::now() + hold);
-            ptm_obs::counter!("rpc.client.breaker.opened").inc();
-            ptm_obs::warn!("rpc.client", "circuit breaker opened";
-                failures = self.consecutive_failures, hold_ms = hold.as_millis() as u64);
-        }
-    }
-
-    /// Opens the TCP stream if none is cached, classifying connect failures.
+    /// The open TCP stream, connecting first if there is none.
     fn ensure_stream(&mut self) -> Result<&mut TcpStream, AttemptError> {
-        if self.stream.is_none() {
-            let stream = TcpStream::connect_timeout(&self.addr, self.config.connect_timeout)
-                .map_err(|err| {
-                    if retryable_io(err.kind()) {
-                        AttemptError::Retryable(format!("connect: {err}"))
-                    } else {
-                        AttemptError::Fatal(ClientError::Exhausted {
-                            attempts: 0,
-                            last: format!("connect: {err}"),
-                        })
-                    }
-                })?;
-            let _ = stream.set_nodelay(true);
-            let _ = stream.set_read_timeout(Some(self.config.io_timeout));
-            let _ = stream.set_write_timeout(Some(self.config.io_timeout));
-            ptm_obs::counter!("rpc.client.connects").inc();
-            self.stream = Some(stream);
-        }
-        match self.stream.as_mut() {
-            Some(stream) => Ok(stream),
-            // Unreachable: the branch above just ensured the stream.
-            None => Err(AttemptError::Retryable(
-                "stream missing after connect".into(),
-            )),
-        }
-    }
-
-    fn attempt(&mut self, payload: &[u8]) -> Result<Response, AttemptError> {
-        let io_timeout = self.config.io_timeout;
-        let max_frame_len = self.config.max_frame_len;
-        let stream = self.ensure_stream()?;
-        write_frame_vectored(stream, payload).map_err(|err| {
-            if retryable_io(err.kind()) {
-                AttemptError::Retryable(format!("send: {err}"))
-            } else {
-                AttemptError::Fatal(ClientError::Exhausted {
-                    attempts: 0,
-                    last: format!("send: {err}"),
-                })
+        let stream = match self.stream.take() {
+            Some(stream) => stream,
+            None => {
+                let stream = TcpStream::connect_timeout(&self.addr, self.config.connect_timeout)
+                    .map_err(|err| classify_io_error("connect", &err))?;
+                let _ = stream.set_nodelay(true);
+                let _ = stream.set_read_timeout(Some(self.config.io_timeout));
+                let _ = stream.set_write_timeout(Some(self.config.io_timeout));
+                ptm_obs::counter!("rpc.client.connects").inc();
+                stream
             }
-        })?;
-        ptm_obs::counter!("rpc.client.frames.out").inc();
-        // The stall budget lets a response that is already arriving keep
-        // dribbling in for up to another io_timeout, instead of failing
-        // the attempt at the first mid-frame timeout.
-        let bytes = match read_frame_with_stall(stream, max_frame_len, Some(io_timeout)) {
-            Ok(ReadOutcome::Frame(bytes)) => bytes,
-            // The io_timeout read deadline surfaces as Idle when it fires
-            // before the first response byte; for a client awaiting an
-            // answer that is a timeout, not idleness.
-            Ok(ReadOutcome::Idle) => {
-                return Err(AttemptError::Retryable("response timed out".into()))
-            }
-            Ok(ReadOutcome::Closed) => {
-                return Err(AttemptError::Retryable(
-                    "connection closed awaiting response".into(),
-                ))
-            }
-            Err(err) => return Err(classify_frame_error(err)),
         };
-        ptm_obs::counter!("rpc.client.frames.in").inc();
-        decode_response(&bytes).map_err(|err| match err {
-            ProtoError::VersionMismatch { .. } => AttemptError::Fatal(ClientError::Proto(err)),
-            other => AttemptError::Fatal(ClientError::Proto(other)),
-        })
+        Ok(self.stream.insert(stream))
     }
 
     /// Backoff before retry `attempt` (1-based): exponential with a cap,
@@ -1079,7 +843,6 @@ mod tests {
             backoff_base: Duration::from_millis(20),
             backoff_cap: Duration::from_millis(20),
             deadline: Some(Duration::from_millis(60)),
-            breaker_threshold: 0,
             ..test_config()
         };
         let mut client = RpcClient::connect("127.0.0.1:1", config).expect("client");
@@ -1099,84 +862,6 @@ mod tests {
             "call overran its budget: {:?}",
             started.elapsed()
         );
-    }
-
-    #[test]
-    fn breaker_opens_after_threshold_then_rejects_without_io() {
-        let config = ClientConfig {
-            max_attempts: 1,
-            breaker_threshold: 2,
-            breaker_cooldown: Duration::from_secs(30),
-            ..test_config()
-        };
-        let mut client = RpcClient::connect("127.0.0.1:1", config).expect("client");
-        for _ in 0..2 {
-            match client.ping() {
-                Err(ClientError::Exhausted { .. }) => {}
-                other => panic!("expected exhaustion, got {other:?}"),
-            }
-        }
-        // Third call fails fast with the hold remaining, no network touch.
-        match client.ping() {
-            Err(ClientError::CircuitOpen { retry_after }) => {
-                assert!(retry_after > Duration::from_secs(20), "{retry_after:?}");
-            }
-            other => panic!("expected CircuitOpen, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn breaker_half_open_probe_recovers_on_success() {
-        use crate::frame::{read_frame, write_frame, ReadOutcome};
-        use crate::proto::{encode_response, PROTOCOL_VERSION};
-
-        // A one-shot responder: answer the first framed request with Pong.
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let responder = std::thread::spawn(move || {
-            if let Ok((mut stream, _)) = listener.accept() {
-                if let Ok(ReadOutcome::Frame(_)) = read_frame(&mut stream, DEFAULT_MAX_FRAME_LEN) {
-                    let payload = encode_response(&Response::Pong {
-                        version: PROTOCOL_VERSION,
-                        s: 3,
-                        records: 7,
-                        degraded: false,
-                    });
-                    let _ = write_frame(&mut stream, &payload);
-                }
-            }
-        });
-
-        let config = ClientConfig {
-            max_attempts: 1,
-            breaker_threshold: 2,
-            breaker_cooldown: Duration::from_millis(20),
-            ..test_config()
-        };
-        let mut client = RpcClient::connect(addr, config).expect("client");
-        // Force the breaker open as if previous calls had failed.
-        client.consecutive_failures = 2;
-        client.open_until = Some(std::time::Instant::now() + Duration::from_millis(20));
-        match client.ping() {
-            Err(ClientError::CircuitOpen { .. }) => {}
-            other => panic!("expected CircuitOpen, got {other:?}"),
-        }
-        std::thread::sleep(Duration::from_millis(30));
-        // Past the cooldown the probe call goes through and closes the
-        // breaker; the extended Pong fields surface in ServerInfo.
-        let info = client.ping().expect("half-open probe succeeds");
-        assert_eq!(
-            info,
-            ServerInfo {
-                version: PROTOCOL_VERSION,
-                s: 3,
-                records: 7,
-                degraded: false
-            }
-        );
-        assert_eq!(client.consecutive_failures, 0);
-        assert!(client.open_until.is_none());
-        responder.join().expect("responder");
     }
 
     fn test_record(period: u32) -> TrafficRecord {
@@ -1311,63 +996,105 @@ mod tests {
     }
 
     #[test]
-    fn retry_budget_dries_up_across_calls_and_reports_it() {
-        // 3 tokens against a refused port: call one burns two retries,
-        // call two burns the last token and then fails on the empty
-        // bucket — before its attempt cap.
-        let config = ClientConfig {
-            breaker_threshold: 0,
-            retry_budget: 3,
-            ..test_config()
-        };
-        let mut client = RpcClient::connect("127.0.0.1:1", config).expect("client");
-        match client.ping() {
-            Err(ClientError::Exhausted { attempts: 3, .. }) => {}
-            other => panic!("expected exhaustion, got {other:?}"),
-        }
-        assert_eq!(client.retry_tokens, 1);
-        match client.ping() {
-            Err(ClientError::Exhausted { attempts: 2, last }) => {
-                assert!(
-                    last.contains("retry budget exhausted"),
-                    "unexpected failure detail: {last}"
-                );
+    fn pipelined_going_away_waits_out_the_hint_then_resends_the_tail() {
+        use crate::frame::{read_frame, write_frame, ReadOutcome};
+        use crate::proto::encode_response;
+
+        // The first connection acks the first of three pipelined frames,
+        // answers the second GoingAway and closes (a draining server). The
+        // client must wait out the 150 ms hand-off hint, then re-send
+        // exactly the unacked tail on a new connection.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let responder = std::thread::spawn(move || {
+            let (mut first, _) = listener.accept().expect("accept");
+            for turn in 0..3 {
+                let Ok(ReadOutcome::Frame(_)) = read_frame(&mut first, DEFAULT_MAX_FRAME_LEN)
+                else {
+                    break;
+                };
+                let response = match turn {
+                    0 => Response::UploadOk {
+                        accepted: 1,
+                        duplicates: 0,
+                    },
+                    1 => Response::GoingAway {
+                        retry_after_ms: 150,
+                    },
+                    // The third frame is read (so the close is clean) but
+                    // never answered.
+                    _ => continue,
+                };
+                if write_frame(&mut first, &encode_response(&response)).is_err() {
+                    break;
+                }
             }
-            other => panic!("expected budget exhaustion, got {other:?}"),
-        }
-        assert_eq!(client.retry_tokens, 0);
+            drop(first);
+            let (mut second, _) = listener.accept().expect("accept second");
+            let reconnected_at = Instant::now();
+            let mut resent = 0u32;
+            while let Ok(ReadOutcome::Frame(_)) = read_frame(&mut second, DEFAULT_MAX_FRAME_LEN) {
+                resent += 1;
+                let payload = encode_response(&Response::UploadOk {
+                    accepted: 1,
+                    duplicates: 0,
+                });
+                if write_frame(&mut second, &payload).is_err() {
+                    break;
+                }
+            }
+            (reconnected_at, resent)
+        });
+        let mut client = RpcClient::connect(addr, test_config()).expect("client");
+        let records: Vec<TrafficRecord> = (0..3).map(test_record).collect();
+        let started = Instant::now();
+        let summary = client
+            .upload_pipelined(&records, 3)
+            .expect("hand-off retry succeeds");
+        assert_eq!(
+            summary,
+            UploadSummary {
+                accepted: 3,
+                duplicates: 0
+            }
+        );
+        drop(client);
+        let (reconnected_at, resent) = responder.join().expect("responder");
+        let waited = reconnected_at.duration_since(started);
+        assert!(
+            waited >= Duration::from_millis(150),
+            "reconnected {waited:?} after the call started, inside the 150 ms hint"
+        );
+        assert_eq!(resent, 2, "only the unacked tail is re-sent");
     }
 
     #[test]
-    fn successes_refill_the_retry_budget() {
+    fn pipelined_deadline_drop_is_reported_as_a_deadline_drop() {
         use crate::frame::{read_frame, write_frame, ReadOutcome};
-        use crate::proto::{encode_response, PROTOCOL_VERSION};
+        use crate::proto::encode_response;
 
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
         let responder = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().expect("accept");
-            while let Ok(ReadOutcome::Frame(_)) = read_frame(&mut stream, DEFAULT_MAX_FRAME_LEN) {
-                let payload = encode_response(&Response::Pong {
-                    version: PROTOCOL_VERSION,
-                    s: 3,
-                    records: 0,
-                    degraded: false,
-                });
-                if write_frame(&mut stream, &payload).is_err() {
-                    break;
-                }
+            if let Ok(ReadOutcome::Frame(_)) = read_frame(&mut stream, DEFAULT_MAX_FRAME_LEN) {
+                let _ = write_frame(&mut stream, &encode_response(&Response::DeadlineExceeded));
             }
         });
         let config = ClientConfig {
-            retry_budget: 4,
+            max_attempts: 1,
             ..test_config()
         };
         let mut client = RpcClient::connect(addr, config).expect("client");
-        client.retry_tokens = 0;
-        client.ping().expect("ping");
-        client.ping().expect("ping");
-        assert_eq!(client.retry_tokens, 2, "each success refills one token");
+        match client.upload_pipelined(&[test_record(0)], 4) {
+            Err(ClientError::Exhausted { attempts: 1, last }) => {
+                assert!(
+                    last.contains("deadline"),
+                    "unexpected failure detail: {last}"
+                );
+            }
+            other => panic!("expected exhaustion on a deadline drop, got {other:?}"),
+        }
         drop(client);
         responder.join().expect("responder");
     }
@@ -1394,7 +1121,7 @@ mod tests {
                 let payload = encode_response(&Response::Pong {
                     version: PROTOCOL_VERSION,
                     s: 3,
-                    records: 0,
+                    records: 7,
                     degraded: false,
                 });
                 let _ = write_frame(&mut second, &payload);
@@ -1402,7 +1129,16 @@ mod tests {
         });
         let mut client = RpcClient::connect(addr, test_config()).expect("client");
         let info = client.ping().expect("hand-off retry succeeds");
-        assert_eq!(info.s, 3);
+        // Every Pong field surfaces in ServerInfo.
+        assert_eq!(
+            info,
+            ServerInfo {
+                version: PROTOCOL_VERSION,
+                s: 3,
+                records: 7,
+                degraded: false
+            }
+        );
         drop(client);
         responder.join().expect("responder");
     }
@@ -1460,24 +1196,39 @@ mod tests {
 
     #[test]
     fn every_error_range_response_has_a_retry_classification() {
-        // Mirror of the error-retryability analyze rule, exercised at
-        // runtime: each is_error() variant classifies to something other
-        // than Done.
+        // The four answers a server sends instead of the call's answer:
+        // none may reach the caller as an answer, and each carries its
+        // retry semantics.
         let cases = [
-            Response::Error {
-                code: ErrorCode::Internal,
-                message: String::new(),
-            },
-            Response::Overloaded { retry_after_ms: 1 },
-            Response::DeadlineExceeded,
-            Response::GoingAway { retry_after_ms: 1 },
+            (
+                Response::Error {
+                    code: ErrorCode::Internal,
+                    message: String::new(),
+                },
+                "fatal",
+            ),
+            (
+                Response::Overloaded { retry_after_ms: 7 },
+                "retry hint=Some(7) reconnect=false",
+            ),
+            (
+                Response::DeadlineExceeded,
+                "retry hint=None reconnect=false",
+            ),
+            (
+                Response::GoingAway { retry_after_ms: 9 },
+                "retry hint=Some(9) reconnect=true",
+            ),
         ];
-        for response in cases {
-            assert!(response.is_error());
-            assert!(
-                !matches!(classify_response(&response), Disposition::Done),
-                "error-range response classified Done: {response:?}"
-            );
+        for (response, expected) in cases {
+            let got = match classify_response(response.clone()) {
+                Ok(_) => "answer".to_owned(),
+                Err(AttemptError::Fatal(_)) => "fatal".to_owned(),
+                Err(AttemptError::Retry {
+                    hint_ms, reconnect, ..
+                }) => format!("retry hint={hint_ms:?} reconnect={reconnect}"),
+            };
+            assert_eq!(got, expected, "{response:?}");
         }
     }
 

@@ -34,14 +34,14 @@
 //!   query answers; an upload to one location invalidates only that
 //!   location's cached answers, and cached answers stay bit-for-bit
 //!   identical to freshly computed ones.
-//! * [`client`] — [`RpcClient`]: capped exponential backoff with jitter,
-//!   a retryable-versus-fatal error split, batch upload, a per-call
-//!   deadline budget, and a circuit breaker that honors the server's
-//!   `retry_after_ms` shed hints.
+//! * [`client`] — [`RpcClient`]: one retry loop for every call, pipelined
+//!   uploads included, with capped exponential backoff and jitter floored
+//!   by the server's `retry_after_ms` hints, a retryable-versus-fatal
+//!   error split, batch upload, and a per-call deadline budget.
 //!
 //! The daemon protects itself under load and backend failure instead of
-//! queueing without bound: a connection cap and a per-location in-flight
-//! estimate gate shed excess work with an explicit `Overloaded` response,
+//! queueing without bound: a connection cap and bounded per-class work
+//! queues shed excess work with an explicit `Overloaded` response,
 //! and ingest drops to a degraded (read-only) mode when the archive
 //! backend keeps failing — queries stay up, uploads are shed until a
 //! cooldown-gated reopen probe succeeds. Deterministic fault injection for

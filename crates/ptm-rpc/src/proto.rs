@@ -295,26 +295,6 @@ pub enum Response {
     },
 }
 
-impl Response {
-    /// Whether this variant reports a failure rather than a result.
-    ///
-    /// This list is the authoritative error range of the protocol: the
-    /// ptm-analyze `error-retryability` rule checks that every variant
-    /// named here appears in the client's retryable-vs-fatal
-    /// classification (`classify_response` in `client.rs`), so a future
-    /// error variant cannot silently default to fatal.
-    #[must_use]
-    pub fn is_error(&self) -> bool {
-        matches!(
-            self,
-            Response::Error { .. }
-                | Response::Overloaded { .. }
-                | Response::DeadlineExceeded
-                | Response::GoingAway { .. }
-        )
-    }
-}
-
 const TAG_PING: u8 = 1;
 const TAG_UPLOAD: u8 = 2;
 const TAG_UPLOAD_BATCH: u8 = 3;
@@ -805,20 +785,6 @@ mod tests {
         let payload = encode_request_traced(&Request::Ping, None);
         let decoded = decode_request(&payload).expect("decode");
         assert_eq!(decoded.deadline_ms, None);
-    }
-
-    #[test]
-    fn error_range_variants_are_marked() {
-        assert!(Response::DeadlineExceeded.is_error());
-        assert!(Response::GoingAway { retry_after_ms: 1 }.is_error());
-        assert!(Response::Overloaded { retry_after_ms: 1 }.is_error());
-        assert!(Response::Error {
-            code: ErrorCode::Internal,
-            message: String::new()
-        }
-        .is_error());
-        assert!(!Response::Estimate(1.0).is_error());
-        assert!(!Response::Stats(String::new()).is_error());
     }
 
     #[test]

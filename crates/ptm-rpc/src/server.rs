@@ -69,6 +69,12 @@
 //! while draining) and closes. Beyond the backlog bound, excess sockets
 //! are dropped immediately.
 //!
+//! Admitted connections queue their work on bounded per-class worker
+//! queues (queries, uploads), and a job that finds its class queue full is
+//! answered `Overloaded` with the measured-delay hint. Past the connection
+//! cap, that queue is the only place a query is shed; an upload is also
+//! shed while ingest is degraded.
+//!
 //! Query answers are cached in an epoch-invalidated [`QueryCache`]: each
 //! accepted record bumps its location's epoch, and a cached answer is
 //! served only while the epochs of every location it reads are unchanged —
@@ -130,10 +136,6 @@ pub struct ServerConfig {
     /// Worker threads running estimate/commit jobs off the event loop; at
     /// least one is always spawned.
     pub workers: usize,
-    /// Uncached estimate computations allowed in flight *per location*
-    /// before further queries touching that location are shed; 0 removes
-    /// the cap. Cache hits are never shed.
-    pub max_inflight_estimates: usize,
     /// The `retry_after_ms` hint carried by every shed response.
     pub retry_after_ms: u32,
     /// Consecutive archive-append failures before ingest enters degraded
@@ -176,7 +178,6 @@ impl Default for ServerConfig {
             cache_capacity: 1024,
             max_connections: 256,
             workers: 4,
-            max_inflight_estimates: 8,
             retry_after_ms: 250,
             degraded_after_failures: 3,
             degraded_cooldown: Duration::from_secs(2),
@@ -243,82 +244,6 @@ pub struct ReplayReport {
     pub torn_bytes: u64,
 }
 
-/// Per-location in-flight limiter for uncached estimate computations.
-///
-/// Estimates are the expensive read path (they walk every queried period's
-/// bitmap), so a burst of distinct queries against one location can pile
-/// up compute threads. The gate bounds that pile-up: a query is admitted
-/// only if *every* location it reads is under the limit, and sheds with
-/// [`Response::Overloaded`] otherwise — a bounded, explicit answer instead
-/// of unbounded queueing.
-struct EstimateGate {
-    limit: usize,
-    inflight: Mutex<HashMap<LocationId, usize>>,
-}
-
-impl EstimateGate {
-    fn new(limit: usize) -> Self {
-        Self {
-            limit,
-            inflight: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// Admits the query (reserving a slot on every location it reads) or
-    /// returns `None` when any location is at the limit. All-or-nothing,
-    /// so a shed query reserves no slots.
-    fn try_acquire(&self, locations: &[LocationId]) -> Option<EstimatePermit<'_>> {
-        if self.limit == 0 {
-            return Some(EstimatePermit {
-                gate: self,
-                locations: Vec::new(),
-            });
-        }
-        let mut map = self.inflight.lock().unwrap_or_else(PoisonError::into_inner);
-        if locations
-            .iter()
-            .any(|loc| map.get(loc).copied().unwrap_or(0) >= self.limit)
-        {
-            return None;
-        }
-        for loc in locations {
-            *map.entry(*loc).or_insert(0) += 1;
-        }
-        Some(EstimatePermit {
-            gate: self,
-            locations: locations.to_vec(),
-        })
-    }
-}
-
-/// Slot reservation from [`EstimateGate::try_acquire`]; releases on drop
-/// (including on panic, so a crashed estimate cannot leak its slot).
-struct EstimatePermit<'a> {
-    gate: &'a EstimateGate,
-    locations: Vec<LocationId>,
-}
-
-impl Drop for EstimatePermit<'_> {
-    fn drop(&mut self) {
-        if self.locations.is_empty() {
-            return;
-        }
-        let mut map = self
-            .gate
-            .inflight
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        for loc in &self.locations {
-            if let Some(n) = map.get_mut(loc) {
-                *n = n.saturating_sub(1);
-                if *n == 0 {
-                    map.remove(loc);
-                }
-            }
-        }
-    }
-}
-
 /// Read-only (degraded) mode bookkeeping: entered when the archive backend
 /// keeps failing, left when a cooldown-gated reopen probe succeeds.
 #[derive(Default)]
@@ -356,7 +281,6 @@ struct Shared {
     config: ServerConfig,
     /// Live connection count, for the accept-side cap.
     conn_count: AtomicUsize,
-    estimate_gate: EstimateGate,
     degraded: DegradedState,
     /// Where the store lives, for degraded-mode reopen probes.
     archive_path: PathBuf,
@@ -502,7 +426,6 @@ impl RpcServer {
         let local_addr = listener.local_addr()?;
 
         let cache = QueryCache::new(config.cache_capacity);
-        let estimate_gate = EstimateGate::new(config.max_inflight_estimates);
         let shared = Arc::new(Shared {
             central,
             writer: Mutex::new(opened.store),
@@ -513,7 +436,6 @@ impl RpcServer {
             shutdown: AtomicBool::new(false),
             config,
             conn_count: AtomicUsize::new(0),
-            estimate_gate,
             degraded: DegradedState::default(),
             archive_path: archive_path.clone(),
             store_opts,
@@ -1721,8 +1643,6 @@ fn answer_cached(
             return Response::Estimate(value);
         }
     }
-    // Only uncached computations count against the in-flight gate: a
-    // cache hit costs nothing, so it is never shed.
     let locations = key.locations();
     // Lazy hydration: a cache miss computes against the query engine, so
     // any location being read for the first time since startup loads its
@@ -1734,12 +1654,6 @@ fn answer_cached(
             message: detail,
         };
     }
-    let Some(_permit) = shared.estimate_gate.try_acquire(&locations) else {
-        ptm_obs::counter!("rpc.shed.estimates").inc();
-        return Response::Overloaded {
-            retry_after_ms: shared.config.retry_after_ms,
-        };
-    };
     if let Some(action) = shared.estimate_site.check() {
         match action {
             FaultAction::Delay(pause) => std::thread::sleep(pause),
@@ -2588,33 +2502,6 @@ mod tests {
         }
         server.shutdown().expect("shutdown");
         cleanup_archive(&path);
-    }
-
-    #[test]
-    fn estimate_gate_is_per_location_and_all_or_nothing() {
-        let gate = EstimateGate::new(2);
-        let a = LocationId::new(1);
-        let b = LocationId::new(2);
-        let first = gate.try_acquire(&[a]).expect("slot 1 of 2");
-        let _second = gate.try_acquire(&[a, b]).expect("slot 2 of 2 on a, 1 on b");
-        assert!(gate.try_acquire(&[a]).is_none(), "a is at the limit");
-        // A shed multi-location query must not leak a slot on b.
-        assert!(gate.try_acquire(&[a, b]).is_none());
-        let third = gate.try_acquire(&[b]).expect("b still has room");
-        drop(third);
-        drop(first);
-        assert!(
-            gate.try_acquire(&[a]).is_some(),
-            "released slot is reusable"
-        );
-    }
-
-    #[test]
-    fn estimate_gate_limit_zero_is_unlimited() {
-        let gate = EstimateGate::new(0);
-        let a = LocationId::new(9);
-        let permits: Vec<_> = (0..64).map(|_| gate.try_acquire(&[a])).collect();
-        assert!(permits.iter().all(Option::is_some));
     }
 
     #[test]

@@ -125,7 +125,14 @@ rm -rf out/coldstart.ptma
 serve_pid=$!
 "$ptm" upload --addr 127.0.0.1:17172 --location 7 --periods 12 \
     --vehicles 400 --persistent 100 --quiet
+# The health probe (one Ping, no retries) must pass against the live
+# daemon and fail once it has stopped.
+"$ptm" serve --health --addr 127.0.0.1:17172
 wait "$serve_pid"
+if "$ptm" serve --health --addr 127.0.0.1:17172; then
+    echo "ci: the health probe passed against a stopped daemon" >&2
+    exit 1
+fi
 # The shutdown checkpoint seals the tail, so this reopen must go through
 # sealed-index loads only — no record replay.
 "$ptm" serve --archive out/coldstart.ptma --addr 127.0.0.1:17172 \

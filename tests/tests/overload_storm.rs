@@ -88,8 +88,6 @@ fn storm_client_config(seed: u64) -> ClientConfig {
         // the whole storm exercises the deadline wire path) without ever
         // dooming the uploads themselves.
         deadline: Some(Duration::from_secs(30)),
-        breaker_threshold: 0,
-        ..ClientConfig::default()
     }
 }
 
