@@ -3,9 +3,10 @@
 //! replication-expansion (paper Sec. III-A).
 
 use crate::error::EstimateError;
+use crate::join::{join_at, JoinOp};
 use serde::{Deserialize, Serialize};
 
-const WORD_BITS: usize = 64;
+pub(crate) const WORD_BITS: usize = 64;
 
 /// A fixed-length bit vector.
 ///
@@ -38,6 +39,21 @@ impl Bitmap {
             words: vec![0u64; len.div_ceil(WORD_BITS)],
             len,
         }
+    }
+
+    /// Wraps packed words (see [`Bitmap::words`]) as a bitmap of `len` bits.
+    pub(crate) fn from_words(words: Vec<u64>, len: usize) -> Self {
+        debug_assert_eq!(words.len(), len.div_ceil(WORD_BITS));
+        debug_assert!(
+            len.is_multiple_of(WORD_BITS) || words[words.len() - 1] >> (len % WORD_BITS) == 0
+        );
+        Self { words, len }
+    }
+
+    /// The packed words: bit `i` is bit `i % 64` of word `i / 64`, and the
+    /// bits past `len` in the last word are zero.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
     }
 
     /// Number of bits.
@@ -145,7 +161,9 @@ impl Bitmap {
     /// length reaches `target`. Because record sizes are powers of two, the
     /// replication factor `target / len` is always an integer, and the
     /// membership property `B[h mod len] = 1  ⟹  E[h mod target] = 1`
-    /// holds for every hash value `h`.
+    /// holds for every hash value `h`. The copy is a one-input join (see
+    /// [`crate::join`]): each replica is filled by copying the source words
+    /// once.
     ///
     /// # Errors
     ///
@@ -165,34 +183,7 @@ impl Bitmap {
                 large: self.len,
             });
         }
-        if target == self.len {
-            return Ok(self.clone());
-        }
-        let mut expanded = Bitmap::new(target);
-        if self.len >= WORD_BITS {
-            // Whole words replicate cleanly: len is a multiple of 64.
-            let src_words = self.words.len();
-            for (i, word) in expanded.words.iter_mut().enumerate() {
-                *word = self.words[i % src_words];
-            }
-        } else {
-            // Sub-word bitmap: build one 64-bit tile by repeating the
-            // pattern, then replicate the tile.
-            let pattern = self.words[0] & mask_low_bits(self.len);
-            let mut tile = 0u64;
-            let copies_per_word = WORD_BITS / self.len;
-            for k in 0..copies_per_word.min(target / self.len) {
-                tile |= pattern << (k * self.len);
-            }
-            if target < WORD_BITS {
-                expanded.words[0] = tile & mask_low_bits(target);
-            } else {
-                for word in expanded.words.iter_mut() {
-                    *word = tile;
-                }
-            }
-        }
-        Ok(expanded)
+        Ok(join_at(&[self], target, JoinOp::And))
     }
 
     /// Packs the bitmap into `ceil(len/8)` little-endian bytes (bit `i` is
@@ -250,12 +241,6 @@ impl Bitmap {
             BitIter { word, base }.take_while(move |&i| i < len)
         })
     }
-}
-
-/// All-ones mask covering the low `bits` bits (`bits` in `1..=63`).
-fn mask_low_bits(bits: usize) -> u64 {
-    debug_assert!((1..WORD_BITS).contains(&bits));
-    (1u64 << bits) - 1
 }
 
 struct BitIter {

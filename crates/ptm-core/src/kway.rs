@@ -36,8 +36,9 @@
 
 use crate::bitmap::Bitmap;
 use crate::error::EstimateError;
-use crate::join::and_join;
+use crate::join::{common_len, counted_join, join_at, location_bitmaps, JoinOp};
 use crate::record::TrafficRecord;
+use std::borrow::Borrow;
 
 /// The k-way point persistent estimator.
 #[derive(Debug, Clone, Copy)]
@@ -71,19 +72,14 @@ impl KwayEstimator {
     /// * [`EstimateError::Saturated`] — a group join has no zeros;
     /// * [`EstimateError::Degenerate`] — the observed one-fraction lies
     ///   outside the model's attainable range.
-    pub fn estimate(&self, records: &[TrafficRecord]) -> Result<f64, EstimateError> {
+    pub fn estimate<R: Borrow<TrafficRecord>>(&self, records: &[R]) -> Result<f64, EstimateError> {
         if records.len() < self.k {
             return Err(EstimateError::TooFewRecords {
                 required: self.k,
                 actual: records.len(),
             });
         }
-        let location = records[0].location();
-        if records.iter().any(|r| r.location() != location) {
-            return Err(EstimateError::LocationMismatch);
-        }
-        let bitmaps: Vec<&Bitmap> = records.iter().map(TrafficRecord::bitmap).collect();
-        self.estimate_bitmaps(&bitmaps)
+        self.estimate_bitmaps(&location_bitmaps(records)?)
     }
 
     /// Bitmap-level variant without metadata checks.
@@ -101,28 +97,23 @@ impl KwayEstimator {
                 actual: bitmaps.len(),
             });
         }
-        // Round-robin grouping, then AND-join each group.
+        // Round-robin grouping, then AND-join each group straight at the
+        // size common to all groups, and AND the group joins into E*.
         let mut groups: Vec<Vec<&Bitmap>> = vec![Vec::new(); self.k];
         for (i, &bm) in bitmaps.iter().enumerate() {
             groups[i % self.k].push(bm);
         }
+        let mut m = 0;
+        for group in &groups {
+            m = m.max(common_len(group)?);
+        }
         let joins: Vec<Bitmap> = groups
             .iter()
-            .map(|group| and_join(group.iter().copied()))
-            .collect::<Result<_, _>>()?;
+            .map(|group| counted_join(group, m, JoinOp::And))
+            .collect();
+        let e_star = join_at(&joins.iter().collect::<Vec<_>>(), m, JoinOp::And);
 
-        // Expand all group joins to the common size and AND them into E*.
-        let m = joins.iter().map(Bitmap::len).max().expect("k >= 2 groups");
-        let expanded: Vec<Bitmap> = joins
-            .iter()
-            .map(|j| j.expand_to(m))
-            .collect::<Result<_, _>>()?;
-        let mut e_star = expanded[0].clone();
-        for e in &expanded[1..] {
-            e_star.and_assign(e)?;
-        }
-
-        let v0: Vec<f64> = expanded.iter().map(Bitmap::fraction_zeros).collect();
+        let v0: Vec<f64> = joins.iter().map(Bitmap::fraction_zeros).collect();
         for (i, &v) in v0.iter().enumerate() {
             if v <= 0.0 {
                 let which: &'static str = match i {

@@ -75,6 +75,8 @@ pub mod params;
 pub mod point;
 pub mod privacy;
 pub mod record;
+#[cfg(test)]
+mod reference;
 
 pub use bitmap::Bitmap;
 pub use encoding::{EncodingScheme, LocationId, VehicleId, VehicleSecrets};

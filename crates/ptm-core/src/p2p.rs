@@ -14,11 +14,26 @@
 //! ```text
 //! n̂'' = s · m' · (ln V''_*,0 − ln V_*,0 − ln V'_*,0)
 //! ```
+//!
+//! # One join per location, one sweep
+//!
+//! Each location is AND-joined straight at `m'`, the larger of the two
+//! joined sizes, and the three counts behind `V_*,0`, `V'_*,0` and
+//! `V''_*,0` are read in one sweep over the two joined maps; neither `S_*`
+//! nor `E''_*` is built. This is bit-exact against the two-level pipeline
+//! above: replication commutes with AND and OR at power-of-two lengths, so
+//! the sweep sees the words of `S_*`, `E'_*` and `E''_*`, and `V_*,0` read
+//! at `m'` is the same `f64` as read at `m`, because both the zeros count
+//! and the length scale by `m'/m`, a power of two (see [`crate::join`]).
+//! The `f64` expressions and the order of the errors are unchanged.
 
 use crate::bitmap::Bitmap;
 use crate::error::EstimateError;
-use crate::join::and_join_records;
+use crate::join::{
+    common_len, counted_join, fraction, join_at, location_bitmaps, ones_in_one_sweep, JoinOp,
+};
 use crate::record::TrafficRecord;
+use std::borrow::Borrow;
 
 /// Which algebraic form of the estimator to apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -61,7 +76,9 @@ impl PointToPointEstimator {
         self
     }
 
-    /// Estimates the point-to-point persistent volume.
+    /// Estimates the point-to-point persistent volume from the two
+    /// locations' records (owned, or shared handles such as
+    /// `Arc<TrafficRecord>`).
     ///
     /// # Errors
     ///
@@ -70,10 +87,10 @@ impl PointToPointEstimator {
     ///   numbers of periods;
     /// * [`EstimateError::LocationMismatch`] — a record set mixes locations;
     /// * [`EstimateError::Saturated`] — a joined map has no zero bits.
-    pub fn estimate(
+    pub fn estimate<R: Borrow<TrafficRecord>>(
         &self,
-        records_l: &[TrafficRecord],
-        records_lp: &[TrafficRecord],
+        records_l: &[R],
+        records_lp: &[R],
     ) -> Result<f64, EstimateError> {
         if records_l.is_empty() || records_lp.is_empty() {
             return Err(EstimateError::NoRecords);
@@ -84,9 +101,28 @@ impl PointToPointEstimator {
                 right: records_lp.len(),
             });
         }
-        let e_star = and_join_records(records_l)?;
-        let e_star_prime = and_join_records(records_lp)?;
-        self.estimate_joined(&e_star, &e_star_prime)
+        let maps_l = location_bitmaps(records_l)?;
+        let m_l = common_len(&maps_l)?;
+        let maps_lp = location_bitmaps(records_lp)?;
+        let m_lp = common_len(&maps_lp)?;
+        let _t = ptm_obs::span!("core.p2p.estimate");
+        ptm_obs::counter!("core.p2p.ops").inc();
+        let m_prime = m_l.max(m_lp);
+        let e_l = counted_join(&maps_l, m_prime, JoinOp::And);
+        let e_lp = counted_join(&maps_lp, m_prime, JoinOp::And);
+        let (ones_l, ones_lp, ones_double) = ones_in_one_sweep(&e_l, &e_lp, JoinOp::Or);
+        // `E_*` is the smaller location's join (the paper's m <= m').
+        let (ones_small, ones_large) = if m_l <= m_lp {
+            (ones_l, ones_lp)
+        } else {
+            (ones_lp, ones_l)
+        };
+        self.estimate_from_zero_fractions(
+            m_prime,
+            fraction(m_prime - ones_small, m_prime),
+            fraction(m_prime - ones_large, m_prime),
+            || Ok(fraction(m_prime - ones_double, m_prime)),
+        )
     }
 
     /// Applies the estimator to already AND-joined per-location maps.
@@ -108,22 +144,38 @@ impl PointToPointEstimator {
         } else {
             (e_star_prime, e_star)
         };
-        let m_prime = large.len();
+        // The second-level OR-join runs only once both maps are known
+        // unsaturated: saturation is reported before a length that is not a
+        // power of two.
+        let v0_double = || {
+            let m_prime = common_len(&[small, large])?;
+            Ok(join_at(&[small, large], m_prime, JoinOp::Or).fraction_zeros())
+        };
+        self.estimate_from_zero_fractions(
+            large.len(),
+            small.fraction_zeros(),
+            large.fraction_zeros(),
+            v0_double,
+        )
+    }
 
-        let v0_small = small.fraction_zeros();
-        let v0_large = large.fraction_zeros();
+    /// Eq. (21) from the zero fractions of `E_*`, of `E'_*` (size `m'`) and
+    /// of their OR `E''_*`, checking each for saturation in that order; the
+    /// last is read only once the first two pass.
+    fn estimate_from_zero_fractions(
+        &self,
+        m_prime: usize,
+        v0_small: f64,
+        v0_large: f64,
+        v0_double: impl FnOnce() -> Result<f64, EstimateError>,
+    ) -> Result<f64, EstimateError> {
         if v0_small <= 0.0 {
             return Err(EstimateError::Saturated { which: "E_*" });
         }
         if v0_large <= 0.0 {
             return Err(EstimateError::Saturated { which: "E'_*" });
         }
-
-        // Second-level expansion and OR-join.
-        let s_star = small.expand_to(m_prime)?;
-        let mut e_double = s_star;
-        e_double.or_assign(large)?;
-        let v0_double = e_double.fraction_zeros();
+        let v0_double = v0_double()?;
         if v0_double <= 0.0 {
             return Err(EstimateError::Saturated { which: "E''_*" });
         }

@@ -12,11 +12,26 @@
 //! ```text
 //! n̂_* = [ln V_a,0 + ln V_b,0 − ln(V_*,1 + V_a,0 + V_b,0 − 1)] / ln(1 − 1/m)
 //! ```
+//!
+//! # One join per half, one sweep
+//!
+//! Each half is AND-joined straight at `m`, the size common to both halves,
+//! and the three counts behind `V_a,0`, `V_b,0` and `V_*,1` are read in one
+//! sweep over the two joined halves; `E_*` itself is never built. This is
+//! bit-exact against joining each half at its own size, replicating both to
+//! `m` and ANDing them: replication commutes with AND at power-of-two
+//! lengths, so the joined halves hold the same words either way, and the
+//! three fractions are read at `m` in both cases (see [`crate::join`]). The
+//! `f64` expressions and the order of the errors are unchanged.
 
 use crate::bitmap::Bitmap;
 use crate::error::EstimateError;
-use crate::join::{and_join, SplitStrategy};
+use crate::join::{
+    and_join, common_len, counted_join, fraction, join_at, location_bitmaps, ones_in_one_sweep,
+    JoinOp, SplitStrategy,
+};
 use crate::record::TrafficRecord;
+use std::borrow::Borrow;
 
 /// The proposed point persistent estimator (Eq. 12).
 #[derive(Debug, Clone, Copy, Default)]
@@ -35,7 +50,8 @@ impl PointEstimator {
         Self { split }
     }
 
-    /// Estimates the persistent traffic volume from single-location records.
+    /// Estimates the persistent traffic volume from single-location records
+    /// (owned, or shared handles such as `Arc<TrafficRecord>`).
     ///
     /// # Errors
     ///
@@ -49,23 +65,9 @@ impl PointEstimator {
     /// * [`EstimateError::Degenerate`] — the observed fractions violate
     ///   `V_*,1 + V_a,0 + V_b,0 > 1`, which happens with tiny bitmaps when
     ///   sampling noise dominates; larger `m` (higher `f`) avoids it.
-    pub fn estimate(&self, records: &[TrafficRecord]) -> Result<f64, EstimateError> {
-        if records.len() < 2 {
-            return Err(EstimateError::TooFewRecords {
-                required: 2,
-                actual: records.len(),
-            });
-        }
-        let location = records[0].location();
-        if records.iter().any(|r| r.location() != location) {
-            return Err(EstimateError::LocationMismatch);
-        }
-        self.estimate_bitmaps(
-            &records
-                .iter()
-                .map(TrafficRecord::bitmap)
-                .collect::<Vec<_>>(),
-        )
+    pub fn estimate<R: Borrow<TrafficRecord>>(&self, records: &[R]) -> Result<f64, EstimateError> {
+        at_least_two(records.len())?;
+        self.estimate_bitmaps(&location_bitmaps(records)?)
     }
 
     /// Estimates directly from bitmaps (no metadata checks); the building
@@ -78,17 +80,33 @@ impl PointEstimator {
     pub fn estimate_bitmaps(&self, bitmaps: &[&Bitmap]) -> Result<f64, EstimateError> {
         let _t = ptm_obs::span!("core.point.estimate");
         ptm_obs::counter!("core.point.ops").inc();
-        if bitmaps.len() < 2 {
-            return Err(EstimateError::TooFewRecords {
-                required: 2,
-                actual: bitmaps.len(),
-            });
-        }
-        let (idx_a, idx_b) = self.split.split(bitmaps.len());
-        let e_a = and_join(idx_a.iter().map(|&i| bitmaps[i]))?;
-        let e_b = and_join(idx_b.iter().map(|&i| bitmaps[i]))?;
-        estimate_from_halves(&e_a, &e_b)
+        at_least_two(bitmaps.len())?;
+        let (e_a, e_b) = self.join_halves(bitmaps)?;
+        Ok(Fractions::sweep(&e_a, &e_b)?.value())
     }
+
+    /// AND-joins `Π_a` and `Π_b` each straight at the size common to both
+    /// halves: one counted join per half.
+    fn join_halves(&self, bitmaps: &[&Bitmap]) -> Result<(Bitmap, Bitmap), EstimateError> {
+        let (idx_a, idx_b) = self.split.split(bitmaps.len());
+        let half_a: Vec<&Bitmap> = idx_a.iter().map(|&i| bitmaps[i]).collect();
+        let half_b: Vec<&Bitmap> = idx_b.iter().map(|&i| bitmaps[i]).collect();
+        let m = common_len(&half_a)?.max(common_len(&half_b)?);
+        Ok((
+            counted_join(&half_a, m, JoinOp::And),
+            counted_join(&half_b, m, JoinOp::And),
+        ))
+    }
+}
+
+fn at_least_two(actual: usize) -> Result<(), EstimateError> {
+    if actual < 2 {
+        return Err(EstimateError::TooFewRecords {
+            required: 2,
+            actual,
+        });
+    }
+    Ok(())
 }
 
 /// Applies Eq. (12) to the two AND-joined halves.
@@ -97,29 +115,97 @@ impl PointEstimator {
 ///
 /// See [`PointEstimator::estimate`].
 pub fn estimate_from_halves(e_a: &Bitmap, e_b: &Bitmap) -> Result<f64, EstimateError> {
-    // The halves may differ in size when the original records did; expand
-    // to the common size before the final AND.
-    let m = e_a.len().max(e_b.len());
-    let e_a = e_a.expand_to(m)?;
-    let e_b = e_b.expand_to(m)?;
-    let mut e_star = e_a.clone();
-    e_star.and_assign(&e_b)?;
+    let (e_a, e_b) = at_common_size(e_a, e_b)?;
+    Ok(Fractions::sweep(&e_a, &e_b)?.value())
+}
 
-    let v_a0 = e_a.fraction_zeros();
-    let v_b0 = e_b.fraction_zeros();
-    let v_star1 = e_star.fraction_ones();
-    if v_a0 <= 0.0 {
-        return Err(EstimateError::Saturated { which: "E_a" });
+/// The halves replicated to their common size `m` (they differ in size
+/// when the original records did).
+fn at_common_size(e_a: &Bitmap, e_b: &Bitmap) -> Result<(Bitmap, Bitmap), EstimateError> {
+    let m = common_len(&[e_a, e_b])?;
+    Ok((
+        join_at(&[e_a], m, JoinOp::And),
+        join_at(&[e_b], m, JoinOp::And),
+    ))
+}
+
+/// The three fractions Eq. (12) reads, from one sweep over two halves
+/// joined at their common size `m`, checked against the estimator's domain.
+struct Fractions {
+    m: usize,
+    v_a0: f64,
+    v_b0: f64,
+    v_star1: f64,
+    /// `V_*,1 + V_a,0 + V_b,0 − 1`, positive.
+    arg: f64,
+}
+
+impl Fractions {
+    /// # Errors
+    ///
+    /// [`EstimateError::Saturated`] for `E_a`, then for `E_b`, then
+    /// [`EstimateError::Degenerate`].
+    fn sweep(e_a: &Bitmap, e_b: &Bitmap) -> Result<Self, EstimateError> {
+        let m = e_a.len();
+        let (ones_a, ones_b, ones_star) = ones_in_one_sweep(e_a, e_b, JoinOp::And);
+        let v_a0 = fraction(m - ones_a, m);
+        let v_b0 = fraction(m - ones_b, m);
+        let v_star1 = fraction(ones_star, m);
+        if v_a0 <= 0.0 {
+            return Err(EstimateError::Saturated { which: "E_a" });
+        }
+        if v_b0 <= 0.0 {
+            return Err(EstimateError::Saturated { which: "E_b" });
+        }
+        let arg = v_star1 + v_a0 + v_b0 - 1.0;
+        if arg <= 0.0 {
+            return Err(EstimateError::Degenerate);
+        }
+        Ok(Self {
+            m,
+            v_a0,
+            v_b0,
+            v_star1,
+            arg,
+        })
     }
-    if v_b0 <= 0.0 {
-        return Err(EstimateError::Saturated { which: "E_b" });
+
+    /// `ln(1 − 1/m)`.
+    fn ln_q(&self) -> f64 {
+        (1.0 - 1.0 / self.m as f64).ln()
     }
-    let arg = v_star1 + v_a0 + v_b0 - 1.0;
-    if arg <= 0.0 {
-        return Err(EstimateError::Degenerate);
+
+    /// Eq. (12).
+    fn value(&self) -> f64 {
+        (self.v_a0.ln() + self.v_b0.ln() - self.arg.ln()) / self.ln_q()
     }
-    let denom = (1.0 - 1.0 / m as f64).ln();
-    Ok((v_a0.ln() + v_b0.ln() - arg.ln()) / denom)
+
+    /// Eq. (12) with its delta-method standard error (see
+    /// [`estimate_from_halves_with_error`]).
+    fn with_error(&self) -> EstimateWithError {
+        let Self {
+            m,
+            v_a0,
+            v_b0,
+            v_star1,
+            arg,
+        } = *self;
+        let ln_q = self.ln_q();
+        let value = self.value();
+
+        // Partial derivatives of g w.r.t. (V_a0, V_b0, V_*1).
+        let d_va = (1.0 / v_a0 - 1.0 / arg) / ln_q;
+        let d_vb = (1.0 / v_b0 - 1.0 / arg) / ln_q;
+        let d_v1 = (-1.0 / arg) / ln_q;
+        let mf = m as f64;
+        let var = d_va * d_va * v_a0 * (1.0 - v_a0) / mf
+            + d_vb * d_vb * v_b0 * (1.0 - v_b0) / mf
+            + d_v1 * d_v1 * v_star1 * (1.0 - v_star1) / mf;
+        EstimateWithError {
+            value,
+            std_error: var.max(0.0).sqrt(),
+        }
+    }
 }
 
 /// A point estimate together with its delta-method standard error.
@@ -161,40 +247,8 @@ pub fn estimate_from_halves_with_error(
     e_a: &Bitmap,
     e_b: &Bitmap,
 ) -> Result<EstimateWithError, EstimateError> {
-    let m = e_a.len().max(e_b.len());
-    let e_a = e_a.expand_to(m)?;
-    let e_b = e_b.expand_to(m)?;
-    let mut e_star = e_a.clone();
-    e_star.and_assign(&e_b)?;
-
-    let v_a0 = e_a.fraction_zeros();
-    let v_b0 = e_b.fraction_zeros();
-    let v_star1 = e_star.fraction_ones();
-    if v_a0 <= 0.0 {
-        return Err(EstimateError::Saturated { which: "E_a" });
-    }
-    if v_b0 <= 0.0 {
-        return Err(EstimateError::Saturated { which: "E_b" });
-    }
-    let arg = v_star1 + v_a0 + v_b0 - 1.0;
-    if arg <= 0.0 {
-        return Err(EstimateError::Degenerate);
-    }
-    let ln_q = (1.0 - 1.0 / m as f64).ln();
-    let value = (v_a0.ln() + v_b0.ln() - arg.ln()) / ln_q;
-
-    // Partial derivatives of g w.r.t. (V_a0, V_b0, V_*1).
-    let d_va = (1.0 / v_a0 - 1.0 / arg) / ln_q;
-    let d_vb = (1.0 / v_b0 - 1.0 / arg) / ln_q;
-    let d_v1 = (-1.0 / arg) / ln_q;
-    let mf = m as f64;
-    let var = d_va * d_va * v_a0 * (1.0 - v_a0) / mf
-        + d_vb * d_vb * v_b0 * (1.0 - v_b0) / mf
-        + d_v1 * d_v1 * v_star1 * (1.0 - v_star1) / mf;
-    Ok(EstimateWithError {
-        value,
-        std_error: var.max(0.0).sqrt(),
-    })
+    let (e_a, e_b) = at_common_size(e_a, e_b)?;
+    Ok(Fractions::sweep(&e_a, &e_b)?.with_error())
 }
 
 impl PointEstimator {
@@ -203,25 +257,13 @@ impl PointEstimator {
     /// # Errors
     ///
     /// Same conditions as [`PointEstimator::estimate`].
-    pub fn estimate_with_error(
+    pub fn estimate_with_error<R: Borrow<TrafficRecord>>(
         &self,
-        records: &[TrafficRecord],
+        records: &[R],
     ) -> Result<EstimateWithError, EstimateError> {
-        if records.len() < 2 {
-            return Err(EstimateError::TooFewRecords {
-                required: 2,
-                actual: records.len(),
-            });
-        }
-        let location = records[0].location();
-        if records.iter().any(|r| r.location() != location) {
-            return Err(EstimateError::LocationMismatch);
-        }
-        let bitmaps: Vec<&Bitmap> = records.iter().map(TrafficRecord::bitmap).collect();
-        let (idx_a, idx_b) = self.split.split(bitmaps.len());
-        let e_a = and_join(idx_a.iter().map(|&i| bitmaps[i]))?;
-        let e_b = and_join(idx_b.iter().map(|&i| bitmaps[i]))?;
-        estimate_from_halves_with_error(&e_a, &e_b)
+        at_least_two(records.len())?;
+        let (e_a, e_b) = self.join_halves(&location_bitmaps(records)?)?;
+        Ok(Fractions::sweep(&e_a, &e_b)?.with_error())
     }
 }
 
@@ -247,20 +289,8 @@ impl NaiveAndEstimator {
     /// * [`EstimateError::NoRecords`] — empty input;
     /// * [`EstimateError::LocationMismatch`] — mixed locations;
     /// * [`EstimateError::Saturated`] — the AND has no zero bits.
-    pub fn estimate(&self, records: &[TrafficRecord]) -> Result<f64, EstimateError> {
-        if records.is_empty() {
-            return Err(EstimateError::NoRecords);
-        }
-        let location = records[0].location();
-        if records.iter().any(|r| r.location() != location) {
-            return Err(EstimateError::LocationMismatch);
-        }
-        self.estimate_bitmaps(
-            &records
-                .iter()
-                .map(TrafficRecord::bitmap)
-                .collect::<Vec<_>>(),
-        )
+    pub fn estimate<R: Borrow<TrafficRecord>>(&self, records: &[R]) -> Result<f64, EstimateError> {
+        self.estimate_bitmaps(&location_bitmaps(records)?)
     }
 
     /// Bitmap-level variant of [`NaiveAndEstimator::estimate`].
@@ -412,7 +442,7 @@ mod tests {
             })
         );
         assert_eq!(
-            PointEstimator::new().estimate(&[]),
+            PointEstimator::new().estimate::<TrafficRecord>(&[]),
             Err(EstimateError::TooFewRecords {
                 required: 2,
                 actual: 0

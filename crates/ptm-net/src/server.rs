@@ -11,8 +11,12 @@
 //! point-to-point (Sec. IV) estimates are read-only AND/OR joins over
 //! per-location records — so queries take *shared* read locks and proceed
 //! concurrently with each other and with uploads to other locations. A
-//! query never holds two shard locks at once (point-to-point gathers one
-//! location, releases it, then gathers the other), so the locking scheme
+//! shard stores each record as an `Arc<TrafficRecord>`: a query gathers
+//! shared handles under the read lock (a reference-count bump per record,
+//! no bitmap copy) and runs the estimator after releasing it, and a volume
+//! query counts its one record under the read lock. A query never holds
+//! two shard locks at once (point-to-point gathers one location's handles,
+//! releases that lock, then gathers the other), so the locking scheme
 //! cannot deadlock.
 //!
 //! Every shard also carries an **epoch**: a counter bumped once per
@@ -108,7 +112,7 @@ impl From<EstimateError> for ServerError {
 /// it reads.
 #[derive(Debug, Default)]
 struct ShardInner {
-    records: HashMap<PeriodId, TrafficRecord>,
+    records: HashMap<PeriodId, Arc<TrafficRecord>>,
     /// Bumped once per accepted record. Idempotent re-uploads and rejected
     /// conflicts do not move it: the stored records did not change, so any
     /// cached answer derived from them is still exact.
@@ -216,17 +220,21 @@ impl CentralServer {
     /// Only an accepted record bumps the location's epoch (see
     /// [`CentralServer::epoch`]).
     ///
+    /// An owned record is moved into a new `Arc`; an `Arc` (the daemon's
+    /// hydration hands over the store's) is kept as it is, without a copy.
+    ///
     /// # Errors
     ///
     /// [`ServerError::DuplicateRecord`] when the `(location, period)` slot
     /// already holds a record with different contents.
-    pub fn submit(&self, record: TrafficRecord) -> Result<(), ServerError> {
+    pub fn submit(&self, record: impl Into<Arc<TrafficRecord>>) -> Result<(), ServerError> {
+        let record = record.into();
         let location = record.location();
         let period = record.period();
         let shard = self.shard_or_create(location);
         let mut inner = shard_write(&shard.inner);
         if let Some(existing) = inner.records.get(&period) {
-            if *existing == record {
+            if **existing == *record {
                 ptm_obs::counter!("net.server.submit.duplicate_idempotent").inc();
                 return Ok(());
             }
@@ -333,16 +341,17 @@ impl CentralServer {
     pub fn record(&self, location: LocationId, period: PeriodId) -> Option<TrafficRecord> {
         let shard = self.shard(location)?;
         let inner = shard_read(&shard.inner);
-        inner.records.get(&period).cloned()
+        inner.records.get(&period).map(|record| (**record).clone())
     }
 
-    /// Clones this location's records for `periods` under one read lock,
-    /// so the set is a consistent snapshot of the location.
+    /// Shared handles to this location's records for `periods`, taken
+    /// under one read lock so the set is a consistent snapshot of the
+    /// location.
     fn gather(
         &self,
         location: LocationId,
         periods: &[PeriodId],
-    ) -> Result<Vec<TrafficRecord>, ServerError> {
+    ) -> Result<Vec<Arc<TrafficRecord>>, ServerError> {
         if periods.is_empty() {
             return Ok(Vec::new());
         }
@@ -355,13 +364,14 @@ impl CentralServer {
                 inner
                     .records
                     .get(&period)
-                    .cloned()
+                    .map(Arc::clone)
                     .ok_or_else(|| missing(period))
             })
             .collect()
     }
 
-    /// Plain traffic volume at one location in one period (paper Eq. 1).
+    /// Plain traffic volume at one location in one period (paper Eq. 1),
+    /// counted under the shard's read lock.
     ///
     /// # Errors
     ///
@@ -373,9 +383,10 @@ impl CentralServer {
     ) -> Result<f64, ServerError> {
         let _t = ptm_obs::span!("net.server.estimate.volume");
         ptm_obs::counter!("net.server.query.volume").inc();
-        let record = self
-            .record(location, period)
-            .ok_or(ServerError::MissingRecord { location, period })?;
+        let missing = || ServerError::MissingRecord { location, period };
+        let shard = self.shard(location).ok_or_else(missing)?;
+        let inner = shard_read(&shard.inner);
+        let record = inner.records.get(&period).ok_or_else(missing)?;
         Ok(ptm_core::lpc::estimate_cardinality(record.bitmap())?)
     }
 

@@ -1740,9 +1740,9 @@ fn ensure_hydrated_locked(
 }
 
 /// Publishes every archived record of `location` in `store` into the query
-/// engine and returns how many there were. Each record is moved out of the
-/// `Arc` the store returns, not cloned: the store keeps no copy, so the
-/// engine's shard holds the only one. `CentralServer::submit` accepts a
+/// engine and returns how many there were. Each record goes in as the `Arc`
+/// the store returns, not cloned: the store keeps no copy, so the engine's
+/// shard holds the only one. `CentralServer::submit` accepts a
 /// record identical to the stored one and refuses a different one; that
 /// refusal means the store contradicts the engine — two different records
 /// for one `(location, period)` — which, given write-ahead ordering, means
@@ -1757,7 +1757,6 @@ fn hydrate_location(
         .map_err(|err| format!("hydration read failed: {err}"))?;
     let count = records.len();
     for record in records {
-        let record = Arc::try_unwrap(record).unwrap_or_else(|record| (*record).clone());
         let (location, period) = (record.location(), record.period());
         shared.central.submit(record).map_err(|_| {
             format!(

@@ -973,8 +973,8 @@ impl SegmentStore {
 
     /// Loads every live record for `location`, periods ascending. Frames
     /// are read in `(segment, offset)` order, and each record comes back
-    /// in an `Arc` nothing else holds, so a caller keeping it can move it
-    /// out with `Arc::try_unwrap` instead of cloning.
+    /// in an `Arc` nothing else holds, so a caller can keep that `Arc` as
+    /// the record's only copy instead of cloning it.
     ///
     /// # Errors
     ///

@@ -42,6 +42,13 @@ echo "==> cargo test (bounded)"
 cargo test --workspace --quiet --no-run
 timeout 600 cargo test --workspace --quiet
 
+# The estimator kernel and its bit-exact equivalence test against the
+# materialising reference again under release codegen (vectorised loops,
+# wrapping arithmetic, no debug assertions): that build is what ships.
+echo "==> ptm-core tests in release (bounded)"
+cargo test --release --quiet -p ptm-core --no-run
+timeout 300 cargo test --release --quiet -p ptm-core
+
 # The rpc loopback suite opens real sockets and spawns daemon threads; a
 # hang here should fail CI, not wedge it. `timeout` sends SIGTERM after the
 # bound (exit 124), which set -e turns into a failure.
