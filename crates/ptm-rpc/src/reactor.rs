@@ -3,9 +3,10 @@
 //! The event loop in [`crate::server`] owns every socket; CPU- and
 //! storage-bound work (estimates, commits) is handed to this pool so a
 //! slow disk or an expensive query never stalls the wire. Jobs go in over
-//! a condvar-woken queue; completions come back through a mutex-guarded
-//! vector the reactor drains each sweep, which keeps every socket write on
-//! the event-loop thread.
+//! a mutex-guarded queue that idle workers wait on by spin-then-park (see
+//! below); completions come back through a mutex-guarded vector the
+//! reactor drains each sweep, which keeps every socket write on the
+//! event-loop thread.
 //!
 //! Since the overload-control work the pool is **class-aware**: each job
 //! is submitted under a [`JobClass`] into that class's own bounded queue,
@@ -15,6 +16,30 @@
 //! unbounded. Each dequeued job carries its measured queue sojourn, which
 //! the server feeds into its CoDel-style `retry_after_ms` hint and uses to
 //! drop doomed work (jobs whose wire deadline expired while queued).
+//!
+//! # Spin-then-park
+//!
+//! Handing a job to a worker parked on the condvar costs more than a
+//! query answered from memory: the reactor makes a futex syscall, and on a
+//! small VM the parked worker's vCPU has halted and must be woken. So at
+//! most one idle worker at a time *spins*: for a constant window it polls
+//! the class-queue depths, yielding the CPU between polls, before it
+//! parks, and [`WorkerPool::submit`] claims it with one atomic swap
+//! instead of a `notify_one`. The spinner stops on a claim, on any queued
+//! job, on shutdown or at the window's end, and clears its registration
+//! before its final locked pop, so no wake-up is lost. It yields instead
+//! of busy-waiting because on two vCPUs a busy-waiting spinner and the
+//! reactor hold both of them, and the clients whose next requests it waits
+//! for go unscheduled.
+//!
+//! Only a worker whose job runner returned [`Idle::Spin`] may spin; the
+//! daemon returns it for a query answered from memory (a cache hit, or an
+//! estimate over already-hydrated locations). After an upload commit or a
+//! query that hydrated a location the worker parks at once, so those jobs
+//! keep the condvar's FIFO rotation across workers. A worker that spun
+//! after every job took nearly every job, which put each round's hydrated
+//! records in one thread's malloc arena (resident memory then grew round
+//! over round) and took CPU from the reactor during ingest.
 
 use std::collections::VecDeque;
 use std::io;
@@ -50,6 +75,17 @@ impl JobClass {
     }
 }
 
+/// How the worker that ran a job waits for the next one; the job runner
+/// returns it with each completion.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Idle {
+    /// Spin for up to the pool's spin window (if no other worker spins),
+    /// then park.
+    Spin,
+    /// Park on the condvar at once.
+    Park,
+}
+
 /// A fixed-size pool of worker threads mapping jobs `J` to completions `C`.
 ///
 /// `inflight()` counts jobs submitted whose completions have not yet been
@@ -73,12 +109,22 @@ struct PoolShared<J, C> {
     inflight: AtomicUsize,
     depths: [AtomicUsize; CLASS_COUNT],
     stop: AtomicBool,
+    spin_window: Duration,
+    /// The spinning worker's number (its index plus one), or 0 when no
+    /// worker spins. A worker registers (0 to its number) under the queue
+    /// lock; `submit` claims it by swapping in 0, and the spinner swaps in
+    /// 0 itself when it stops unclaimed. The claiming swap (release) pairs
+    /// with the spinner's loads and its clearing swap (acquire), so the
+    /// spinner's locked pop sees the job pushed before the claim.
+    spinner: AtomicUsize,
 }
 
 impl<J: Send + 'static, C: Send + 'static> WorkerPool<J, C> {
     /// Spawns `workers` threads (at least one) running `run` over submitted
     /// jobs. `caps` bounds each class queue (0 = unbounded); `run` receives
-    /// each job together with the time it spent queued.
+    /// each job together with the time it spent queued, and returns its
+    /// completion with how its worker waits for the next job. A worker told
+    /// to [`Idle::Spin`] spins for at most `spin_window` before it parks.
     ///
     /// # Errors
     ///
@@ -87,10 +133,11 @@ impl<J: Send + 'static, C: Send + 'static> WorkerPool<J, C> {
         workers: usize,
         name: &str,
         caps: [usize; CLASS_COUNT],
+        spin_window: Duration,
         run: F,
     ) -> io::Result<Self>
     where
-        F: Fn(J, Duration) -> C + Send + Sync + 'static,
+        F: Fn(J, Duration) -> (C, Idle) + Send + Sync + 'static,
     {
         let shared = Arc::new(PoolShared {
             queues: Mutex::new(std::array::from_fn(|_| VecDeque::new())),
@@ -100,6 +147,8 @@ impl<J: Send + 'static, C: Send + 'static> WorkerPool<J, C> {
             inflight: AtomicUsize::new(0),
             depths: std::array::from_fn(|_| AtomicUsize::new(0)),
             stop: AtomicBool::new(false),
+            spin_window,
+            spinner: AtomicUsize::new(0),
         });
         let run = Arc::new(run);
         let count = workers.max(1);
@@ -109,13 +158,18 @@ impl<J: Send + 'static, C: Send + 'static> WorkerPool<J, C> {
             let run = Arc::clone(&run);
             let handle = std::thread::Builder::new()
                 .name(format!("{name}-{index}"))
-                .spawn(move || worker_loop(&shared, run.as_ref()))?;
+                .spawn(move || worker_loop(&shared, index + 1, run.as_ref()))?;
             handles.push(handle);
         }
         Ok(Self { shared, handles })
     }
 
-    /// Enqueues one job under `class` and wakes a worker.
+    /// Enqueues one job under `class` and hands it to a worker: the
+    /// spinning worker, if there is one, is claimed with one atomic swap
+    /// (it sees the claim and pops the job); otherwise a parked worker is
+    /// woken. The push happens under the queue lock before the swap, and a
+    /// spinner clears its registration before its own locked pop, so the
+    /// job is never left queued with every worker parked.
     ///
     /// # Errors
     ///
@@ -141,7 +195,9 @@ impl<J: Send + 'static, C: Send + 'static> WorkerPool<J, C> {
         self.shared.depths[class as usize].fetch_add(1, Ordering::AcqRel);
         self.shared.inflight.fetch_add(1, Ordering::AcqRel);
         drop(queues);
-        self.shared.wake.notify_one();
+        if self.shared.spinner.swap(0, Ordering::AcqRel) == 0 {
+            self.shared.wake.notify_one();
+        }
         Ok(())
     }
 
@@ -194,7 +250,12 @@ impl<J: Send + 'static, C: Send + 'static> WorkerPool<J, C> {
 }
 
 // ptm-analyze: worker-entry
-fn worker_loop<J, C>(shared: &PoolShared<J, C>, run: &(dyn Fn(J, Duration) -> C + Send + Sync)) {
+fn worker_loop<J, C>(
+    shared: &PoolShared<J, C>,
+    me: usize,
+    run: &(dyn Fn(J, Duration) -> (C, Idle) + Send + Sync),
+) {
+    let mut idle = Idle::Park;
     loop {
         let queued = {
             let mut queues = shared.queues.lock().unwrap_or_else(PoisonError::into_inner);
@@ -207,6 +268,21 @@ fn worker_loop<J, C>(shared: &PoolShared<J, C>, run: &(dyn Fn(J, Duration) -> C 
                 }
                 if shared.stop.load(Ordering::Acquire) {
                     break None;
+                }
+                // Registering under the queue lock orders it against
+                // `submit`'s push: a job pushed after this point claims
+                // the spinner. One spin per job, then park.
+                if idle == Idle::Spin
+                    && shared
+                        .spinner
+                        .compare_exchange(0, me, Ordering::AcqRel, Ordering::Acquire)
+                        .is_ok()
+                {
+                    drop(queues);
+                    spin(shared, me);
+                    idle = Idle::Park;
+                    queues = shared.queues.lock().unwrap_or_else(PoisonError::into_inner);
+                    continue;
                 }
                 queues = shared
                     .wake
@@ -223,14 +299,44 @@ fn worker_loop<J, C>(shared: &PoolShared<J, C>, run: &(dyn Fn(J, Duration) -> C 
         // Error{Internal} and closes only the affected connection); this
         // guard is the last resort that keeps the worker thread alive and
         // the inflight count accurate even if that containment slips.
-        if let Ok(completion) = catch_unwind(AssertUnwindSafe(|| run(job, sojourn))) {
-            let mut done = shared
-                .completions
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            done.push(completion);
-        }
+        idle = match catch_unwind(AssertUnwindSafe(|| run(job, sojourn))) {
+            Ok((completion, next)) => {
+                let mut done = shared
+                    .completions
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner);
+                done.push(completion);
+                next
+            }
+            Err(_) => Idle::Park,
+        };
         shared.inflight.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
+/// Spins as the registered spinner `me` until `submit` claims it, a job
+/// is queued, the pool stops or the spin window ends, then clears its
+/// registration unless a `submit` already claimed it. The caller's locked
+/// pop follows either way, and a claiming `submit` pushed its job before
+/// its swap, so that pop cannot miss it.
+fn spin<J, C>(shared: &PoolShared<J, C>, me: usize) {
+    let queued = || shared.depths.iter().any(|d| d.load(Ordering::Acquire) != 0);
+    let start = Instant::now();
+    while shared.spinner.load(Ordering::Acquire) == me
+        && !queued()
+        && !shared.stop.load(Ordering::Acquire)
+        && start.elapsed() < shared.spin_window
+    {
+        std::thread::yield_now();
+    }
+    let claimed = shared
+        .spinner
+        .compare_exchange(me, 0, Ordering::AcqRel, Ordering::Acquire)
+        .is_err();
+    if claimed || queued() {
+        ptm_obs::counter!("rpc.pool.spin.caught").inc();
+    } else {
+        ptm_obs::counter!("rpc.pool.spin.expired").inc();
     }
 }
 
@@ -239,6 +345,9 @@ mod tests {
     use super::*;
 
     const OPEN: [usize; CLASS_COUNT] = [0, 0];
+    /// A window no test outlasts: a spinner stays registered until it is
+    /// claimed or the pool stops, so a test can watch it deterministically.
+    const LONG_SPIN: Duration = Duration::from_secs(60);
 
     fn drain_until<C: Send + 'static>(pool: &WorkerPool<u32, C>, want: usize) -> Vec<C> {
         let deadline = Instant::now() + Duration::from_secs(5);
@@ -254,10 +363,37 @@ mod tests {
         out
     }
 
+    /// Waits until every submitted job has completed; a completion is
+    /// pushed just before its worker decrements `inflight`.
+    fn settle<C: Send + 'static>(pool: &WorkerPool<u32, C>) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while pool.inflight() != 0 {
+            assert!(Instant::now() < deadline, "inflight never settled");
+            std::thread::yield_now();
+        }
+    }
+
+    /// Runs one spin-reporting job and waits until its worker registers as
+    /// the spinner.
+    fn register_spinner(pool: &WorkerPool<u32, u32>) {
+        pool.submit(JobClass::Query, 0).expect("unbounded");
+        assert_eq!(drain_until(pool, 1), vec![0]);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while pool.shared.spinner.load(Ordering::Acquire) == 0 {
+            assert!(
+                Instant::now() < deadline,
+                "no worker registered as the spinner"
+            );
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn jobs_round_trip_and_inflight_drains() {
-        let pool =
-            WorkerPool::new(3, "test-pool", OPEN, |job: u32, _queued| job * 2).expect("spawn");
+        let pool = WorkerPool::new(3, "test-pool", OPEN, Duration::ZERO, |job: u32, _queued| {
+            (job * 2, Idle::Park)
+        })
+        .expect("spawn");
         for job in 0..16u32 {
             pool.submit(JobClass::Upload, job).expect("unbounded");
         }
@@ -271,10 +407,16 @@ mod tests {
 
     #[test]
     fn panicking_job_keeps_workers_alive_and_gauges_exact() {
-        let pool = WorkerPool::new(1, "test-panic", OPEN, |job: u32, _queued| {
-            assert!(job != 7, "injected panic");
-            job
-        })
+        let pool = WorkerPool::new(
+            1,
+            "test-panic",
+            OPEN,
+            Duration::ZERO,
+            |job: u32, _queued| {
+                assert!(job != 7, "injected panic");
+                (job, Idle::Park)
+            },
+        )
         .expect("spawn");
         pool.submit(JobClass::Query, 7).expect("submit");
         pool.submit(JobClass::Query, 8).expect("submit");
@@ -289,8 +431,10 @@ mod tests {
 
     #[test]
     fn zero_worker_request_still_gets_one_thread() {
-        let pool =
-            WorkerPool::new(0, "test-min", OPEN, |job: u32, _queued| job + 1).expect("spawn");
+        let pool = WorkerPool::new(0, "test-min", OPEN, Duration::ZERO, |job: u32, _queued| {
+            (job + 1, Idle::Park)
+        })
+        .expect("spawn");
         pool.submit(JobClass::Query, 41).expect("submit");
         assert_eq!(drain_until(&pool, 1), vec![42]);
         pool.shutdown_and_join();
@@ -303,10 +447,16 @@ mod tests {
         let held = gate.lock().expect("gate");
         let pool = {
             let gate = Arc::clone(&gate);
-            WorkerPool::new(1, "test-cap", [1, 2], move |job: u32, _queued| {
-                drop(gate.lock().unwrap_or_else(PoisonError::into_inner));
-                job
-            })
+            WorkerPool::new(
+                1,
+                "test-cap",
+                [1, 2],
+                Duration::ZERO,
+                move |job: u32, _queued| {
+                    drop(gate.lock().unwrap_or_else(PoisonError::into_inner));
+                    (job, Idle::Park)
+                },
+            )
             .expect("spawn")
         };
         // First job occupies the worker (blocked on the gate); wait until
@@ -342,12 +492,18 @@ mod tests {
         let held = gate.lock().expect("gate");
         let pool = {
             let gate = Arc::clone(&gate);
-            WorkerPool::new(1, "test-prio", OPEN, move |job: u32, _queued| {
-                if job == 0 {
-                    drop(gate.lock().unwrap_or_else(PoisonError::into_inner));
-                }
-                job
-            })
+            WorkerPool::new(
+                1,
+                "test-prio",
+                OPEN,
+                Duration::ZERO,
+                move |job: u32, _queued| {
+                    if job == 0 {
+                        drop(gate.lock().unwrap_or_else(PoisonError::into_inner));
+                    }
+                    (job, Idle::Park)
+                },
+            )
             .expect("spawn")
         };
         pool.submit(JobClass::Upload, 0).expect("occupies worker");
@@ -377,12 +533,18 @@ mod tests {
         let gate = Arc::new(AtomicBool::new(false));
         let pool = {
             let gate = Arc::clone(&gate);
-            WorkerPool::new(1, "test-race", OPEN, move |job: u32, _queued| {
-                while !gate.load(Ordering::Acquire) {
-                    std::thread::yield_now();
-                }
-                job
-            })
+            WorkerPool::new(
+                1,
+                "test-race",
+                OPEN,
+                Duration::ZERO,
+                move |job: u32, _queued| {
+                    while !gate.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                    (job, Idle::Park)
+                },
+            )
             .expect("spawn")
         };
         pool.submit(JobClass::Upload, 0).expect("occupies worker");
@@ -411,5 +573,119 @@ mod tests {
         for depth in &shared.depths {
             assert_eq!(depth.load(Ordering::Acquire), 0);
         }
+    }
+
+    #[test]
+    fn parking_jobs_rotate_across_every_worker() {
+        // Jobs whose runner says `Idle::Park` must never leave a spinner
+        // behind: each worker parks, and the condvar hands the next job to
+        // the longest-parked worker, so sequential jobs spread over all of
+        // them. A worker that spun after these jobs would take them all.
+        const WORKERS: usize = 4;
+        let pool = WorkerPool::new(
+            WORKERS,
+            "test-fifo",
+            OPEN,
+            LONG_SPIN,
+            |_job: u32, _queued| {
+                let name = std::thread::current().name().map(str::to_owned);
+                (name, Idle::Park)
+            },
+        )
+        .expect("spawn");
+        let mut ran_on = Vec::new();
+        for job in 0..WORKERS as u32 {
+            settle(&pool);
+            // Long enough for the last worker to park, and watched: a
+            // spinner registered now would catch the next job.
+            let watch = Instant::now();
+            while watch.elapsed() < Duration::from_millis(20) {
+                assert_eq!(
+                    pool.shared.spinner.load(Ordering::Acquire),
+                    0,
+                    "a worker spun after a job that reported Idle::Park"
+                );
+                std::thread::yield_now();
+            }
+            pool.submit(JobClass::Upload, job).expect("unbounded");
+            ran_on.extend(drain_until(&pool, 1));
+        }
+        let mut workers = ran_on.clone();
+        workers.sort();
+        workers.dedup();
+        assert_eq!(
+            workers.len(),
+            WORKERS,
+            "sequential jobs must rotate across every worker: {ran_on:?}"
+        );
+        pool.shutdown_and_join();
+    }
+
+    #[test]
+    fn burst_against_a_spinner_completes_and_settles() {
+        const BURST: u32 = 200;
+        let pool = WorkerPool::new(2, "test-burst", OPEN, LONG_SPIN, |job: u32, _queued| {
+            (job, Idle::Spin)
+        })
+        .expect("spawn");
+        register_spinner(&pool);
+        // Submits a few microseconds apart: most claim a spinner (the one
+        // registered above, then each worker that just finished), some
+        // find it already claimed and wake the parked worker instead.
+        for job in 1..=BURST {
+            let gap = Instant::now();
+            while gap.elapsed() < Duration::from_micros(20) {
+                std::hint::spin_loop();
+            }
+            let class = if job % 2 == 0 {
+                JobClass::Query
+            } else {
+                JobClass::Upload
+            };
+            pool.submit(class, job).expect("unbounded");
+        }
+        let mut out = drain_until(&pool, BURST as usize);
+        out.sort_unstable();
+        assert_eq!(out, (1..=BURST).collect::<Vec<_>>());
+        settle(&pool);
+        assert_eq!(pool.depths(), [0, 0]);
+        pool.shutdown_and_join();
+    }
+
+    #[test]
+    fn shutdown_while_a_worker_spins_returns_promptly() {
+        let pool = WorkerPool::new(2, "test-spin-stop", OPEN, LONG_SPIN, |job: u32, _queued| {
+            (job, Idle::Spin)
+        })
+        .expect("spawn");
+        register_spinner(&pool);
+        // The window outlasts the test bound, so only `stop` ends this spin.
+        let started = Instant::now();
+        pool.shutdown_and_join();
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "shutdown hung behind a spinning worker"
+        );
+    }
+
+    #[test]
+    fn an_expired_spin_leaves_the_next_job_a_wake_up() {
+        // The window ends with no job: the worker clears its registration
+        // before it parks, so the next submit wakes it instead of claiming
+        // a spinner that is gone (which would strand the job).
+        let window = Duration::from_millis(200);
+        let pool = WorkerPool::new(1, "test-expire", OPEN, window, |job: u32, _queued| {
+            (job, Idle::Spin)
+        })
+        .expect("spawn");
+        register_spinner(&pool);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while pool.shared.spinner.load(Ordering::Acquire) != 0 {
+            assert!(Instant::now() < deadline, "the spin never ended");
+            std::thread::yield_now();
+        }
+        pool.submit(JobClass::Query, 1).expect("unbounded");
+        assert_eq!(drain_until(&pool, 1), vec![1]);
+        pool.shutdown_and_join();
     }
 }

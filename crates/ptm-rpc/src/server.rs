@@ -94,7 +94,7 @@ use crate::proto::{
     decode_request, encode_response_into, ErrorCode, ProtoError, Request, Response, WireTrace,
     PROTOCOL_VERSION,
 };
-use crate::reactor::{JobClass, WorkerPool, CLASS_COUNT};
+use crate::reactor::{Idle, JobClass, WorkerPool, CLASS_COUNT};
 use ptm_core::record::TrafficRecord;
 use ptm_core::{LocationId, PeriodId};
 use ptm_fault::{sites, FaultAction, FaultPlan, FaultyStream, SiteHandle};
@@ -454,6 +454,7 @@ impl RpcServer {
             shared.config.workers,
             "ptm-rpc-worker",
             CLASS_QUEUE_CAPS,
+            SPIN_WINDOW,
             move |job, sojourn| run_job(&job_shared, job, sojourn),
         )?;
         let reactor_shared = Arc::clone(&shared);
@@ -594,6 +595,12 @@ const MAX_COALESCED_FRAMES: usize = 64;
 /// and the requester is answered `Overloaded` with the measured-delay
 /// hint.
 const CLASS_QUEUE_CAPS: [usize; CLASS_COUNT] = [128, 512];
+
+/// How long a pool worker that just answered a query from memory spins
+/// for the next job before it parks (see [`crate::reactor`]). A
+/// closed-loop client on loopback sends its next query well inside it: in
+/// the `query` benchmark over 99% of spins end with a job.
+const SPIN_WINDOW: Duration = Duration::from_micros(100);
 
 /// How long after the last activity the reactor keeps spin-yielding
 /// before idle sleeps start escalating. Request/response exchanges with
@@ -1338,22 +1345,28 @@ fn maintenance_loop(shared: Arc<Shared>) {
 /// executes the rest. A panicking handler is caught and answered, not
 /// allowed to unwind: every shared lock recovers from poisoning, so the
 /// daemon keeps serving afterwards — only the affected connection closes.
-fn run_job(shared: &Shared, job: Job, sojourn: Duration) -> Completion {
+///
+/// Returns [`Idle::Spin`] only for a query answered from memory, which
+/// lets the worker spin for the next job; after anything else it parks.
+fn run_job(shared: &Shared, job: Job, sojourn: Duration) -> (Completion, Idle) {
     note_queue_delay(shared, sojourn);
     let conn_id = job.conn_id;
     match std::panic::catch_unwind(AssertUnwindSafe(|| execute_job(shared, job.kind))) {
-        Ok(replies) => Completion {
-            conn_id,
-            replies,
-            close: false,
-        },
+        Ok((replies, idle)) => (
+            Completion {
+                conn_id,
+                replies,
+                close: false,
+            },
+            idle,
+        ),
         Err(_) => {
             ptm_obs::counter!("rpc.server.panics").inc();
             ptm_obs::error!("rpc.server", "request handler panicked");
             // Preserve the evidence: the recorder tail is the last trace
             // of what the handler was doing.
             dump_recorder(&shared.config, "handler panic");
-            Completion {
+            let completion = Completion {
                 conn_id,
                 replies: vec![Reply {
                     response: Response::Error {
@@ -1363,7 +1376,8 @@ fn run_job(shared: &Shared, job: Job, sojourn: Duration) -> Completion {
                     trace: None,
                 }],
                 close: true,
-            }
+            };
+            (completion, Idle::Park)
         }
     }
 }
@@ -1383,20 +1397,21 @@ fn doomed_reply() -> Reply {
 /// job start against each frame's wire deadline). For a coalesced ingest
 /// job only the live frames commit; reply order still matches request
 /// order because live replies are stitched back around the doomed slots.
-fn execute_job(shared: &Shared, kind: JobKind) -> Vec<Reply> {
+fn execute_job(shared: &Shared, kind: JobKind) -> (Vec<Reply>, Idle) {
     let now = Instant::now();
     let doomed = |frame: &DecodedFrame| frame.deadline.is_some_and(|d| now > d);
     match kind {
         JobKind::Single(frame) => {
             if doomed(&frame) {
-                vec![doomed_reply()]
+                (vec![doomed_reply()], Idle::Park)
             } else {
-                vec![run_single(shared, frame)]
+                let (reply, idle) = run_single(shared, frame);
+                (vec![reply], idle)
             }
         }
         JobKind::Ingest(frames) => {
             if !frames.iter().any(doomed) {
-                return ingest_frames(shared, frames);
+                return (ingest_frames(shared, frames), Idle::Park);
             }
             let mut slots: Vec<Option<Reply>> = Vec::with_capacity(frames.len());
             let mut live = Vec::new();
@@ -1414,7 +1429,7 @@ fn execute_job(shared: &Shared, kind: JobKind) -> Vec<Reply> {
                 ingest_frames(shared, live)
             }
             .into_iter();
-            slots
+            let replies = slots
                 .into_iter()
                 .map(|slot| {
                     slot.or_else(|| live_replies.next()).unwrap_or(Reply {
@@ -1425,7 +1440,8 @@ fn execute_job(shared: &Shared, kind: JobKind) -> Vec<Reply> {
                         trace: None,
                     })
                 })
-                .collect()
+                .collect();
+            (replies, Idle::Park)
         }
     }
 }
@@ -1480,11 +1496,12 @@ fn run_control(shared: &Shared, frame: DecodedFrame) -> Reply {
 
 /// Handles one query frame on a pool worker. Every downstream stage
 /// (lock wait, estimate, encode-reply) parents into the dispatch span, so
-/// one round trip is one connected span tree.
-fn run_single(shared: &Shared, frame: DecodedFrame) -> Reply {
+/// one round trip is one connected span tree. Returns how the worker
+/// waits next (see [`answer_cached`]).
+fn run_single(shared: &Shared, frame: DecodedFrame) -> (Reply, Idle) {
     let root = open_dispatch(frame.trace, frame.arrived);
     let trace = root.context();
-    let response = match frame.request {
+    let (response, idle) = match frame.request {
         Request::QueryVolume { location, period } => {
             ptm_obs::counter!("rpc.server.queries").inc();
             answer_cached(shared, QueryKey::Volume { location, period }, |central| {
@@ -1518,14 +1535,15 @@ fn run_single(shared: &Shared, frame: DecodedFrame) -> Reply {
         }
         // Unreachable: `maybe_dispatch` answers ping and stats inline and
         // sends uploads to ingest jobs.
-        Request::Ping | Request::Stats | Request::Upload(_) | Request::UploadBatch(_) => {
+        Request::Ping | Request::Stats | Request::Upload(_) | Request::UploadBatch(_) => (
             Response::Error {
                 code: ErrorCode::Internal,
                 message: "non-query frame routed to a query job".into(),
-            }
-        }
+            },
+            Idle::Park,
+        ),
     };
-    Reply { response, trace }
+    (Reply { response, trace }, idle)
 }
 
 /// Renders the live introspection document answered to [`Request::Stats`]
@@ -1632,36 +1650,48 @@ fn stats_json(shared: &Shared) -> String {
 ///
 /// Epochs are captured *before* computing; see the [`crate::cache`] module
 /// docs for why that ordering keeps cached answers bit-for-bit exact.
+///
+/// Returns [`Idle::Spin`] when the answer came from memory (a cache hit,
+/// or an estimate over already-hydrated locations) and [`Idle::Park`]
+/// when the query loaded archived records or the load failed: the worker
+/// that just hydrated parks, so hydration keeps the pool's FIFO spread
+/// across workers (see [`crate::reactor`]).
 fn answer_cached(
     shared: &Shared,
     key: QueryKey,
     compute: impl FnOnce(&CentralServer) -> Result<f64, ServerError>,
-) -> Response {
+) -> (Response, Idle) {
     {
         let _s = ptm_obs::tspan!("rpc.server.cache_lookup");
         if let Some(value) = shared.cache.lookup(&key, |loc| shared.central.epoch(loc)) {
-            return Response::Estimate(value);
+            return (Response::Estimate(value), Idle::Spin);
         }
     }
     let locations = key.locations();
     // Lazy hydration: a cache miss computes against the query engine, so
     // any location being read for the first time since startup loads its
     // archived history now (a no-op HashSet probe once hydrated).
-    if let Err(detail) = ensure_hydrated(shared, &locations) {
-        ptm_obs::error!("rpc.server", "hydration before query failed"; detail = detail.clone());
-        return Response::Error {
-            code: ErrorCode::Internal,
-            message: detail,
-        };
-    }
+    let idle = match ensure_hydrated(shared, &locations) {
+        Ok(true) => Idle::Park,
+        Ok(false) => Idle::Spin,
+        Err(detail) => {
+            ptm_obs::error!("rpc.server", "hydration before query failed"; detail = detail.clone());
+            let response = Response::Error {
+                code: ErrorCode::Internal,
+                message: detail,
+            };
+            return (response, Idle::Park);
+        }
+    };
     if let Some(action) = shared.estimate_site.check() {
         match action {
             FaultAction::Delay(pause) => std::thread::sleep(pause),
             _ => {
-                return Response::Error {
+                let response = Response::Error {
                     code: ErrorCode::Internal,
                     message: "injected estimate fault".into(),
-                }
+                };
+                return (response, idle);
             }
         }
     }
@@ -1670,13 +1700,14 @@ fn answer_cached(
         .map(|loc| (loc, shared.central.epoch(loc)))
         .collect();
     let _s = ptm_obs::tspan!("rpc.server.estimate");
-    match compute(&shared.central) {
+    let response = match compute(&shared.central) {
         Ok(value) => {
             shared.cache.store(key, value, epochs);
             Response::Estimate(value)
         }
         Err(err) => estimate_response(Err(err)),
-    }
+    };
+    (response, idle)
 }
 
 fn estimate_response(result: Result<f64, ServerError>) -> Response {
@@ -1700,7 +1731,8 @@ fn estimate_response(result: Result<f64, ServerError>) -> Response {
 /// Publishes the archived history of any not-yet-hydrated `locations`
 /// into the query engine, under the already-held writer lock. Idempotent
 /// per location (the hydrated set is checked first) and cheap once
-/// hydrated: the fast path is a `HashSet` probe.
+/// hydrated: the fast path is a `HashSet` probe. Returns whether it loaded
+/// any archived record.
 ///
 /// Returns an error message when the read fails or the store contradicts
 /// the engine (see [`hydrate_location`]).
@@ -1708,7 +1740,7 @@ fn ensure_hydrated_locked(
     shared: &Shared,
     store: &mut SegmentStore,
     locations: &[LocationId],
-) -> Result<(), String> {
+) -> Result<bool, String> {
     let missing: Vec<LocationId> = {
         let hydrated = shared
             .hydrated
@@ -1720,9 +1752,7 @@ fn ensure_hydrated_locked(
             .copied()
             .collect()
     };
-    if missing.is_empty() {
-        return Ok(());
-    }
+    let mut loaded = false;
     for location in missing {
         let count = hydrate_location(shared, store, location)?;
         shared
@@ -1731,12 +1761,13 @@ fn ensure_hydrated_locked(
             .unwrap_or_else(PoisonError::into_inner)
             .insert(location);
         if count > 0 {
+            loaded = true;
             ptm_obs::counter!("rpc.server.hydrations").inc();
             ptm_obs::debug!("rpc.server", "location hydrated from store";
                 location = location.get(), records = count);
         }
     }
-    Ok(())
+    Ok(loaded)
 }
 
 /// Publishes every archived record of `location` in `store` into the query
@@ -1772,14 +1803,14 @@ fn hydrate_location(
 /// [`ensure_hydrated_locked`] for callers not holding the writer lock
 /// (the query path): probes the hydrated set first so the common case —
 /// already hydrated — takes no writer lock at all.
-fn ensure_hydrated(shared: &Shared, locations: &[LocationId]) -> Result<(), String> {
+fn ensure_hydrated(shared: &Shared, locations: &[LocationId]) -> Result<bool, String> {
     {
         let hydrated = shared
             .hydrated
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         if locations.iter().all(|loc| hydrated.contains(loc)) {
-            return Ok(());
+            return Ok(false);
         }
     }
     let mut store = lock_writer(&shared.writer);
@@ -2941,6 +2972,60 @@ mod tests {
             other => panic!("expected estimate, got {other:?}"),
         };
         assert_eq!(first.to_bits(), third.to_bits());
+        server.shutdown().expect("shutdown");
+        cleanup_archive(&path);
+    }
+
+    #[test]
+    fn only_queries_answered_from_memory_let_the_worker_spin() {
+        let path = temp_archive("spin-rule");
+        let server = RpcServer::start("127.0.0.1:0", &path, test_config()).expect("start");
+        let mut stream = connect(server.local_addr());
+        for period in 0..3 {
+            let response = exchange(&mut stream, &Request::Upload(sample_record(4, period)));
+            assert!(
+                matches!(response, Response::UploadOk { .. }),
+                "{response:?}"
+            );
+        }
+        drop(stream);
+        server.shutdown().expect("shutdown");
+
+        // Restarted, location 4 is cold: the first query hydrates it.
+        let server = RpcServer::start("127.0.0.1:0", &path, test_config()).expect("restart");
+        let run = |kind: JobKind| {
+            let (replies, idle) = execute_job(&server.shared, kind);
+            let response = &replies[0].response;
+            assert!(!matches!(response, Response::Error { .. }), "{response:?}");
+            idle
+        };
+        let single = |request: Request| {
+            JobKind::Single(DecodedFrame {
+                request,
+                trace: None,
+                arrived: Instant::now(),
+                deadline: None,
+            })
+        };
+        let location = LocationId::new(4);
+        let point = || Request::QueryPoint {
+            location,
+            periods: (0..3).map(PeriodId::new).collect(),
+        };
+        assert_eq!(run(single(point())), Idle::Park, "hydrating query");
+        assert_eq!(run(single(point())), Idle::Spin, "cache hit");
+        let volume = Request::QueryVolume {
+            location,
+            period: PeriodId::new(1),
+        };
+        assert_eq!(run(single(volume)), Idle::Spin, "estimate over hydrated");
+        let upload = DecodedFrame {
+            request: Request::Upload(sample_record(4, 7)),
+            trace: None,
+            arrived: Instant::now(),
+            deadline: None,
+        };
+        assert_eq!(run(JobKind::Ingest(vec![upload])), Idle::Park, "upload");
         server.shutdown().expect("shutdown");
         cleanup_archive(&path);
     }

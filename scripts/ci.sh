@@ -49,6 +49,14 @@ echo "==> ptm-core tests in release (bounded)"
 cargo test --release --quiet -p ptm-core --no-run
 timeout 300 cargo test --release --quiet -p ptm-core
 
+# The rpc crate again under release codegen: the worker pool's spin and
+# claim races (a submit claiming a spinner as its window ends, shutdown
+# during a spin) depend on timing, and the daemon ships at opt-level 3,
+# not at the test profile's opt-level 1.
+echo "==> ptm-rpc tests in release (bounded)"
+cargo test --release --quiet -p ptm-rpc --no-run
+timeout 300 cargo test --release --quiet -p ptm-rpc
+
 # The rpc loopback suite opens real sockets and spawns daemon threads; a
 # hang here should fail CI, not wedge it. `timeout` sends SIGTERM after the
 # bound (exit 124), which set -e turns into a failure.
