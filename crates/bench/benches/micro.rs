@@ -285,7 +285,6 @@ fn bench_rpc(c: &mut Criterion) {
 
 fn bench_shard_store(c: &mut Criterion) {
     use ptm_net::CentralServer;
-    use ptm_rpc::{QueryCache, QueryKey};
 
     let scheme = EncodingScheme::new(33, 3);
     let mut rng = ChaCha12Rng::seed_from_u64(29);
@@ -341,26 +340,6 @@ fn bench_shard_store(c: &mut Criterion) {
             server
                 .estimate_point_persistent(LocationId::new(loc), &periods)
                 .expect("stored")
-        })
-    });
-
-    // The epoch-validated cache: a hit skips the estimator entirely.
-    let cache = QueryCache::new(64);
-    let key = QueryKey::Point {
-        location: LocationId::new(1),
-        periods: periods.clone(),
-    };
-    let answer = server
-        .estimate_point_persistent(LocationId::new(1), &periods)
-        .expect("stored");
-    let epochs: Vec<(LocationId, u64)> =
-        vec![(LocationId::new(1), server.epoch(LocationId::new(1)))];
-    cache.store(key.clone(), answer, epochs);
-    group.bench_function("cache_hit_epoch_validated", |b| {
-        b.iter(|| {
-            cache
-                .lookup(&key, |l| server.epoch(l))
-                .expect("fresh entry")
         })
     });
     group.finish();

@@ -30,6 +30,10 @@ fn main() -> ExitCode {
         eprint!("{USAGE}");
         return ExitCode::FAILURE;
     };
+    if let Err(message) = check_flags(&command, &options) {
+        ptm_obs::error!("cli", message);
+        return ExitCode::FAILURE;
+    }
     // --quiet keeps only errors; PTM_LOG still controls format (json/pretty).
     if options.contains_key("quiet") {
         ptm_obs::events::set_max_level(Some(ptm_obs::Level::Error));
@@ -82,7 +86,6 @@ COMMANDS:
     all         Everything above in sequence
     serve       Run the ptm-rpc record-ingest daemon
                 (--archive PATH [--addr A] [--s N] [--duration-secs N]
-                 [--cache N: query-cache entries, 0 disables; default 1024]
                  [--max-connections N: 0 removes the cap; default 256]
                  [--workers N: reactor worker threads; default 4]
                  [--retry-after-ms N: shed-response hint; default 250]
@@ -106,8 +109,8 @@ COMMANDS:
                   instead of one batch frame; max 256])
     query       Query a daemon (--kind volume|point|p2p --location L
                 [--location-b B] [--periods T] [--period P] [--addr A])
-    top         Live daemon introspection: records, per-shard depths and
-                epochs, latency percentiles, counters, recent flight-recorder
+    top         Live daemon introspection: records, per-shard depths,
+                latency percentiles, counters, recent flight-recorder
                 entries ([--addr A] [--json: raw snapshot])
     trace-validate  Check a span JSONL file against the documented trace
                 schema (--file PATH, see docs/OBSERVABILITY.md)
@@ -134,6 +137,85 @@ ENVIRONMENT:
 
 type Options = HashMap<String, String>;
 
+/// Flags every command reads.
+const GLOBAL_FLAGS: &[&str] = &["metrics", "trace", "quiet"];
+
+/// Flags that take no value.
+const BOOLEAN_FLAGS: &[&str] = &["quiet", "health", "json"];
+
+/// The flags each command reads, besides [`GLOBAL_FLAGS`]; `None` for an
+/// unknown command.
+fn command_flags(command: &str) -> Option<&'static [&'static str]> {
+    Some(match command {
+        "table1" | "fig5" | "fig6" => &["runs", "seed", "threads", "csv"],
+        "table2" => &["csv"],
+        "fig4" | "all" => &["runs", "seed", "threads", "csv", "t", "sizing"],
+        "ablations" | "errors" => &["runs", "seed", "threads"],
+        "pair" => &["runs", "seed", "threads", "from", "to", "t"],
+        "matrix" => &["seed", "threads", "csv"],
+        "demo" => &["seed"],
+        "serve" => &[
+            "addr",
+            "archive",
+            "s",
+            "duration-secs",
+            "health",
+            "max-connections",
+            "workers",
+            "retry-after-ms",
+            "rotate-bytes",
+            "compact-ms",
+            "sync",
+            "faults",
+            "fault-seed",
+            "recorder-dump",
+            "drain-file",
+        ],
+        "upload" => &[
+            "addr",
+            "location",
+            "periods",
+            "vehicles",
+            "persistent",
+            "seed",
+            "pipeline",
+        ],
+        "query" => &[
+            "addr",
+            "kind",
+            "location",
+            "location-b",
+            "periods",
+            "period",
+        ],
+        "top" => &["addr", "json"],
+        "trace-validate" => &["file"],
+        _ => return None,
+    })
+}
+
+/// Refuses a flag that neither `command` nor the global options read, so
+/// a misspelt or retired flag fails loudly instead of being ignored. An
+/// unknown command is left to [`run_command`] to report.
+fn check_flags(command: &str, options: &Options) -> Result<(), String> {
+    let Some(flags) = command_flags(command) else {
+        return Ok(());
+    };
+    // The smallest unknown name, so the message does not depend on the
+    // map's iteration order.
+    let unknown = options
+        .keys()
+        .map(String::as_str)
+        .filter(|key| !flags.contains(key) && !GLOBAL_FLAGS.contains(key))
+        .min();
+    match unknown {
+        None => Ok(()),
+        Some(flag) => Err(format!(
+            "`ptm {command}` does not take --{flag}; run `ptm --help`"
+        )),
+    }
+}
+
 fn parse(args: &[String]) -> Option<(String, Options)> {
     let mut iter = args.iter();
     let command = iter.next()?.clone();
@@ -143,8 +225,7 @@ fn parse(args: &[String]) -> Option<(String, Options)> {
     let mut options = Options::new();
     while let Some(flag) = iter.next() {
         let key = flag.strip_prefix("--")?;
-        // Boolean flags take no value.
-        if key == "quiet" || key == "health" || key == "json" {
+        if BOOLEAN_FLAGS.contains(&key) {
             options.insert(key.to_owned(), String::new());
             continue;
         }
@@ -717,4 +798,43 @@ fn cmd_demo(seed: u64) -> Result<(), String> {
     println!("\npoint persistent at node 15:  truth {truth_point}, estimate {est_point:.1}");
     println!("p2p persistent 15 -> 10:      truth {truth_p2p}, estimate {est_p2p:.1}");
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Parses and checks a command line as `main` does.
+    fn check(line: &str) -> Result<Options, String> {
+        let args: Vec<String> = line.split_whitespace().map(str::to_owned).collect();
+        let (command, options) = parse(&args).ok_or("usage")?;
+        check_flags(&command, &options).map(|()| options)
+    }
+
+    #[test]
+    fn each_command_refuses_flags_it_does_not_read() {
+        let options = check("serve --archive a --workers 2 --metrics m.json").expect("known flags");
+        assert_eq!(options.get("workers").map(String::as_str), Some("2"));
+        for retired in ["cache", "inflight"] {
+            let err = check(&format!("serve --archive a --{retired} 8")).expect_err(retired);
+            assert!(err.contains(&format!("--{retired}")), "{err}");
+        }
+        // A flag one command reads is still refused by another.
+        assert!(check("query --location 7 --archive a").is_err());
+        // An unknown command is reported by the dispatcher, not here.
+        assert!(check("frobnicate --x 1").is_ok());
+    }
+
+    #[test]
+    fn boolean_flags_take_no_value() {
+        let options = check("serve --health --addr 127.0.0.1:7171 --quiet").expect("probe");
+        assert_eq!(options.get("health").map(String::as_str), Some(""));
+        assert_eq!(
+            options.get("addr").map(String::as_str),
+            Some("127.0.0.1:7171")
+        );
+        let options = check("top --json --addr 127.0.0.1:7171").expect("top");
+        assert_eq!(options.get("json").map(String::as_str), Some(""));
+        assert!(options.contains_key("addr"));
+    }
 }

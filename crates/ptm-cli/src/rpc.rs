@@ -83,9 +83,6 @@ pub fn cmd_serve(options: &Options) -> Result<(), String> {
         s,
         ..ServerConfig::default()
     };
-    if let Some(cache) = opt_usize(options, "cache")? {
-        config.cache_capacity = cache;
-    }
     if let Some(cap) = opt_usize(options, "max-connections")? {
         config.max_connections = cap;
     }
@@ -338,11 +335,7 @@ pub fn cmd_top(options: &Options) -> Result<(), String> {
 
     if let Some(Content::Seq(shards)) = field("shards") {
         if !shards.is_empty() {
-            let mut table = ptm_report::TextTable::new(vec![
-                "location".into(),
-                "records".into(),
-                "epoch".into(),
-            ]);
+            let mut table = ptm_report::TextTable::new(vec!["location".into(), "records".into()]);
             for shard in shards {
                 let Content::Map(fields) = shard else {
                     continue;
@@ -353,7 +346,7 @@ pub fn cmd_top(options: &Options) -> Result<(), String> {
                         .find(|(k, _)| k == name)
                         .map_or_else(|| "?".to_owned(), |(_, v)| render_scalar(v))
                 };
-                table.add_row(vec![cell("location"), cell("records"), cell("epoch")]);
+                table.add_row(vec![cell("location"), cell("records")]);
             }
             println!("\nshards:\n{}", table.render());
         }

@@ -65,7 +65,7 @@ pub mod sites {
     pub const RPC_READ: &str = "rpc.read";
     /// RPC server stream writes (response frames leaving).
     pub const RPC_WRITE: &str = "rpc.write";
-    /// Estimate execution on a server worker, once per uncached query
+    /// Estimate execution on a server worker, once per query
     /// (latency or failure while computing a query answer).
     pub const RPC_ESTIMATE: &str = "rpc.estimate";
     /// Ingest execution under the server's writer lock, checked once per

@@ -19,19 +19,16 @@
 //! releases that lock, then gathers the other), so the locking scheme
 //! cannot deadlock.
 //!
-//! Every shard also carries an **epoch**: a counter bumped once per
-//! *accepted* record (idempotent re-uploads and rejected conflicts leave
-//! it unchanged, because they leave the records unchanged). Epochs let a
-//! caller cache query answers and validate them cheaply: an answer
-//! computed when the involved locations had epochs `E` is still exact
-//! while those epochs are unchanged. `ptm-rpc` builds its query-result
-//! cache on this.
+//! A record is immutable once accepted: an identical re-upload is an
+//! idempotent no-op and a different one for the same `(location, period)`
+//! is refused, so an answer over a set of records never changes once
+//! every one of them is present.
 //!
 //! All locks recover from poisoning (`PoisonError::into_inner`): a
 //! panicking reader or writer must not turn one bad request into a
-//! permanent outage for every later request. Shard state is a plain map
-//! plus a counter, mutated with single `insert`s, so a recovered guard is
-//! never mid-invariant.
+//! permanent outage for every later request. Shard state is a plain map,
+//! mutated with single `insert`s, so a recovered guard is never
+//! mid-invariant.
 //!
 //! Shard instrumentation (through `ptm-obs`, disabled by default):
 //! `rpc.shard.locations` (gauge, shard count),
@@ -107,16 +104,10 @@ impl From<EstimateError> for ServerError {
     }
 }
 
-/// One location's records plus its upload epoch, guarded together so a
-/// reader always sees an epoch consistent with (or older than) the records
-/// it reads.
+/// One location's records, keyed by period.
 #[derive(Debug, Default)]
 struct ShardInner {
     records: HashMap<PeriodId, Arc<TrafficRecord>>,
-    /// Bumped once per accepted record. Idempotent re-uploads and rejected
-    /// conflicts do not move it: the stored records did not change, so any
-    /// cached answer derived from them is still exact.
-    epoch: u64,
 }
 
 #[derive(Debug, Default)]
@@ -217,11 +208,9 @@ impl CentralServer {
     /// different contents — is an error, because silently keeping either
     /// copy would corrupt the measurement.
     ///
-    /// Only an accepted record bumps the location's epoch (see
-    /// [`CentralServer::epoch`]).
-    ///
     /// An owned record is moved into a new `Arc`; an `Arc` (the daemon's
-    /// hydration hands over the store's) is kept as it is, without a copy.
+    /// archive load hands over the store's) is kept as it is, without a
+    /// copy.
     ///
     /// # Errors
     ///
@@ -252,7 +241,6 @@ impl CentralServer {
         }
         let bytes = record.bitmap().len().div_ceil(8) as u64;
         inner.records.insert(period, record);
-        inner.epoch += 1;
         let total = self.total_records.fetch_add(1, Ordering::Relaxed) + 1;
         ptm_obs::gauge!("net.server.records").set(total as i64);
         let resident = self.resident_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
@@ -300,11 +288,11 @@ impl CentralServer {
         out
     }
 
-    /// Per-shard introspection rows `(location, stored records, epoch)`,
-    /// sorted by location id — what the daemon's stats RPC and `ptm top`
-    /// report as shard depths. Shard locks are taken one at a time, so the
-    /// listing is per-shard consistent but not a global snapshot.
-    pub fn shard_stats(&self) -> Vec<(LocationId, usize, u64)> {
+    /// Per-shard introspection rows `(location, stored records)`, sorted
+    /// by location id — what the daemon's stats RPC and `ptm top` report as
+    /// shard depths. Shard locks are taken one at a time, so the listing is
+    /// per-shard consistent but not a global snapshot.
+    pub fn shard_stats(&self) -> Vec<(LocationId, usize)> {
         let shards: Vec<(LocationId, Arc<LocationShard>)> = self
             .shards
             // ptm-analyze: allow(reactor-blocking): Stats answers inline by design; this directory read lock only clones Arcs and writers hold it only for in-memory inserts
@@ -313,28 +301,12 @@ impl CentralServer {
             .iter()
             .map(|(loc, shard)| (*loc, Arc::clone(shard)))
             .collect();
-        let mut out: Vec<(LocationId, usize, u64)> = shards
+        let mut out: Vec<(LocationId, usize)> = shards
             .into_iter()
-            .map(|(loc, shard)| {
-                let inner = shard_read(&shard.inner);
-                (loc, inner.records.len(), inner.epoch)
-            })
+            .map(|(loc, shard)| (loc, shard_read(&shard.inner).records.len()))
             .collect();
-        out.sort_unstable_by_key(|(loc, ..)| loc.get());
+        out.sort_unstable_by_key(|(loc, _)| loc.get());
         out
-    }
-
-    /// The upload epoch of `location`: 0 for a location that never stored
-    /// a record, then +1 per accepted record.
-    ///
-    /// An answer computed from this location's records while its epoch was
-    /// `e` remains exact for as long as `epoch(location) == e` — the basis
-    /// of the epoch-invalidated query cache in `ptm-rpc`.
-    pub fn epoch(&self, location: LocationId) -> u64 {
-        match self.shard(location) {
-            Some(shard) => shard_read(&shard.inner).epoch,
-            None => 0,
-        }
     }
 
     /// Fetches one record (cloned out of its shard).
@@ -644,35 +616,34 @@ mod tests {
     }
 
     #[test]
-    fn epoch_bumps_only_on_accepted_records_and_per_location() {
+    fn records_grow_only_on_accepted_submits_and_per_location() {
         let server = CentralServer::new(3);
         let (a, b) = (LocationId::new(1), LocationId::new(2));
-        assert_eq!(server.epoch(a), 0, "untouched location");
+        assert!(server.shard_stats().is_empty(), "untouched location");
 
         let mut rec = TrafficRecord::new(a, PeriodId::new(0), BitmapSize::new(64).expect("pow2"));
         rec.set_reported_index(5);
         server.submit(rec.clone()).expect("first");
-        assert_eq!(server.epoch(a), 1);
+        assert_eq!(server.shard_stats(), vec![(a, 1)]);
 
-        // Idempotent re-send: records unchanged, epoch unchanged.
+        // Idempotent re-send: records unchanged.
         server.submit(rec.clone()).expect("resend");
-        assert_eq!(server.epoch(a), 1);
+        assert_eq!(server.shard_stats(), vec![(a, 1)]);
 
-        // Rejected conflict: records unchanged, epoch unchanged.
+        // Rejected conflict: records unchanged.
         let mut conflicting = rec.clone();
         conflicting.set_reported_index(7);
         assert!(server.submit(conflicting).is_err());
-        assert_eq!(server.epoch(a), 1);
+        assert_eq!(server.shard_stats(), vec![(a, 1)]);
 
-        // Uploads to one location never move another location's epoch.
+        // Uploads to one location never change another location's records.
         let other = TrafficRecord::new(b, PeriodId::new(0), BitmapSize::new(64).expect("pow2"));
         server.submit(other).expect("other location");
-        assert_eq!(server.epoch(a), 1);
-        assert_eq!(server.epoch(b), 1);
+        assert_eq!(server.shard_stats(), vec![(a, 1), (b, 1)]);
 
         let second = TrafficRecord::new(a, PeriodId::new(1), BitmapSize::new(64).expect("pow2"));
         server.submit(second).expect("second period");
-        assert_eq!(server.epoch(a), 2);
+        assert_eq!(server.shard_stats(), vec![(a, 2), (b, 1)]);
     }
 
     #[test]
@@ -703,7 +674,6 @@ mod tests {
         next.set_reported_index(4);
         server.submit(next).expect("submit after poison");
         assert_eq!(server.record_count(), 2);
-        assert_eq!(server.epoch(loc), 2);
         assert!(server.estimate_volume(loc, PeriodId::new(0)).is_ok());
     }
 

@@ -23,17 +23,13 @@
 //!   storage never stalls the wire — wrapping
 //!   [`ptm_net::CentralServer`]'s location-sharded store, write-ahead
 //!   persistence into a [`ptm_store::SegmentStore`] (append + flush before
-//!   the records become queryable, hydrated lazily per location after a
-//!   restart), idempotent duplicate
+//!   the records become queryable; every archived record loaded into the
+//!   engine at start), idempotent duplicate
 //!   handling, panic containment with poison-recovering locks, graceful
 //!   drain on shutdown. Consecutive pipelined uploads from one connection
 //!   coalesce into a single commit and their acks batch into one write.
-//!   Queries run concurrently with each other and with uploads to
-//!   locations they are not reading.
-//! * [`cache`] — [`QueryCache`]: a bounded, epoch-invalidated cache of
-//!   query answers; an upload to one location invalidates only that
-//!   location's cached answers, and cached answers stay bit-for-bit
-//!   identical to freshly computed ones.
+//!   Queries are answered from memory, concurrently with each other and
+//!   with uploads to locations they are not reading.
 //! * [`client`] — [`RpcClient`]: one retry loop for every call, pipelined
 //!   uploads included, with capped exponential backoff and jitter floored
 //!   by the server's `retry_after_ms` hints, a retryable-versus-fatal
@@ -50,9 +46,9 @@
 //! `docs/FAULTS.md`.
 //!
 //! Everything is instrumented through `ptm-obs` under the `rpc.server.*`,
-//! `rpc.client.*`, `rpc.shard.*`, `rpc.shed.*`, and `rpc.cache.*` metric
-//! prefixes; see `docs/RPC.md` and `docs/OBSERVABILITY.md` for the full
-//! protocol and metric reference.
+//! `rpc.client.*`, `rpc.shard.*`, and `rpc.shed.*` metric prefixes; see
+//! `docs/RPC.md` and `docs/OBSERVABILITY.md` for the full protocol and
+//! metric reference.
 //!
 //! # Example (loopback round trip)
 //!
@@ -77,14 +73,12 @@
 // -D clippy::expect_used` scoped to this crate).
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod cache;
 pub mod client;
 pub mod frame;
 pub mod proto;
 mod reactor;
 pub mod server;
 
-pub use cache::{QueryCache, QueryKey};
 pub use client::{
     ClientConfig, ClientError, RpcClient, ServerInfo, UploadSummary, MAX_PIPELINE_WINDOW,
 };

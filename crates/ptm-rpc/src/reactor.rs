@@ -32,14 +32,14 @@
 //! reactor hold both of them, and the clients whose next requests it waits
 //! for go unscheduled.
 //!
-//! Only a worker whose job runner returned [`Idle::Spin`] may spin; the
-//! daemon returns it for a query answered from memory (a cache hit, or an
-//! estimate over already-hydrated locations). After an upload commit or a
-//! query that hydrated a location the worker parks at once, so those jobs
-//! keep the condvar's FIFO rotation across workers. A worker that spun
-//! after every job took nearly every job, which put each round's hydrated
-//! records in one thread's malloc arena (resident memory then grew round
-//! over round) and took CPU from the reactor during ingest.
+//! The class of the job a worker just ran decides whether it may spin.
+//! The daemon answers every query from memory, so after a
+//! [`JobClass::Query`] job the worker may spin; after a [`JobClass::Upload`]
+//! job it parks at once, so uploads keep the condvar's FIFO rotation
+//! across workers. A worker that spun after every job took nearly every
+//! job, which put each round's decoded records in one thread's malloc
+//! arena (resident memory then grew round over round) and took CPU from
+//! the reactor during ingest.
 
 use std::collections::VecDeque;
 use std::io;
@@ -73,17 +73,6 @@ impl JobClass {
             JobClass::Upload => "upload",
         }
     }
-}
-
-/// How the worker that ran a job waits for the next one; the job runner
-/// returns it with each completion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Idle {
-    /// Spin for up to the pool's spin window (if no other worker spins),
-    /// then park.
-    Spin,
-    /// Park on the condvar at once.
-    Park,
 }
 
 /// A fixed-size pool of worker threads mapping jobs `J` to completions `C`.
@@ -123,8 +112,8 @@ impl<J: Send + 'static, C: Send + 'static> WorkerPool<J, C> {
     /// Spawns `workers` threads (at least one) running `run` over submitted
     /// jobs. `caps` bounds each class queue (0 = unbounded); `run` receives
     /// each job together with the time it spent queued, and returns its
-    /// completion with how its worker waits for the next job. A worker told
-    /// to [`Idle::Spin`] spins for at most `spin_window` before it parks.
+    /// completion. A worker that has just run a [`JobClass::Query`] job
+    /// spins for at most `spin_window` before it parks.
     ///
     /// # Errors
     ///
@@ -137,7 +126,7 @@ impl<J: Send + 'static, C: Send + 'static> WorkerPool<J, C> {
         run: F,
     ) -> io::Result<Self>
     where
-        F: Fn(J, Duration) -> (C, Idle) + Send + Sync + 'static,
+        F: Fn(J, Duration) -> C + Send + Sync + 'static,
     {
         let shared = Arc::new(PoolShared {
             queues: Mutex::new(std::array::from_fn(|_| VecDeque::new())),
@@ -253,9 +242,10 @@ impl<J: Send + 'static, C: Send + 'static> WorkerPool<J, C> {
 fn worker_loop<J, C>(
     shared: &PoolShared<J, C>,
     me: usize,
-    run: &(dyn Fn(J, Duration) -> (C, Idle) + Send + Sync),
+    run: &(dyn Fn(J, Duration) -> C + Send + Sync),
 ) {
-    let mut idle = Idle::Park;
+    // Whether the last job was a query: only then may this worker spin.
+    let mut may_spin = false;
     loop {
         let queued = {
             let mut queues = shared.queues.lock().unwrap_or_else(PoisonError::into_inner);
@@ -272,7 +262,7 @@ fn worker_loop<J, C>(
                 // Registering under the queue lock orders it against
                 // `submit`'s push: a job pushed after this point claims
                 // the spinner. One spin per job, then park.
-                if idle == Idle::Spin
+                if may_spin
                     && shared
                         .spinner
                         .compare_exchange(0, me, Ordering::AcqRel, Ordering::Acquire)
@@ -280,7 +270,7 @@ fn worker_loop<J, C>(
                 {
                     drop(queues);
                     spin(shared, me);
-                    idle = Idle::Park;
+                    may_spin = false;
                     queues = shared.queues.lock().unwrap_or_else(PoisonError::into_inner);
                     continue;
                 }
@@ -299,17 +289,14 @@ fn worker_loop<J, C>(
         // Error{Internal} and closes only the affected connection); this
         // guard is the last resort that keeps the worker thread alive and
         // the inflight count accurate even if that containment slips.
-        idle = match catch_unwind(AssertUnwindSafe(|| run(job, sojourn))) {
-            Ok((completion, next)) => {
-                let mut done = shared
-                    .completions
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                done.push(completion);
-                next
-            }
-            Err(_) => Idle::Park,
-        };
+        if let Ok(completion) = catch_unwind(AssertUnwindSafe(|| run(job, sojourn))) {
+            let mut done = shared
+                .completions
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            done.push(completion);
+        }
+        may_spin = class == JobClass::Query as usize;
         shared.inflight.fetch_sub(1, Ordering::AcqRel);
     }
 }
@@ -373,8 +360,8 @@ mod tests {
         }
     }
 
-    /// Runs one spin-reporting job and waits until its worker registers as
-    /// the spinner.
+    /// Runs one query job and waits until its worker registers as the
+    /// spinner.
     fn register_spinner(pool: &WorkerPool<u32, u32>) {
         pool.submit(JobClass::Query, 0).expect("unbounded");
         assert_eq!(drain_until(pool, 1), vec![0]);
@@ -391,7 +378,7 @@ mod tests {
     #[test]
     fn jobs_round_trip_and_inflight_drains() {
         let pool = WorkerPool::new(3, "test-pool", OPEN, Duration::ZERO, |job: u32, _queued| {
-            (job * 2, Idle::Park)
+            job * 2
         })
         .expect("spawn");
         for job in 0..16u32 {
@@ -414,7 +401,7 @@ mod tests {
             Duration::ZERO,
             |job: u32, _queued| {
                 assert!(job != 7, "injected panic");
-                (job, Idle::Park)
+                job
             },
         )
         .expect("spawn");
@@ -432,7 +419,7 @@ mod tests {
     #[test]
     fn zero_worker_request_still_gets_one_thread() {
         let pool = WorkerPool::new(0, "test-min", OPEN, Duration::ZERO, |job: u32, _queued| {
-            (job + 1, Idle::Park)
+            job + 1
         })
         .expect("spawn");
         pool.submit(JobClass::Query, 41).expect("submit");
@@ -454,7 +441,7 @@ mod tests {
                 Duration::ZERO,
                 move |job: u32, _queued| {
                     drop(gate.lock().unwrap_or_else(PoisonError::into_inner));
-                    (job, Idle::Park)
+                    job
                 },
             )
             .expect("spawn")
@@ -501,7 +488,7 @@ mod tests {
                     if job == 0 {
                         drop(gate.lock().unwrap_or_else(PoisonError::into_inner));
                     }
-                    (job, Idle::Park)
+                    job
                 },
             )
             .expect("spawn")
@@ -542,7 +529,7 @@ mod tests {
                     while !gate.load(Ordering::Acquire) {
                         std::thread::yield_now();
                     }
-                    (job, Idle::Park)
+                    job
                 },
             )
             .expect("spawn")
@@ -577,20 +564,17 @@ mod tests {
 
     #[test]
     fn parking_jobs_rotate_across_every_worker() {
-        // Jobs whose runner says `Idle::Park` must never leave a spinner
-        // behind: each worker parks, and the condvar hands the next job to
-        // the longest-parked worker, so sequential jobs spread over all of
-        // them. A worker that spun after these jobs would take them all.
+        // Upload jobs must never leave a spinner behind: each worker parks,
+        // and the condvar hands the next job to the longest-parked worker,
+        // so sequential uploads spread over all of them. A worker that spun
+        // after an upload would take them all.
         const WORKERS: usize = 4;
         let pool = WorkerPool::new(
             WORKERS,
             "test-fifo",
             OPEN,
             LONG_SPIN,
-            |_job: u32, _queued| {
-                let name = std::thread::current().name().map(str::to_owned);
-                (name, Idle::Park)
-            },
+            |_job: u32, _queued| std::thread::current().name().map(str::to_owned),
         )
         .expect("spawn");
         let mut ran_on = Vec::new();
@@ -603,7 +587,7 @@ mod tests {
                 assert_eq!(
                     pool.shared.spinner.load(Ordering::Acquire),
                     0,
-                    "a worker spun after a job that reported Idle::Park"
+                    "a worker spun after an upload job"
                 );
                 std::thread::yield_now();
             }
@@ -624,10 +608,8 @@ mod tests {
     #[test]
     fn burst_against_a_spinner_completes_and_settles() {
         const BURST: u32 = 200;
-        let pool = WorkerPool::new(2, "test-burst", OPEN, LONG_SPIN, |job: u32, _queued| {
-            (job, Idle::Spin)
-        })
-        .expect("spawn");
+        let pool = WorkerPool::new(2, "test-burst", OPEN, LONG_SPIN, |job: u32, _queued| job)
+            .expect("spawn");
         register_spinner(&pool);
         // Submits a few microseconds apart: most claim a spinner (the one
         // registered above, then each worker that just finished), some
@@ -637,12 +619,7 @@ mod tests {
             while gap.elapsed() < Duration::from_micros(20) {
                 std::hint::spin_loop();
             }
-            let class = if job % 2 == 0 {
-                JobClass::Query
-            } else {
-                JobClass::Upload
-            };
-            pool.submit(class, job).expect("unbounded");
+            pool.submit(JobClass::Query, job).expect("unbounded");
         }
         let mut out = drain_until(&pool, BURST as usize);
         out.sort_unstable();
@@ -655,7 +632,7 @@ mod tests {
     #[test]
     fn shutdown_while_a_worker_spins_returns_promptly() {
         let pool = WorkerPool::new(2, "test-spin-stop", OPEN, LONG_SPIN, |job: u32, _queued| {
-            (job, Idle::Spin)
+            job
         })
         .expect("spawn");
         register_spinner(&pool);
@@ -674,10 +651,8 @@ mod tests {
         // before it parks, so the next submit wakes it instead of claiming
         // a spinner that is gone (which would strand the job).
         let window = Duration::from_millis(200);
-        let pool = WorkerPool::new(1, "test-expire", OPEN, window, |job: u32, _queued| {
-            (job, Idle::Spin)
-        })
-        .expect("spawn");
+        let pool = WorkerPool::new(1, "test-expire", OPEN, window, |job: u32, _queued| job)
+            .expect("spawn");
         register_spinner(&pool);
         let deadline = Instant::now() + Duration::from_secs(5);
         while pool.shared.spinner.load(Ordering::Acquire) != 0 {

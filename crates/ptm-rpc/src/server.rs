@@ -10,13 +10,13 @@
 //! Lifecycle:
 //!
 //! 1. **Startup** — open (or create) the [`ptm_store::SegmentStore`] at
-//!    the configured path. Startup is **O(index)**:
-//!    the store reads its manifest and per-segment footer indexes instead
-//!    of decoding every record, and records are *hydrated* into the
-//!    in-memory query engine lazily, per location, the first time ingest
-//!    validation or a query touches that location — so a restarted daemon
-//!    still answers queries identically, it just loads each location's
-//!    history on first touch instead of all of it up front.
+//!    the configured path, then load every archived record into the
+//!    in-memory query engine before the first frame is served. The open is
+//!    **O(index)** (the store reads its manifest and per-segment footer
+//!    indexes instead of decoding every record); the load makes start
+//!    O(records). A record the engine refuses fails the start with
+//!    [`DaemonError::ReplayConflict`], an unreadable one with
+//!    [`DaemonError::Store`].
 //! 2. **Ingest** — each accepted batch is validated whole, appended to the
 //!    archive and flushed, *then* published to the query engine, and only
 //!    then acked (write-ahead). An identical re-send of an already-stored
@@ -52,12 +52,11 @@
 //! ingest (appends go to a single active segment, so writes serialize
 //! anyway) and doubles as the batch-atomicity lock — a batch is
 //! validated and applied under it, so a conflict anywhere rejects the
-//! batch whole and a retry can never half-apply. Queries touch the
-//! writer path only for a location's *first* read (lazy hydration); after
-//! that, archive I/O is out of the estimation path entirely. A background
-//! maintenance thread compacts small/superseded segments and, while
-//! degraded, retries the store reopen automatically under the configured
-//! cooldown.
+//! batch whole and a retry can never half-apply. Queries never take the
+//! writer lock: every record is in the engine from start, so archive I/O
+//! is out of the estimation path entirely. A background maintenance
+//! thread compacts small/superseded segments and, while degraded, retries
+//! the store reopen automatically under the configured cooldown.
 //!
 //! # Shedding
 //!
@@ -75,12 +74,6 @@
 //! cap, that queue is the only place a query is shed; an upload is also
 //! shed while ingest is degraded.
 //!
-//! Query answers are cached in an epoch-invalidated [`QueryCache`]: each
-//! accepted record bumps its location's epoch, and a cached answer is
-//! served only while the epochs of every location it reads are unchanged —
-//! which keeps cached answers bit-for-bit identical to freshly computed
-//! ones.
-//!
 //! Misbehaving peers never take the daemon down: oversized, corrupt, or
 //! truncated frames close that one connection (after a best-effort error
 //! response) and bump `rpc.server.frames.bad`. A *panicking* request
@@ -88,20 +81,19 @@
 //! error frame, and every lock in the daemon recovers from poisoning — one
 //! bad request must never turn into a whole-daemon outage.
 
-use crate::cache::{QueryCache, QueryKey};
 use crate::frame::{append_frame_with, FrameDecoder, FrameError, DEFAULT_MAX_FRAME_LEN};
 use crate::proto::{
     decode_request, encode_response_into, ErrorCode, ProtoError, Request, Response, WireTrace,
     PROTOCOL_VERSION,
 };
-use crate::reactor::{Idle, JobClass, WorkerPool, CLASS_COUNT};
+use crate::reactor::{JobClass, WorkerPool, CLASS_COUNT};
 use ptm_core::record::TrafficRecord;
 use ptm_core::{LocationId, PeriodId};
 use ptm_fault::{sites, FaultAction, FaultPlan, FaultyStream, SiteHandle};
 use ptm_net::server::ServerError;
 use ptm_net::CentralServer;
 use ptm_store::{SegmentStore, StoreError, StoreHooks, StoreOptions, SyncPolicy};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::AssertUnwindSafe;
@@ -126,9 +118,6 @@ pub struct ServerConfig {
     pub poll_interval: Duration,
     /// Largest accepted frame payload, in bytes.
     pub max_frame_len: u32,
-    /// Entries held by the epoch-invalidated query-result cache; 0
-    /// disables caching.
-    pub cache_capacity: usize,
     /// Connections served concurrently before new ones are shed (answered
     /// with [`Response::Overloaded`] once they speak, then closed); 0
     /// removes the cap.
@@ -175,7 +164,6 @@ impl Default for ServerConfig {
             read_timeout: Duration::from_secs(30),
             poll_interval: Duration::from_millis(25),
             max_frame_len: DEFAULT_MAX_FRAME_LEN,
-            cache_capacity: 1024,
             max_connections: 256,
             workers: 4,
             retry_after_ms: 250,
@@ -196,10 +184,10 @@ impl Default for ServerConfig {
 pub enum DaemonError {
     /// Socket-level failure (bind, accept-thread spawn).
     Io(io::Error),
-    /// The archive could not be opened, replayed, or flushed.
+    /// The archive could not be opened, read, or flushed.
     Store(StoreError),
-    /// The archive replays records the query engine rejects — two archived
-    /// records claim the same `(location, period)` with different bits.
+    /// The query engine refuses an archived record: it already holds a
+    /// different record for that `(location, period)`.
     ReplayConflict(String),
 }
 
@@ -238,7 +226,7 @@ impl From<StoreError> for DaemonError {
 /// What startup recovered from the archive.
 #[derive(Debug, Clone, Copy)]
 pub struct ReplayReport {
-    /// Records replayed into the query engine.
+    /// Records loaded into the query engine.
     pub records: usize,
     /// Bytes discarded from a torn final frame (0 after a clean shutdown).
     pub torn_bytes: u64,
@@ -258,25 +246,17 @@ struct DegradedState {
 }
 
 struct Shared {
-    /// The sharded query engine. Internally locked per location; hydrated
-    /// lazily from the segment store.
+    /// The sharded query engine. Internally locked per location; holds
+    /// every archived record from start.
     central: CentralServer,
     /// The dedicated writer path: serializes ingest and guards the
-    /// segment store. Queries take this lock only to hydrate a location
-    /// they are reading for the first time.
+    /// segment store. Queries never take it.
     writer: Mutex<SegmentStore>,
-    /// Locations whose archived history has been published into `central`.
-    /// Grows monotonically; guarded by its own lock so the hydrated-check
-    /// fast path never touches the writer lock. Lock order: writer, then
-    /// hydrated.
-    hydrated: Mutex<HashSet<LocationId>>,
     /// Store-derived record total, kept current by startup/ingest/recovery
     /// so Ping and stats need no writer lock.
     record_total: AtomicUsize,
     /// Store-derived location total (same discipline as `record_total`).
     location_total: AtomicUsize,
-    /// Epoch-invalidated query-result cache.
-    cache: QueryCache,
     shutdown: AtomicBool,
     config: ServerConfig,
     /// Live connection count, for the accept-side cap.
@@ -367,12 +347,14 @@ pub struct RpcServer {
 }
 
 impl RpcServer {
-    /// Binds `addr` (e.g. `"127.0.0.1:0"`), replays the archive at `path`
-    /// (creating it if absent), and starts accepting connections.
+    /// Binds `addr` (e.g. `"127.0.0.1:0"`), opens the archive at `path`
+    /// (creating it if absent), loads every archived record into the query
+    /// engine, and starts accepting connections.
     ///
     /// # Errors
     ///
-    /// Bind failures, archive corruption, or replay conflicts.
+    /// Bind failures, archive corruption ([`DaemonError::Store`]), or a
+    /// record the engine refuses ([`DaemonError::ReplayConflict`]).
     pub fn start(
         addr: impl ToSocketAddrs,
         archive_path: impl AsRef<Path>,
@@ -402,13 +384,15 @@ impl RpcServer {
             sync_policy: config.sync_policy,
             rotate_bytes: config.rotate_bytes,
         };
-        // O(index) startup: the store reads its manifest and footer
-        // indexes (scanning only the unsealed active segment); records are
-        // hydrated into the query engine lazily, per location, on first
-        // touch.
+        // The open is O(index): the store reads its manifest and footer
+        // indexes, scanning only the unsealed active segment. The load
+        // that follows reads every record once, before any request.
         let opened = {
             let _replay_span = ptm_obs::tspan!("rpc.server.replay");
-            SegmentStore::open(&archive_path, store_opts.clone())?
+            let mut opened = SegmentStore::open(&archive_path, store_opts.clone())?;
+            let loaded = load_archive(&central, &mut opened.store)?;
+            ptm_obs::counter!("rpc.server.hydrations").add(loaded as u64);
+            opened
         };
         let replay = ReplayReport {
             records: opened.store.record_count(),
@@ -425,14 +409,11 @@ impl RpcServer {
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
 
-        let cache = QueryCache::new(config.cache_capacity);
         let shared = Arc::new(Shared {
             central,
             writer: Mutex::new(opened.store),
-            hydrated: Mutex::new(HashSet::new()),
             record_total: AtomicUsize::new(replay.records),
             location_total: AtomicUsize::new(location_total),
-            cache,
             shutdown: AtomicBool::new(false),
             config,
             conn_count: AtomicUsize::new(0),
@@ -501,8 +482,8 @@ impl RpcServer {
         &self.archive_path
     }
 
-    /// Live records held by the store (lazy hydration means the in-memory
-    /// query engine may hold a subset until every location is touched).
+    /// Live records held by the store (and by the query engine, which
+    /// loads every one of them at start).
     pub fn record_count(&self) -> usize {
         self.shared.record_total.load(Ordering::SeqCst)
     }
@@ -596,10 +577,10 @@ const MAX_COALESCED_FRAMES: usize = 64;
 /// hint.
 const CLASS_QUEUE_CAPS: [usize; CLASS_COUNT] = [128, 512];
 
-/// How long a pool worker that just answered a query from memory spins
-/// for the next job before it parks (see [`crate::reactor`]). A
-/// closed-loop client on loopback sends its next query well inside it: in
-/// the `query` benchmark over 99% of spins end with a job.
+/// How long a pool worker that just answered a query spins for the next
+/// job before it parks (see [`crate::reactor`]). A closed-loop client on
+/// loopback sends its next query well inside it: in the `query` benchmark
+/// over 99% of spins end with a job.
 const SPIN_WINDOW: Duration = Duration::from_micros(100);
 
 /// How long after the last activity the reactor keeps spin-yielding
@@ -1345,28 +1326,22 @@ fn maintenance_loop(shared: Arc<Shared>) {
 /// executes the rest. A panicking handler is caught and answered, not
 /// allowed to unwind: every shared lock recovers from poisoning, so the
 /// daemon keeps serving afterwards — only the affected connection closes.
-///
-/// Returns [`Idle::Spin`] only for a query answered from memory, which
-/// lets the worker spin for the next job; after anything else it parks.
-fn run_job(shared: &Shared, job: Job, sojourn: Duration) -> (Completion, Idle) {
+fn run_job(shared: &Shared, job: Job, sojourn: Duration) -> Completion {
     note_queue_delay(shared, sojourn);
     let conn_id = job.conn_id;
     match std::panic::catch_unwind(AssertUnwindSafe(|| execute_job(shared, job.kind))) {
-        Ok((replies, idle)) => (
-            Completion {
-                conn_id,
-                replies,
-                close: false,
-            },
-            idle,
-        ),
+        Ok(replies) => Completion {
+            conn_id,
+            replies,
+            close: false,
+        },
         Err(_) => {
             ptm_obs::counter!("rpc.server.panics").inc();
             ptm_obs::error!("rpc.server", "request handler panicked");
             // Preserve the evidence: the recorder tail is the last trace
             // of what the handler was doing.
             dump_recorder(&shared.config, "handler panic");
-            let completion = Completion {
+            Completion {
                 conn_id,
                 replies: vec![Reply {
                     response: Response::Error {
@@ -1376,8 +1351,7 @@ fn run_job(shared: &Shared, job: Job, sojourn: Duration) -> (Completion, Idle) {
                     trace: None,
                 }],
                 close: true,
-            };
-            (completion, Idle::Park)
+            }
         }
     }
 }
@@ -1397,21 +1371,20 @@ fn doomed_reply() -> Reply {
 /// job start against each frame's wire deadline). For a coalesced ingest
 /// job only the live frames commit; reply order still matches request
 /// order because live replies are stitched back around the doomed slots.
-fn execute_job(shared: &Shared, kind: JobKind) -> (Vec<Reply>, Idle) {
+fn execute_job(shared: &Shared, kind: JobKind) -> Vec<Reply> {
     let now = Instant::now();
     let doomed = |frame: &DecodedFrame| frame.deadline.is_some_and(|d| now > d);
     match kind {
         JobKind::Single(frame) => {
             if doomed(&frame) {
-                (vec![doomed_reply()], Idle::Park)
+                vec![doomed_reply()]
             } else {
-                let (reply, idle) = run_single(shared, frame);
-                (vec![reply], idle)
+                vec![run_single(shared, frame)]
             }
         }
         JobKind::Ingest(frames) => {
             if !frames.iter().any(doomed) {
-                return (ingest_frames(shared, frames), Idle::Park);
+                return ingest_frames(shared, frames);
             }
             let mut slots: Vec<Option<Reply>> = Vec::with_capacity(frames.len());
             let mut live = Vec::new();
@@ -1429,7 +1402,7 @@ fn execute_job(shared: &Shared, kind: JobKind) -> (Vec<Reply>, Idle) {
                 ingest_frames(shared, live)
             }
             .into_iter();
-            let replies = slots
+            slots
                 .into_iter()
                 .map(|slot| {
                     slot.or_else(|| live_replies.next()).unwrap_or(Reply {
@@ -1440,8 +1413,7 @@ fn execute_job(shared: &Shared, kind: JobKind) -> (Vec<Reply>, Idle) {
                         trace: None,
                     })
                 })
-                .collect();
-            (replies, Idle::Park)
+                .collect()
         }
     }
 }
@@ -1495,26 +1467,19 @@ fn run_control(shared: &Shared, frame: DecodedFrame) -> Reply {
 }
 
 /// Handles one query frame on a pool worker. Every downstream stage
-/// (lock wait, estimate, encode-reply) parents into the dispatch span, so
-/// one round trip is one connected span tree. Returns how the worker
-/// waits next (see [`answer_cached`]).
-fn run_single(shared: &Shared, frame: DecodedFrame) -> (Reply, Idle) {
+/// (estimate, encode-reply) parents into the dispatch span, so one round
+/// trip is one connected span tree.
+fn run_single(shared: &Shared, frame: DecodedFrame) -> Reply {
     let root = open_dispatch(frame.trace, frame.arrived);
     let trace = root.context();
-    let (response, idle) = match frame.request {
+    let response = match frame.request {
         Request::QueryVolume { location, period } => {
             ptm_obs::counter!("rpc.server.queries").inc();
-            answer_cached(shared, QueryKey::Volume { location, period }, |central| {
-                central.estimate_volume(location, period)
-            })
+            answer_query(shared, |central| central.estimate_volume(location, period))
         }
         Request::QueryPoint { location, periods } => {
             ptm_obs::counter!("rpc.server.queries").inc();
-            let key = QueryKey::Point {
-                location,
-                periods: periods.clone(),
-            };
-            answer_cached(shared, key, |central| {
+            answer_query(shared, |central| {
                 central.estimate_point_persistent(location, &periods)
             })
         }
@@ -1524,31 +1489,25 @@ fn run_single(shared: &Shared, frame: DecodedFrame) -> (Reply, Idle) {
             periods,
         } => {
             ptm_obs::counter!("rpc.server.queries").inc();
-            let key = QueryKey::P2p {
-                location_a,
-                location_b,
-                periods: periods.clone(),
-            };
-            answer_cached(shared, key, |central| {
+            answer_query(shared, |central| {
                 central.estimate_p2p_persistent(location_a, location_b, &periods)
             })
         }
         // Unreachable: `maybe_dispatch` answers ping and stats inline and
         // sends uploads to ingest jobs.
-        Request::Ping | Request::Stats | Request::Upload(_) | Request::UploadBatch(_) => (
+        Request::Ping | Request::Stats | Request::Upload(_) | Request::UploadBatch(_) => {
             Response::Error {
                 code: ErrorCode::Internal,
                 message: "non-query frame routed to a query job".into(),
-            },
-            Idle::Park,
-        ),
+            }
+        }
     };
-    (Reply { response, trace }, idle)
+    Reply { response, trace }
 }
 
 /// Renders the live introspection document answered to [`Request::Stats`]
 /// (schema documented in `docs/OBSERVABILITY.md` § Live introspection):
-/// engine totals, per-shard depths/epochs, histogram percentiles, the full
+/// engine totals, per-shard record counts, histogram percentiles, the full
 /// metrics snapshot, and the flight-recorder tail.
 fn stats_json(shared: &Shared) -> String {
     let snapshot = ptm_obs::snapshot();
@@ -1604,12 +1563,12 @@ fn stats_json(shared: &Shared) -> String {
         None => out.push_str("null"),
     }
     out.push_str(",\"shards\":[");
-    for (i, (location, records, epoch)) in shared.central.shard_stats().iter().enumerate() {
+    for (i, (location, records)) in shared.central.shard_stats().iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         out.push_str(&format!(
-            "{{\"location\":{},\"records\":{records},\"epoch\":{epoch}}}",
+            "{{\"location\":{},\"records\":{records}}}",
             location.get()
         ));
     }
@@ -1643,71 +1602,26 @@ fn stats_json(shared: &Shared) -> String {
     out
 }
 
-/// The read-only query path: serve from the epoch-validated cache when
-/// possible, otherwise compute against the sharded store (shared read
-/// locks only — concurrent with uploads to other locations) and cache the
-/// answer.
-///
-/// Epochs are captured *before* computing; see the [`crate::cache`] module
-/// docs for why that ordering keeps cached answers bit-for-bit exact.
-///
-/// Returns [`Idle::Spin`] when the answer came from memory (a cache hit,
-/// or an estimate over already-hydrated locations) and [`Idle::Park`]
-/// when the query loaded archived records or the load failed: the worker
-/// that just hydrated parks, so hydration keeps the pool's FIFO spread
-/// across workers (see [`crate::reactor`]).
-fn answer_cached(
+/// The read-only query path: computes the answer against the sharded
+/// store, under shared read locks only — concurrent with other queries and
+/// with uploads to other locations.
+fn answer_query(
     shared: &Shared,
-    key: QueryKey,
     compute: impl FnOnce(&CentralServer) -> Result<f64, ServerError>,
-) -> (Response, Idle) {
-    {
-        let _s = ptm_obs::tspan!("rpc.server.cache_lookup");
-        if let Some(value) = shared.cache.lookup(&key, |loc| shared.central.epoch(loc)) {
-            return (Response::Estimate(value), Idle::Spin);
-        }
-    }
-    let locations = key.locations();
-    // Lazy hydration: a cache miss computes against the query engine, so
-    // any location being read for the first time since startup loads its
-    // archived history now (a no-op HashSet probe once hydrated).
-    let idle = match ensure_hydrated(shared, &locations) {
-        Ok(true) => Idle::Park,
-        Ok(false) => Idle::Spin,
-        Err(detail) => {
-            ptm_obs::error!("rpc.server", "hydration before query failed"; detail = detail.clone());
-            let response = Response::Error {
-                code: ErrorCode::Internal,
-                message: detail,
-            };
-            return (response, Idle::Park);
-        }
-    };
+) -> Response {
     if let Some(action) = shared.estimate_site.check() {
         match action {
             FaultAction::Delay(pause) => std::thread::sleep(pause),
             _ => {
-                let response = Response::Error {
+                return Response::Error {
                     code: ErrorCode::Internal,
                     message: "injected estimate fault".into(),
                 };
-                return (response, idle);
             }
         }
     }
-    let epochs: Vec<(LocationId, u64)> = locations
-        .into_iter()
-        .map(|loc| (loc, shared.central.epoch(loc)))
-        .collect();
     let _s = ptm_obs::tspan!("rpc.server.estimate");
-    let response = match compute(&shared.central) {
-        Ok(value) => {
-            shared.cache.store(key, value, epochs);
-            Response::Estimate(value)
-        }
-        Err(err) => estimate_response(Err(err)),
-    };
-    (response, idle)
+    estimate_response(compute(&shared.central))
 }
 
 fn estimate_response(result: Result<f64, ServerError>) -> Response {
@@ -1728,93 +1642,31 @@ fn estimate_response(result: Result<f64, ServerError>) -> Response {
     }
 }
 
-/// Publishes the archived history of any not-yet-hydrated `locations`
-/// into the query engine, under the already-held writer lock. Idempotent
-/// per location (the hydrated set is checked first) and cheap once
-/// hydrated: the fast path is a `HashSet` probe. Returns whether it loaded
-/// any archived record.
-///
-/// Returns an error message when the read fails or the store contradicts
-/// the engine (see [`hydrate_location`]).
-fn ensure_hydrated_locked(
-    shared: &Shared,
-    store: &mut SegmentStore,
-    locations: &[LocationId],
-) -> Result<bool, String> {
-    let missing: Vec<LocationId> = {
-        let hydrated = shared
-            .hydrated
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        locations
-            .iter()
-            .filter(|loc| !hydrated.contains(loc))
-            .copied()
-            .collect()
-    };
-    let mut loaded = false;
-    for location in missing {
-        let count = hydrate_location(shared, store, location)?;
-        shared
-            .hydrated
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(location);
-        if count > 0 {
-            loaded = true;
-            ptm_obs::counter!("rpc.server.hydrations").inc();
-            ptm_obs::debug!("rpc.server", "location hydrated from store";
-                location = location.get(), records = count);
+/// Publishes every record in `store` into `central`, location by location,
+/// and returns how many locations held records. Each record goes in as the
+/// `Arc` the store returns, not cloned: the store keeps no copy, so the
+/// engine's shard holds the only one. `CentralServer::submit` accepts a
+/// record identical to the one it holds, so loading into an engine that
+/// already holds some of the records is an idempotent re-publish, and it
+/// refuses a different one: the store contradicts the engine
+/// ([`DaemonError::ReplayConflict`]). A failed read is
+/// [`DaemonError::Store`]. Start loads into an empty engine; degraded-mode
+/// recovery loads the reopened store into the live one.
+fn load_archive(central: &CentralServer, store: &mut SegmentStore) -> Result<usize, DaemonError> {
+    let locations = store.locations();
+    for &location in &locations {
+        for record in store.records_for_location(location)? {
+            let period = record.period();
+            central.submit(record).map_err(|_| {
+                DaemonError::ReplayConflict(format!(
+                    "store contradicts query engine at location {} period {}",
+                    location.get(),
+                    period.get()
+                ))
+            })?;
         }
     }
-    Ok(loaded)
-}
-
-/// Publishes every archived record of `location` in `store` into the query
-/// engine and returns how many there were. Each record goes in as the `Arc`
-/// the store returns, not cloned: the store keeps no copy, so the engine's
-/// shard holds the only one. `CentralServer::submit` accepts a
-/// record identical to the stored one and refuses a different one; that
-/// refusal means the store contradicts the engine — two different records
-/// for one `(location, period)` — which, given write-ahead ordering, means
-/// the store was swapped out from under us.
-fn hydrate_location(
-    shared: &Shared,
-    store: &mut SegmentStore,
-    location: LocationId,
-) -> Result<usize, String> {
-    let records = store
-        .records_for_location(location)
-        .map_err(|err| format!("hydration read failed: {err}"))?;
-    let count = records.len();
-    for record in records {
-        let (location, period) = (record.location(), record.period());
-        shared.central.submit(record).map_err(|_| {
-            format!(
-                "store contradicts query engine at location {} period {}",
-                location.get(),
-                period.get()
-            )
-        })?;
-    }
-    Ok(count)
-}
-
-/// [`ensure_hydrated_locked`] for callers not holding the writer lock
-/// (the query path): probes the hydrated set first so the common case —
-/// already hydrated — takes no writer lock at all.
-fn ensure_hydrated(shared: &Shared, locations: &[LocationId]) -> Result<bool, String> {
-    {
-        let hydrated = shared
-            .hydrated
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if locations.iter().all(|loc| hydrated.contains(loc)) {
-            return Ok(false);
-        }
-    }
-    let mut store = lock_writer(&shared.writer);
-    ensure_hydrated_locked(shared, &mut store, locations)
+    Ok(locations.len())
 }
 
 /// How one coalesced upload frame fared through validation.
@@ -1825,8 +1677,8 @@ enum FrameVerdict {
         range: std::ops::Range<usize>,
         duplicates: u32,
     },
-    /// Rejected (conflicting duplicate or hydration failure); carries the
-    /// error reply. Its records were un-staged — other frames commit.
+    /// Rejected (conflicting duplicate); carries the error reply. Its
+    /// records were un-staged — other frames commit.
     Rejected(Response),
 }
 
@@ -1927,26 +1779,6 @@ fn ingest_frames(shared: &Shared, frames: Vec<DecodedFrame>) -> Vec<Reply> {
         let mut added_keys: Vec<(LocationId, PeriodId)> = Vec::new();
         let mut duplicates = 0u32;
         let mut rejection: Option<Response> = None;
-        // Duplicate validation consults the query engine, so every
-        // location this frame touches must be hydrated first.
-        let touched: Vec<LocationId> = {
-            let mut seen: Vec<LocationId> = Vec::new();
-            for record in &records {
-                if !seen.contains(&record.location()) {
-                    seen.push(record.location());
-                }
-            }
-            seen
-        };
-        if let Err(detail) = ensure_hydrated_locked(shared, &mut store, &touched) {
-            ptm_obs::error!("rpc.server", "hydration before ingest failed";
-                detail = detail.clone());
-            verdicts.push(FrameVerdict::Rejected(Response::Error {
-                code: ErrorCode::Internal,
-                message: detail,
-            }));
-            continue;
-        }
         for record in records {
             let key = (record.location(), record.period());
             match shared.central.record(key.0, key.1) {
@@ -2169,9 +2001,9 @@ fn flush_observability(config: &ServerConfig, why: &str) {
 }
 
 /// Degraded-mode reopen probe, called under the writer lock. At most one
-/// probe per cooldown: reopen the segment store from disk, reconcile the
-/// hydrated working set against the query engine, and swap it in. Returns
-/// whether ingest may resume.
+/// probe per cooldown: reopen the segment store from disk, reconcile its
+/// records with the query engine, and swap it in. Returns whether ingest
+/// may resume.
 fn try_recover(shared: &Shared, store: &mut MutexGuard<'_, SegmentStore>) -> bool {
     {
         let mut last = shared
@@ -2196,26 +2028,15 @@ fn try_recover(shared: &Shared, store: &mut MutexGuard<'_, SegmentStore>) -> boo
         }
     };
     // The store is written ahead of the query engine, so durable state can
-    // only ever trail what is in memory — never contradict it. Only the
-    // hydrated working set needs checking: locations the query engine has
-    // never loaded re-hydrate lazily from the fresh store on next touch.
-    // Every record is re-published: one already in memory is an idempotent
-    // no-op, one on disk but not in memory (a crash squeezed between commit
-    // and publish) is added, and a contradiction means the directory was
-    // swapped out from under us, so ingest stays down.
-    let hydrated: Vec<LocationId> = {
-        let set = shared
-            .hydrated
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        set.iter().copied().collect()
-    };
-    for location in hydrated {
-        if let Err(detail) = hydrate_location(shared, &mut recovered.store, location) {
-            ptm_obs::error!("rpc.server", "reconciling reopened store failed";
-                location = location.get(), detail = detail);
-            return false;
-        }
+    // only ever trail what is in memory — never contradict it. Every record
+    // is re-published: one already in memory is an idempotent no-op, one on
+    // disk but not in memory (a crash squeezed between commit and publish)
+    // is added, and a contradiction means the directory was swapped out
+    // from under us, so ingest stays down.
+    if let Err(err) = load_archive(&shared.central, &mut recovered.store) {
+        ptm_obs::error!("rpc.server", "reconciling reopened store failed";
+            error = err.to_string());
+        return false;
     }
     let (records, locations, torn_bytes) = (
         recovered.store.record_count(),
@@ -2850,10 +2671,6 @@ mod tests {
     fn hydration_checks_engine_records_against_the_archive() {
         let path = temp_archive("hydrate-check");
         let location = LocationId::new(12);
-        let query = Request::QueryPoint {
-            location,
-            periods: (0..3).map(PeriodId::new).collect(),
-        };
         let server = RpcServer::start("127.0.0.1:0", &path, test_config()).expect("start");
         let mut stream = connect(server.local_addr());
         for period in 0..3 {
@@ -2868,164 +2685,86 @@ mod tests {
         }
         drop(stream);
         server.shutdown().expect("shutdown");
-        let is_hydrated = |server: &RpcServer| {
-            server
-                .shared
-                .hydrated
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .contains(&location)
-        };
 
-        // A restarted daemon has not hydrated the location yet. An engine
-        // record that differs from the archived one for (12, 1) makes the
-        // hydration a query triggers refuse, and the location stays cold.
+        // A restarted daemon holds every archived record before it has
+        // served a single request.
         let server = RpcServer::start("127.0.0.1:0", &path, test_config()).expect("restart");
+        assert_eq!(server.replay_report().records, 3);
+        assert_eq!(
+            server.shared.central.record_count(),
+            server.replay_report().records
+        );
+        server.shutdown().expect("shutdown");
+
+        let open = || {
+            SegmentStore::open(&path, StoreOptions::default())
+                .expect("open")
+                .store
+        };
+        // An engine record that differs from the archived one for (12, 1)
+        // makes the load refuse.
+        let central = CentralServer::new(3);
         let different = TrafficRecord::new(
             location,
             PeriodId::new(1),
             BitmapSize::new(512).expect("pow2"),
         );
         assert_ne!(different, sample_record(12, 1));
-        server
-            .shared
-            .central
-            .submit(different)
-            .expect("engine slot free");
-        let mut stream = connect(server.local_addr());
-        assert_eq!(
-            exchange(&mut stream, &query),
-            Response::Error {
-                code: ErrorCode::Internal,
-                message: "store contradicts query engine at location 12 period 1".into(),
-            }
-        );
-        assert!(!is_hydrated(&server));
-        drop(stream);
-        server.shutdown().expect("shutdown");
+        central.submit(different).expect("engine slot free");
+        match load_archive(&central, &mut open()) {
+            Err(DaemonError::ReplayConflict(detail)) => assert_eq!(
+                detail,
+                "store contradicts query engine at location 12 period 1"
+            ),
+            other => panic!("expected a replay conflict, got {other:?}"),
+        }
 
-        // An identical engine record is no contradiction: hydration
-        // accepts it as an idempotent re-publish and the query answers.
-        let server = RpcServer::start("127.0.0.1:0", &path, test_config()).expect("restart");
-        server
-            .shared
-            .central
+        // An identical engine record is no contradiction: the load accepts
+        // it as an idempotent re-publish.
+        let central = CentralServer::new(3);
+        central
             .submit(sample_record(12, 1))
             .expect("engine slot free");
-        let mut stream = connect(server.local_addr());
-        let response = exchange(&mut stream, &query);
-        assert!(matches!(response, Response::Estimate(_)), "{response:?}");
-        assert!(is_hydrated(&server));
-        assert_eq!(server.shared.central.record_count(), 3);
-        drop(stream);
-        server.shutdown().expect("shutdown");
+        assert_eq!(load_archive(&central, &mut open()).expect("load"), 1);
+        assert_eq!(central.record_count(), 3);
         cleanup_archive(&path);
     }
 
     #[test]
-    fn query_cache_serves_identical_answers_and_respects_epochs() {
-        let path = temp_archive("cache");
-        let server = RpcServer::start("127.0.0.1:0", &path, test_config()).expect("start");
-        let addr = server.local_addr();
-        let mut stream = connect(addr);
-
-        for period in 0..3 {
-            let response = exchange(&mut stream, &Request::Upload(sample_record(6, period)));
-            assert_eq!(
-                response,
-                Response::UploadOk {
-                    accepted: 1,
-                    duplicates: 0
-                }
-            );
+    fn recovery_from_a_store_that_contradicts_the_engine_stays_degraded() {
+        let path = temp_archive("recover-conflict");
+        let config = ServerConfig {
+            degraded_cooldown: Duration::ZERO,
+            compact_interval: Duration::ZERO,
+            ..test_config()
+        };
+        let server = RpcServer::start("127.0.0.1:0", &path, config).expect("start");
+        // The engine and the archive disagree on (12, 1): a store swapped
+        // out from under the daemon.
+        let different = TrafficRecord::new(
+            LocationId::new(12),
+            PeriodId::new(1),
+            BitmapSize::new(512).expect("pow2"),
+        );
+        server.shared.central.submit(different).expect("engine");
+        {
+            let mut store = lock_writer(&server.shared.writer);
+            store
+                .append_all([sample_record(12, 1)].iter())
+                .expect("archive");
+            enter_degraded(&server.shared);
+            assert!(!try_recover(&server.shared, &mut store));
         }
-        let location = LocationId::new(6);
-        let periods: Vec<PeriodId> = (0..3).map(PeriodId::new).collect();
-        let query = Request::QueryPoint {
-            location,
-            periods: periods.clone(),
-        };
-        let first = match exchange(&mut stream, &query) {
-            Response::Estimate(value) => value,
-            other => panic!("expected estimate, got {other:?}"),
-        };
-        // Second answer comes from the cache; it must be bit-for-bit equal.
-        let second = match exchange(&mut stream, &query) {
-            Response::Estimate(value) => value,
-            other => panic!("expected estimate, got {other:?}"),
-        };
-        assert_eq!(first.to_bits(), second.to_bits());
+        assert!(server.degraded(), "a contradicting store keeps ingest down");
 
-        // An upload to the same location bumps its epoch: the next answer
-        // is recomputed (the periods queried are unchanged, so its value
-        // still matches bit for bit).
-        let response = exchange(&mut stream, &Request::Upload(sample_record(6, 9)));
+        // Uploads are shed, not answered with the contradiction.
+        let mut stream = connect(server.local_addr());
         assert_eq!(
-            response,
-            Response::UploadOk {
-                accepted: 1,
-                duplicates: 0
+            exchange(&mut stream, &Request::Upload(sample_record(13, 0))),
+            Response::Overloaded {
+                retry_after_ms: test_config().retry_after_ms
             }
         );
-        let third = match exchange(&mut stream, &query) {
-            Response::Estimate(value) => value,
-            other => panic!("expected estimate, got {other:?}"),
-        };
-        assert_eq!(first.to_bits(), third.to_bits());
-        server.shutdown().expect("shutdown");
-        cleanup_archive(&path);
-    }
-
-    #[test]
-    fn only_queries_answered_from_memory_let_the_worker_spin() {
-        let path = temp_archive("spin-rule");
-        let server = RpcServer::start("127.0.0.1:0", &path, test_config()).expect("start");
-        let mut stream = connect(server.local_addr());
-        for period in 0..3 {
-            let response = exchange(&mut stream, &Request::Upload(sample_record(4, period)));
-            assert!(
-                matches!(response, Response::UploadOk { .. }),
-                "{response:?}"
-            );
-        }
-        drop(stream);
-        server.shutdown().expect("shutdown");
-
-        // Restarted, location 4 is cold: the first query hydrates it.
-        let server = RpcServer::start("127.0.0.1:0", &path, test_config()).expect("restart");
-        let run = |kind: JobKind| {
-            let (replies, idle) = execute_job(&server.shared, kind);
-            let response = &replies[0].response;
-            assert!(!matches!(response, Response::Error { .. }), "{response:?}");
-            idle
-        };
-        let single = |request: Request| {
-            JobKind::Single(DecodedFrame {
-                request,
-                trace: None,
-                arrived: Instant::now(),
-                deadline: None,
-            })
-        };
-        let location = LocationId::new(4);
-        let point = || Request::QueryPoint {
-            location,
-            periods: (0..3).map(PeriodId::new).collect(),
-        };
-        assert_eq!(run(single(point())), Idle::Park, "hydrating query");
-        assert_eq!(run(single(point())), Idle::Spin, "cache hit");
-        let volume = Request::QueryVolume {
-            location,
-            period: PeriodId::new(1),
-        };
-        assert_eq!(run(single(volume)), Idle::Spin, "estimate over hydrated");
-        let upload = DecodedFrame {
-            request: Request::Upload(sample_record(4, 7)),
-            trace: None,
-            arrived: Instant::now(),
-            deadline: None,
-        };
-        assert_eq!(run(JobKind::Ingest(vec![upload])), Idle::Park, "upload");
         server.shutdown().expect("shutdown");
         cleanup_archive(&path);
     }

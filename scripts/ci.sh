@@ -64,8 +64,8 @@ echo "==> rpc loopback integration tests (bounded)"
 timeout 300 cargo test --quiet -p ptm-integration-tests --test rpc_loopback
 
 # Concurrency stress on the sharded store: parallel uploaders + queriers
-# must answer bit-for-bit like a sequential run, and the query cache must
-# invalidate per location. Same bounding rationale as above.
+# must answer bit-for-bit like a sequential run, and a panicked upload must
+# publish nothing. Same bounding rationale as above.
 echo "==> shard stress tests (bounded)"
 timeout 300 cargo test --quiet -p ptm-integration-tests --test shard_stress
 
@@ -101,8 +101,8 @@ timeout 300 cargo test --quiet -p ptm-integration-tests --test overload_storm
 # call, a `Ping` record count that differs from the acked records, or an
 # answer that is not bit-exact against an in-process `CentralServer` — so
 # the record decode and frame/segment CRC paths are checked end to end on
-# every run. `mixed` is the one workload where cold-start hydration runs
-# under the writer lock beside live uploads.
+# every run. `mixed` uploads open-loop beside a paced query stream on a
+# restarted archive, which the daemon loads before it serves.
 echo "==> benchmark smoke (bounded, correctness gate only)"
 cargo build --release --quiet --offline --manifest-path loadbench/Cargo.toml
 for workload in ingest query mixed; do
@@ -130,8 +130,8 @@ wait "$serve_pid"
 
 # Cold-start smoke for storage engine v2: populate an archive with enough
 # uploads to rotate a few segments, kill the daemon, reopen with tracing on,
-# and assert the startup went through the indexed path (a recorded
-# `store.index.load` span) instead of a full replay.
+# query the reopened daemon, and assert the open went through the indexed
+# path (a recorded `store.index.load` span) instead of a full replay.
 echo "==> cold-start smoke (O(index) reopen)"
 rm -f out/trace-coldstart.jsonl
 rm -rf out/coldstart.ptma
@@ -149,9 +149,17 @@ if "$ptm" serve --health --addr 127.0.0.1:17172; then
     exit 1
 fi
 # The shutdown checkpoint seals the tail, so this reopen must go through
-# sealed-index loads only — no record replay.
+# sealed-index loads only — no record replay — before the daemon loads the
+# records into its query engine and answers from memory.
 "$ptm" serve --archive out/coldstart.ptma --addr 127.0.0.1:17172 \
-    --duration-secs 1 --trace out/trace-coldstart.jsonl --quiet
+    --duration-secs 4 --trace out/trace-coldstart.jsonl --quiet &
+serve_pid=$!
+if ! "$ptm" query --addr 127.0.0.1:17172 --kind point --location 7 --periods 12 --quiet; then
+    kill "$serve_pid" 2> /dev/null || true
+    echo "ci: the reopened daemon did not answer a query" >&2
+    exit 1
+fi
+wait "$serve_pid"
 grep -q 'store.index.load' out/trace-coldstart.jsonl \
     || { echo "ci: cold start did not record a store.index.load span" >&2; exit 1; }
 rm -rf out/trace-smoke.ptma out/coldstart.ptma

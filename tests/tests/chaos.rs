@@ -415,7 +415,6 @@ fn overload_burst_sheds_explicitly_and_answers_the_rest_exactly() {
         read_timeout: Duration::from_secs(5),
         poll_interval: Duration::from_millis(5),
         workers: 1,
-        cache_capacity: 0, // every query computes; nothing hides behind the cache
         retry_after_ms: 25,
         fault_plan: Some(plan),
         ..ServerConfig::default()

@@ -13,9 +13,10 @@ use ptm_core::record::{PeriodId, TrafficRecord};
 use ptm_integration_tests::{direct_record, fleet};
 use ptm_net::CentralServer;
 use ptm_rpc::{
-    ClientConfig, ClientError, ErrorCode, RpcClient, RpcServer, ServerConfig, PROTOCOL_VERSION,
+    ClientConfig, ClientError, DaemonError, ErrorCode, RpcClient, RpcServer, ServerConfig,
+    PROTOCOL_VERSION,
 };
-use ptm_store::{SegmentStore, StoreOptions};
+use ptm_store::{SegmentStore, StoreError, StoreOptions};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::path::PathBuf;
@@ -301,11 +302,19 @@ fn corrupt_and_oversized_frames_close_the_connection_not_the_daemon() {
 fn conflicting_record_is_fatal_not_retried() {
     let _guard = lock();
     let path = temp_archive("conflict-fatal");
-    let server = RpcServer::start("127.0.0.1:0", &path, server_config()).expect("start");
-    let mut client = RpcClient::connect(server.local_addr(), client_config()).expect("client");
-
+    let location = LocationId::new(8);
     let records = campaign(8, 1, 21);
-    client.upload_batch(&records).expect("first upload");
+    {
+        let server = RpcServer::start("127.0.0.1:0", &path, server_config()).expect("start");
+        let mut client = RpcClient::connect(server.local_addr(), client_config()).expect("client");
+        client.upload_batch(&records).expect("first upload");
+        server.shutdown().expect("shutdown");
+    }
+
+    // Restarted, with no query in between: the conflict is caught against
+    // the record loaded from the archive at start.
+    let server = RpcServer::start("127.0.0.1:0", &path, server_config()).expect("restart");
+    let mut client = RpcClient::connect(server.local_addr(), client_config()).expect("client");
     // Same slot, different contents: the daemon must refuse, and the
     // client must surface it as a server error without burning retries.
     let conflicting = campaign(8, 1, 22);
@@ -316,11 +325,53 @@ fn conflicting_record_is_fatal_not_retried() {
         }) => {}
         other => panic!("expected DuplicateConflict, got {other:?}"),
     }
-    // The engine still answers with the original record.
-    let vol = client
-        .query_volume(LocationId::new(8), PeriodId::new(0))
-        .expect("volume");
-    assert!(vol.is_finite());
     server.shutdown().expect("shutdown");
+
+    // After one more restart the engine still answers with the original
+    // record.
+    let reference = CentralServer::new(3);
+    reference
+        .submit(records[0].clone())
+        .expect("reference submit");
+    let expected = reference
+        .estimate_volume(location, PeriodId::new(0))
+        .expect("reference volume");
+    let server = RpcServer::start("127.0.0.1:0", &path, server_config()).expect("restart");
+    let mut client = RpcClient::connect(server.local_addr(), client_config()).expect("client");
+    let vol = client
+        .query_volume(location, PeriodId::new(0))
+        .expect("volume");
+    assert_eq!(vol.to_bits(), expected.to_bits());
+    server.shutdown().expect("shutdown");
+    cleanup_archive(&path);
+}
+
+#[test]
+fn corrupt_sealed_frame_fails_the_start() {
+    let _guard = lock();
+    let path = temp_archive("corrupt-sealed");
+    {
+        let server = RpcServer::start("127.0.0.1:0", &path, server_config()).expect("start");
+        let mut client = RpcClient::connect(server.local_addr(), client_config()).expect("client");
+        client.upload_batch(&campaign(6, 2, 60)).expect("upload");
+        // The clean shutdown seals the segment, so the next open reads
+        // its footer index, not its frames.
+        server.shutdown().expect("shutdown");
+    }
+
+    // One flipped payload byte in the first record frame, which follows
+    // the 8-byte segment header and the frame's own 8-byte header.
+    let segment = path.join("seg-00000000.ptms");
+    let mut bytes = std::fs::read(&segment).expect("read segment");
+    bytes[8 + 8 + 30] ^= 0x01;
+    std::fs::write(&segment, &bytes).expect("write segment");
+    match RpcServer::start("127.0.0.1:0", &path, server_config()) {
+        Err(DaemonError::Store(StoreError::CorruptFrame { .. })) => {}
+        Err(other) => panic!("expected a corrupt frame, got {other:?}"),
+        Ok(server) => {
+            server.shutdown().expect("shutdown");
+            panic!("a daemon started on an archive with a corrupt frame");
+        }
+    }
     cleanup_archive(&path);
 }

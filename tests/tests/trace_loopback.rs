@@ -260,7 +260,6 @@ fn traced_upload_and_query_each_yield_one_connected_span_tree() {
         "upload and query are separate traces"
     );
     named(query, "rpc.client.request");
-    named(query, "rpc.server.cache_lookup");
     named(query, "rpc.server.encode_reply");
 }
 
