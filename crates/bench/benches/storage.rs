@@ -1,13 +1,11 @@
-//! Storage-engine benchmarks: the manifest+index open of a 100k-record
-//! segment store, plus the latency of one historical read
-//! (`SegmentStore::get`: index lookup, one seek and one read of the frame,
-//! CRC check, decode). Run with `cargo bench -p ptm-bench --bench storage`.
+//! Storage-engine benchmark: the open of a 100k-record segment store,
+//! which reads every segment front to back once, checks each frame's
+//! length and CRC, and decodes every record. Run with
+//! `cargo bench -p ptm-bench --bench storage`.
 //!
-//! The store is built once, outside the timed loops: records carry 1 Kibit
+//! The store is built once, outside the timed loop: records carry 1 Kibit
 //! bitmaps with no encodes, so the setup writes ~16 MB instead of
-//! gigabytes while keeping the ratio that matters honest — a record frame
-//! is ~10× the size of its 17-byte index entry, and the open reads only
-//! manifest + footer indexes, never a frame.
+//! gigabytes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ptm_core::encoding::LocationId;
@@ -41,7 +39,7 @@ fn build_v2(dir: &PathBuf, opts: &StoreOptions, records: &[TrafficRecord]) {
     for chunk in records.chunks(1024) {
         store.append_all(chunk.iter()).expect("v2 append");
     }
-    // Clean shutdown: seal the tail so reopen is pure manifest + indexes.
+    // Clean shutdown: seal the tail, as the daemon does.
     store.checkpoint().expect("checkpoint");
 }
 
@@ -63,18 +61,9 @@ fn bench_storage(c: &mut Criterion) {
         b.iter(|| {
             SegmentStore::open(&v2_dir, opts.clone())
                 .expect("v2 open")
-                .store
-                .record_count()
+                .records
+                .len()
         })
-    });
-
-    let location = LocationId::new(LOCATIONS / 2);
-    let period = PeriodId::new(PERIODS / 2);
-    let mut store = SegmentStore::open(&v2_dir, opts.clone())
-        .expect("open")
-        .store;
-    group.bench_function("read", |b| {
-        b.iter(|| store.get(location, period).expect("read"))
     });
     group.finish();
 

@@ -10,13 +10,12 @@
 //! Lifecycle:
 //!
 //! 1. **Startup** — open (or create) the [`ptm_store::SegmentStore`] at
-//!    the configured path, then load every archived record into the
-//!    in-memory query engine before the first frame is served. The open is
-//!    **O(index)** (the store reads its manifest and per-segment footer
-//!    indexes instead of decoding every record); the load makes start
-//!    O(records). A record the engine refuses fails the start with
-//!    [`DaemonError::ReplayConflict`], an unreadable one with
-//!    [`DaemonError::Store`].
+//!    the configured path and move every record the open read into the
+//!    in-memory query engine before the first frame is served: one pass
+//!    over the archive, O(records). Two different frames for one
+//!    `(location, period)` fail the start with
+//!    [`DaemonError::ReplayConflict`] (identical ones load once); a damaged
+//!    archive fails it with [`DaemonError::Store`].
 //! 2. **Ingest** — each accepted batch is validated whole, appended to the
 //!    archive and flushed, *then* published to the query engine, and only
 //!    then acked (write-ahead). An identical re-send of an already-stored
@@ -55,7 +54,7 @@
 //! batch whole and a retry can never half-apply. Queries never take the
 //! writer lock: every record is in the engine from start, so archive I/O
 //! is out of the estimation path entirely. A background maintenance
-//! thread compacts small/superseded segments and, while degraded, retries
+//! thread compacts small sealed segments and, while degraded, retries
 //! the store reopen automatically under the configured cooldown.
 //!
 //! # Shedding
@@ -138,7 +137,7 @@ pub struct ServerConfig {
     /// bytes reach this.
     pub rotate_bytes: u64,
     /// How often the background maintenance thread wakes to compact
-    /// small/superseded segments — and, while degraded, to retry the store
+    /// small sealed segments — and, while degraded, to retry the store
     /// reopen under [`ServerConfig::degraded_cooldown`]. Zero disables the
     /// thread entirely.
     pub compact_interval: Duration,
@@ -187,7 +186,8 @@ pub enum DaemonError {
     /// The archive could not be opened, read, or flushed.
     Store(StoreError),
     /// The query engine refuses an archived record: it already holds a
-    /// different record for that `(location, period)`.
+    /// different record for that `(location, period)` — at start, because
+    /// the archive holds two different frames for that key.
     ReplayConflict(String),
 }
 
@@ -226,7 +226,8 @@ impl From<StoreError> for DaemonError {
 /// What startup recovered from the archive.
 #[derive(Debug, Clone, Copy)]
 pub struct ReplayReport {
-    /// Records loaded into the query engine.
+    /// Records in the query engine once the archive is loaded (a key
+    /// archived twice, identically, counts once).
     pub records: usize,
     /// Bytes discarded from a torn final frame (0 after a clean shutdown).
     pub torn_bytes: u64,
@@ -252,11 +253,6 @@ struct Shared {
     /// The dedicated writer path: serializes ingest and guards the
     /// segment store. Queries never take it.
     writer: Mutex<SegmentStore>,
-    /// Store-derived record total, kept current by startup/ingest/recovery
-    /// so Ping and stats need no writer lock.
-    record_total: AtomicUsize,
-    /// Store-derived location total (same discipline as `record_total`).
-    location_total: AtomicUsize,
     shutdown: AtomicBool,
     config: ServerConfig,
     /// Live connection count, for the accept-side cap.
@@ -384,25 +380,23 @@ impl RpcServer {
             sync_policy: config.sync_policy,
             rotate_bytes: config.rotate_bytes,
         };
-        // The open is O(index): the store reads its manifest and footer
-        // indexes, scanning only the unsealed active segment. The load
-        // that follows reads every record once, before any request.
-        let opened = {
+        // One pass: the open reads and checks every frame, and the records
+        // it decoded move into the engine before any request.
+        let (store, torn_bytes) = {
             let _replay_span = ptm_obs::tspan!("rpc.server.replay");
-            let mut opened = SegmentStore::open(&archive_path, store_opts.clone())?;
-            let loaded = load_archive(&central, &mut opened.store)?;
-            ptm_obs::counter!("rpc.server.hydrations").add(loaded as u64);
-            opened
+            let opened = SegmentStore::open(&archive_path, store_opts.clone())?;
+            load_archive(&central, opened.records)?;
+            ptm_obs::counter!("rpc.server.hydrations").add(central.location_count() as u64);
+            (opened.store, opened.torn_bytes)
         };
         let replay = ReplayReport {
-            records: opened.store.record_count(),
-            torn_bytes: opened.torn_bytes,
+            records: central.record_count(),
+            torn_bytes,
         };
         if replay.torn_bytes > 0 {
             ptm_obs::warn!("rpc.server", "archive had a torn tail";
                 torn_bytes = replay.torn_bytes, path = archive_path.display().to_string());
         }
-        let location_total = opened.store.location_count();
         ptm_obs::counter!("rpc.server.replay.records").add(replay.records as u64);
 
         let listener = TcpListener::bind(addr)?;
@@ -411,9 +405,7 @@ impl RpcServer {
 
         let shared = Arc::new(Shared {
             central,
-            writer: Mutex::new(opened.store),
-            record_total: AtomicUsize::new(replay.records),
-            location_total: AtomicUsize::new(location_total),
+            writer: Mutex::new(store),
             shutdown: AtomicBool::new(false),
             config,
             conn_count: AtomicUsize::new(0),
@@ -482,10 +474,10 @@ impl RpcServer {
         &self.archive_path
     }
 
-    /// Live records held by the store (and by the query engine, which
-    /// loads every one of them at start).
+    /// Records in the query engine, which holds every archived record from
+    /// start: the one place unique records are counted.
     pub fn record_count(&self) -> usize {
-        self.shared.record_total.load(Ordering::SeqCst)
+        self.shared.central.record_count()
     }
 
     /// Whether ingest is currently degraded (shedding uploads because the
@@ -532,13 +524,14 @@ impl RpcServer {
 
     /// Every location with at least one stored record, sorted by id.
     pub fn locations(&self) -> Vec<LocationId> {
-        lock_writer(&self.shared.writer).locations()
+        self.shared.central.locations()
     }
 
     /// Graceful shutdown: stop the event loop (in-flight jobs finish and
     /// their replies flush, within a bound), then checkpoint the store —
     /// pending frames committed and fsynced, the active segment sealed,
-    /// so the next open is pure O(index).
+    /// so the next open checks every acked frame against the manifest's
+    /// counts.
     ///
     /// # Errors
     ///
@@ -555,7 +548,7 @@ impl RpcServer {
         store.checkpoint()?;
         flush_observability(&self.shared.config, "shutdown");
         ptm_obs::info!("rpc.server", "daemon stopped";
-            records = store.record_count());
+            records = self.shared.central.record_count());
         Ok(())
     }
 }
@@ -1288,7 +1281,7 @@ fn reactor_loop(listener: TcpListener, shared: Arc<Shared>, pool: WorkerPool<Job
 /// The background maintenance thread: every `compact_interval` it either
 /// retries the degraded-mode store reopen (so recovery does not have to
 /// wait for the next upload to probe) or runs a compaction pass merging
-/// small/superseded sealed segments. Polls the shutdown flag at
+/// small sealed segments. Polls the shutdown flag at
 /// `poll_interval` granularity so shutdown never waits a full interval.
 fn maintenance_loop(shared: Arc<Shared>) {
     let mut since_tick = Duration::ZERO;
@@ -1310,8 +1303,7 @@ fn maintenance_loop(shared: Arc<Shared>) {
         match store.compact() {
             Ok(report) if report.new_segment.is_some() => {
                 ptm_obs::debug!("rpc.server", "background compaction ran";
-                    merged = report.merged_segments as u64,
-                    dropped = report.dropped_frames);
+                    merged = report.merged_segments as u64);
             }
             Ok(_) => {}
             // compact() already counted and logged the failure; the old
@@ -1450,7 +1442,7 @@ fn run_control(shared: &Shared, frame: DecodedFrame) -> Reply {
         Request::Ping => Response::Pong {
             version: PROTOCOL_VERSION,
             s: shared.config.s,
-            records: shared.record_total.load(Ordering::SeqCst) as u64,
+            records: shared.central.record_count() as u64,
             degraded: shared.degraded.flag.load(Ordering::SeqCst),
         },
         Request::Stats => Response::Stats(stats_json(shared)),
@@ -1511,11 +1503,12 @@ fn run_single(shared: &Shared, frame: DecodedFrame) -> Reply {
 /// metrics snapshot, and the flight-recorder tail.
 fn stats_json(shared: &Shared) -> String {
     let snapshot = ptm_obs::snapshot();
+    let shards = shared.central.shard_stats();
     let mut out = String::with_capacity(2048);
     out.push_str("{\"records\":");
-    out.push_str(&shared.record_total.load(Ordering::SeqCst).to_string());
+    out.push_str(&shared.central.record_count().to_string());
     out.push_str(",\"locations\":");
-    out.push_str(&shared.location_total.load(Ordering::SeqCst).to_string());
+    out.push_str(&shards.len().to_string());
     out.push_str(",\"connections\":");
     out.push_str(&shared.conn_count.load(Ordering::SeqCst).to_string());
     out.push_str(",\"degraded\":");
@@ -1563,7 +1556,7 @@ fn stats_json(shared: &Shared) -> String {
         None => out.push_str("null"),
     }
     out.push_str(",\"shards\":[");
-    for (i, (location, records)) in shared.central.shard_stats().iter().enumerate() {
+    for (i, (location, records)) in shards.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -1642,31 +1635,29 @@ fn estimate_response(result: Result<f64, ServerError>) -> Response {
     }
 }
 
-/// Publishes every record in `store` into `central`, location by location,
-/// and returns how many locations held records. Each record goes in as the
-/// `Arc` the store returns, not cloned: the store keeps no copy, so the
-/// engine's shard holds the only one. `CentralServer::submit` accepts a
-/// record identical to the one it holds, so loading into an engine that
-/// already holds some of the records is an idempotent re-publish, and it
-/// refuses a different one: the store contradicts the engine
-/// ([`DaemonError::ReplayConflict`]). A failed read is
-/// [`DaemonError::Store`]. Start loads into an empty engine; degraded-mode
-/// recovery loads the reopened store into the live one.
-fn load_archive(central: &CentralServer, store: &mut SegmentStore) -> Result<usize, DaemonError> {
-    let locations = store.locations();
-    for &location in &locations {
-        for record in store.records_for_location(location)? {
-            let period = record.period();
-            central.submit(record).map_err(|_| {
-                DaemonError::ReplayConflict(format!(
-                    "store contradicts query engine at location {} period {}",
-                    location.get(),
-                    period.get()
-                ))
-            })?;
-        }
+/// Publishes the records a store open read into `central`. Each record
+/// goes in as the `Arc` the open handed over, not cloned: the store keeps
+/// no copy, so the engine's shard holds the only one.
+/// `CentralServer::submit` accepts a record identical to the one it holds,
+/// so a key archived twice identically, or loaded into an engine that
+/// already holds it, is an idempotent re-publish; it refuses a different
+/// one ([`DaemonError::ReplayConflict`]). Start loads into an empty engine;
+/// degraded-mode recovery loads the reopened store into the live one.
+fn load_archive(
+    central: &CentralServer,
+    records: Vec<Arc<TrafficRecord>>,
+) -> Result<(), DaemonError> {
+    for record in records {
+        let (location, period) = (record.location(), record.period());
+        central.submit(record).map_err(|_| {
+            DaemonError::ReplayConflict(format!(
+                "archive contradicts query engine at location {} period {}",
+                location.get(),
+                period.get()
+            ))
+        })?;
     }
-    Ok(locations.len())
+    Ok(())
 }
 
 /// How one coalesced upload frame fared through validation.
@@ -1931,15 +1922,8 @@ fn ingest_frames(shared: &Shared, frames: Vec<DecodedFrame>) -> Vec<Reply> {
         })
         .collect();
 
-    shared
-        .record_total
-        .store(store.record_count(), Ordering::SeqCst);
-    shared
-        .location_total
-        .store(store.location_count(), Ordering::SeqCst);
     if ptm_obs::metrics_enabled() {
-        ptm_obs::gauge!("rpc.shard.records").set(store.record_count() as i64);
-        ptm_obs::gauge!("rpc.shard.locations").set(store.location_count() as i64);
+        ptm_obs::gauge!("rpc.shard.records").set(shared.central.record_count() as i64);
     }
     ptm_obs::counter!("rpc.server.ingest.accepted").add(accepted_total);
     ptm_obs::counter!("rpc.server.ingest.duplicates").add(duplicates_total);
@@ -2019,7 +2003,7 @@ fn try_recover(shared: &Shared, store: &mut MutexGuard<'_, SegmentStore>) -> boo
     // Reopen from disk through the same hooks, so chaos schedules carry
     // across the swap. Open re-runs torn-tail recovery, which is what
     // heals a wedged store whose rollback truncate failed.
-    let mut recovered = match SegmentStore::open(&shared.archive_path, shared.store_opts.clone()) {
+    let recovered = match SegmentStore::open(&shared.archive_path, shared.store_opts.clone()) {
         Ok(opened) => opened,
         Err(err) => {
             ptm_obs::warn!("rpc.server", "degraded-mode reopen probe failed";
@@ -2033,19 +2017,13 @@ fn try_recover(shared: &Shared, store: &mut MutexGuard<'_, SegmentStore>) -> boo
     // disk but not in memory (a crash squeezed between commit and publish)
     // is added, and a contradiction means the directory was swapped out
     // from under us, so ingest stays down.
-    if let Err(err) = load_archive(&shared.central, &mut recovered.store) {
+    if let Err(err) = load_archive(&shared.central, recovered.records) {
         ptm_obs::error!("rpc.server", "reconciling reopened store failed";
             error = err.to_string());
         return false;
     }
-    let (records, locations, torn_bytes) = (
-        recovered.store.record_count(),
-        recovered.store.location_count(),
-        recovered.torn_bytes,
-    );
     **store = recovered.store;
-    shared.record_total.store(records, Ordering::SeqCst);
-    shared.location_total.store(locations, Ordering::SeqCst);
+    let (records, torn_bytes) = (shared.central.record_count(), recovered.torn_bytes);
     shared.degraded.failures.store(0, Ordering::SeqCst);
     shared.degraded.flag.store(false, Ordering::SeqCst);
     ptm_obs::counter!("store.recovery.reopens").inc();
@@ -2699,7 +2677,7 @@ mod tests {
         let open = || {
             SegmentStore::open(&path, StoreOptions::default())
                 .expect("open")
-                .store
+                .records
         };
         // An engine record that differs from the archived one for (12, 1)
         // makes the load refuse.
@@ -2711,10 +2689,10 @@ mod tests {
         );
         assert_ne!(different, sample_record(12, 1));
         central.submit(different).expect("engine slot free");
-        match load_archive(&central, &mut open()) {
+        match load_archive(&central, open()) {
             Err(DaemonError::ReplayConflict(detail)) => assert_eq!(
                 detail,
-                "store contradicts query engine at location 12 period 1"
+                "archive contradicts query engine at location 12 period 1"
             ),
             other => panic!("expected a replay conflict, got {other:?}"),
         }
@@ -2725,9 +2703,93 @@ mod tests {
         central
             .submit(sample_record(12, 1))
             .expect("engine slot free");
-        assert_eq!(load_archive(&central, &mut open()).expect("load"), 1);
+        load_archive(&central, open()).expect("load");
         assert_eq!(central.record_count(), 3);
         cleanup_archive(&path);
+    }
+
+    #[test]
+    fn start_refuses_two_different_frames_for_one_key_and_loads_identical_ones_once() {
+        // The store is a log: it keeps both frames, and the load decides.
+        let path = temp_archive("two-frames");
+        let record = sample_record(12, 1);
+        let different = TrafficRecord::new(
+            LocationId::new(12),
+            PeriodId::new(1),
+            BitmapSize::new(512).expect("pow2"),
+        );
+        assert_ne!(different, record);
+        {
+            let mut store = SegmentStore::open(&path, StoreOptions::default())
+                .expect("open")
+                .store;
+            store.append_all([&record, &different]).expect("append");
+        }
+        match RpcServer::start("127.0.0.1:0", &path, test_config()) {
+            Err(DaemonError::ReplayConflict(detail)) => assert_eq!(
+                detail,
+                "archive contradicts query engine at location 12 period 1"
+            ),
+            Err(other) => panic!("expected a replay conflict, got {other:?}"),
+            Ok(_) => panic!("a start over two different frames for one key must fail"),
+        }
+        cleanup_archive(&path);
+
+        let path = temp_archive("two-identical-frames");
+        {
+            let mut store = SegmentStore::open(&path, StoreOptions::default())
+                .expect("open")
+                .store;
+            store.append_all([&record, &record]).expect("append");
+            assert_eq!(store.record_count(), 2, "the store counts frames");
+        }
+        let server = RpcServer::start("127.0.0.1:0", &path, test_config()).expect("start");
+        assert_eq!(server.shared.central.record_count(), 1);
+        assert_eq!(server.replay_report().records, 1);
+        assert_eq!(server.record_count(), 1);
+        server.shutdown().expect("shutdown");
+        cleanup_archive(&path);
+    }
+
+    #[test]
+    fn start_refuses_a_damaged_sealed_segment_and_leaves_it_untouched() {
+        let records: Vec<TrafficRecord> = (0..10).map(|period| sample_record(14, period)).collect();
+        let frame = 8 + ptm_store::codec::encode_record(&records[9]).len() as u64;
+        // Cut half the last frame, then exactly one whole frame: the first
+        // is a torn sealed frame, the second reads as a clean nine-frame
+        // segment that only the manifest's count of ten catches.
+        for cut in [frame / 2, frame] {
+            let path = temp_archive(&format!("damaged-sealed-{cut}"));
+            {
+                let mut store = SegmentStore::open(&path, StoreOptions::default())
+                    .expect("open")
+                    .store;
+                store.append_all(&records).expect("append");
+                store.checkpoint().expect("seal");
+            }
+            let segment = path.join("seg-00000000.ptms");
+            let len = std::fs::metadata(&segment).expect("meta").len();
+            let file = std::fs::OpenOptions::new()
+                .write(true)
+                .open(&segment)
+                .expect("open rw");
+            file.set_len(len - cut).expect("cut");
+            drop(file);
+            let before = std::fs::read(&segment).expect("read");
+            match RpcServer::start("127.0.0.1:0", &path, test_config()) {
+                Err(DaemonError::Store(StoreError::CorruptFrame { offset })) => {
+                    assert_eq!(offset, len - frame, "cut {cut}");
+                }
+                Err(other) => panic!("cut {cut}: expected CorruptFrame, got {other:?}"),
+                Ok(_) => panic!("cut {cut}: a damaged sealed segment must fail the start"),
+            }
+            assert_eq!(
+                std::fs::read(&segment).expect("reread"),
+                before,
+                "a sealed segment is never truncated"
+            );
+            cleanup_archive(&path);
+        }
     }
 
     #[test]

@@ -95,8 +95,8 @@ pub fn encode_record(record: &TrafficRecord) -> Vec<u8> {
 }
 
 /// Reads just the `(location, period)` key from an encoded payload without
-/// decoding the bitmap — the segment store's index builder scans committed
-/// frames with this, so recovery cost is independent of bitmap size.
+/// decoding the bitmap — the segment store's per-location read filters
+/// frames with this and decodes only the ones it keeps.
 ///
 /// # Errors
 ///

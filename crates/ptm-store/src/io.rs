@@ -92,8 +92,8 @@ pub struct StoreHooks {
     pub set_len: SiteHandle,
     /// Fires on every segment-store manifest commit.
     pub manifest: SiteHandle,
-    /// Fires on every segment seal — the footer index frame + trailer
-    /// written at rotation.
+    /// Fires on every segment seal — the outgoing segment's fsync at
+    /// rotation, and the merged file's at compaction.
     pub seal: SiteHandle,
 }
 

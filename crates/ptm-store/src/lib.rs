@@ -9,21 +9,20 @@
 //! * [`codec`] — a compact, versioned binary encoding of
 //!   [`ptm_core::record::TrafficRecord`];
 //! * [`crc32`] — a from-scratch CRC-32 (IEEE) for frame integrity;
-//! * [`segment`] — the [`segment::SegmentStore`]: writes go to one active
-//!   segment as per-frame-checksummed, transactional commits (a failed
-//!   append rolls the file back to the last good frame, so an acked batch
-//!   is never ahead of durable state) and rotate through size-bounded
-//!   segment files; sealed segments carry a footer
-//!   [`index::SegmentIndex`], `open()` reads manifest + indexes instead
-//!   of replaying every record and recovers a torn tail, and reads go
-//!   straight to the segment files through one frame reader (the store
-//!   keeps no decoded record resident; the daemon's query engine holds the
-//!   only in-memory copy);
+//! * [`segment`] — the [`segment::SegmentStore`], a log: writes go to one
+//!   active segment as per-frame-checksummed, transactional commits (a
+//!   failed append rolls the file back to the last good frame, so an acked
+//!   batch is never ahead of durable state) and rotate through size-bounded
+//!   segment files of CRC frames and nothing else; `open()` reads every
+//!   segment once through one frame reader, recovers a torn active tail,
+//!   refuses a damaged sealed segment, and hands over every record it read
+//!   (the store keeps no decoded record resident; the daemon's query engine
+//!   holds the only in-memory copy);
 //! * [`manifest`] — the CRC-checked [`manifest::Manifest`] naming the live
-//!   segment set, committed atomically (temp file + rename);
-//! * [`index`] — per-segment `location → period → frame offset` maps;
-//! * [`compact`] — crash-safe background compaction: small or superseded
-//!   segments merge into one, published by a single manifest swap;
+//!   segment set and which segments are sealed, with each sealed segment's
+//!   exact frame count, committed atomically (temp file + rename);
+//! * [`compact`] — crash-safe background compaction: small sealed segments
+//!   merge into one, published by a single manifest swap;
 //! * [`io`] — the pluggable [`io::StorageIo`] backend segments are written
 //!   through, with a fault-injecting decorator ([`io::HookedIo`]) wired to
 //!   [`ptm_fault`] for chaos testing (see `docs/FAULTS.md`), and the
@@ -39,14 +38,12 @@
 pub mod codec;
 pub mod compact;
 pub mod crc32;
-pub mod index;
 pub mod io;
 pub mod manifest;
 pub mod segment;
 
 pub use codec::StoreError;
 pub use compact::CompactionReport;
-pub use index::SegmentIndex;
 pub use io::{StorageIo, StoreHooks, SyncPolicy};
 pub use manifest::Manifest;
 pub use segment::{OpenedStore, SegmentStore, StoreOptions};

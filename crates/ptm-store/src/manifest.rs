@@ -3,19 +3,16 @@
 //! One `MANIFEST` file per store directory:
 //!
 //! ```text
-//! "PTMM" (4) | version u16 = 2 | reserved u16
+//! "PTMM" (4) | version u16 = 3 | reserved u16
 //! u64 next segment id
 //! u32 segment count
-//! per segment: u64 id | u8 sealed | u64 committed record count
-//!              u64 supersession rank
+//! per segment: u64 id | u8 sealed | u64 record count
 //! u32 crc32 of everything above
 //! ```
 //!
-//! The **rank** orders segments by frame recency for the reopen lookup
-//! rebuild. Rotation-sealed segments rank at their own id; a compacted
-//! segment inherits its newest victim's rank, because its frames are
-//! copies of data appended back then — a merged segment must never
-//! outrank a segment whose appends postdate the compaction's victims.
+//! The manifest is the only record of which segment is sealed: a segment
+//! file carries no footer. A sealed segment's record count is exact, and
+//! `open` refuses a sealed file holding any other number of frames.
 //!
 //! Commits are atomic: the new manifest is written to a sibling temp file,
 //! fsynced, then renamed over `MANIFEST`. A crash (or injected
@@ -33,7 +30,9 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 const MAGIC: [u8; 4] = *b"PTMM";
-const VERSION: u16 = 2;
+const VERSION: u16 = 3;
+/// Bytes per segment entry: id, sealed flag, record count.
+const ENTRY_LEN: usize = 17;
 
 /// The manifest file name inside a store directory.
 pub const MANIFEST_FILE: &str = "MANIFEST";
@@ -45,19 +44,12 @@ pub const MANIFEST_TEMP: &str = "MANIFEST.tmp";
 pub struct SegmentMeta {
     /// The segment's id (also its file name, `seg-<id>.ptms`).
     pub id: u64,
-    /// Whether the segment is sealed (footer index + trailer present).
-    /// At most one unsealed (active) segment exists at a time.
+    /// Whether the segment is sealed (no further appends). Exactly one
+    /// unsealed (active) segment exists once a store has opened.
     pub sealed: bool,
-    /// Committed records at the last manifest commit. Exact for sealed
-    /// segments; a floor for the active one (appends since the last
-    /// rotation are recovered by scanning).
+    /// Frames in a sealed segment, exact; 0 for the active segment, whose
+    /// frames `open` counts.
     pub records: u64,
-    /// Supersession rank: the reopen lookup rebuild resolves duplicate
-    /// keys by ascending rank (active segment last), so higher-ranked
-    /// frames win. Equal to `id` for rotation-sealed segments; a
-    /// compacted segment inherits the maximum rank of its victims, which
-    /// keeps it *below* every segment whose appends postdate the merge.
-    pub rank: u64,
 }
 
 /// The live segment set plus the id allocator.
@@ -95,7 +87,7 @@ impl Manifest {
 
     /// Serializes the manifest, CRC included.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(20 + self.segments.len() * 25);
+        let mut out = Vec::with_capacity(24 + self.segments.len() * ENTRY_LEN);
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
         out.extend_from_slice(&0u16.to_le_bytes());
@@ -105,7 +97,6 @@ impl Manifest {
             out.extend_from_slice(&segment.id.to_le_bytes());
             out.push(u8::from(segment.sealed));
             out.extend_from_slice(&segment.records.to_le_bytes());
-            out.extend_from_slice(&segment.rank.to_le_bytes());
         }
         let crc = crc32(&out);
         out.extend_from_slice(&crc.to_le_bytes());
@@ -136,7 +127,7 @@ impl Manifest {
         let next_segment_id = le_u64(&body[8..16]);
         let count = le_u32(&body[16..20]) as usize;
         let entries = &body[20..];
-        if entries.len() != count * 25 {
+        if entries.len() != count * ENTRY_LEN {
             return Err(StoreError::MalformedRecord {
                 reason: format!(
                     "manifest claims {count} segments but carries {} entry bytes",
@@ -145,12 +136,11 @@ impl Manifest {
             });
         }
         let mut segments = Vec::with_capacity(count);
-        for chunk in entries.chunks_exact(25) {
+        for chunk in entries.chunks_exact(ENTRY_LEN) {
             segments.push(SegmentMeta {
                 id: le_u64(&chunk[0..8]),
                 sealed: chunk[8] != 0,
                 records: le_u64(&chunk[9..17]),
-                rank: le_u64(&chunk[17..25]),
             });
         }
         let ids_ascend = segments.windows(2).all(|w| w[0].id < w[1].id);
@@ -160,13 +150,9 @@ impl Manifest {
                 reason: "manifest segment ids out of order or unallocated".into(),
             });
         }
-        let mut ranks: Vec<u64> = segments.iter().map(|s| s.rank).collect();
-        ranks.sort_unstable();
-        let ranks_unique = ranks.windows(2).all(|w| w[0] < w[1]);
-        let ranks_allocated = ranks.iter().all(|r| *r < next_segment_id);
-        if !ranks_unique || !ranks_allocated {
+        if segments.iter().filter(|s| !s.sealed).count() > 1 {
             return Err(StoreError::MalformedRecord {
-                reason: "manifest segment ranks duplicated or unallocated".into(),
+                reason: "manifest names more than one active segment".into(),
             });
         }
         Ok(Self {
@@ -239,13 +225,11 @@ mod tests {
                     id: 0,
                     sealed: true,
                     records: 120,
-                    rank: 0,
                 },
                 SegmentMeta {
                     id: 2,
                     sealed: false,
-                    records: 5,
-                    rank: 2,
+                    records: 0,
                 },
             ],
         }
@@ -264,7 +248,7 @@ mod tests {
         let manifest = sample();
         let back = Manifest::decode(&manifest.encode()).expect("decode");
         assert_eq!(back, manifest);
-        assert_eq!(back.segment(2).map(|s| s.records), Some(5));
+        assert_eq!(back.segment(0).map(|s| s.records), Some(120));
         assert!(back.segment(1).is_none());
     }
 
@@ -289,18 +273,10 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_or_unallocated_ranks_rejected() {
+    fn second_active_segment_rejected() {
         let mut manifest = sample();
-        manifest.segments[0].rank = 2;
-        assert!(
-            Manifest::decode(&manifest.encode()).is_err(),
-            "two segments must never share a supersession rank"
-        );
-        manifest.segments[0].rank = 7;
-        assert!(
-            Manifest::decode(&manifest.encode()).is_err(),
-            "ranks come from the id allocator and must stay below it"
-        );
+        manifest.segments[0].sealed = false;
+        assert!(Manifest::decode(&manifest.encode()).is_err());
     }
 
     #[test]
@@ -326,7 +302,6 @@ mod tests {
                 id: 0,
                 sealed: false,
                 records: 0,
-                rank: 0,
             }],
         };
         old.commit(&dir, &SiteHandle::disabled()).expect("seed");

@@ -1,59 +1,57 @@
-//! The segmented archive (storage engine v2).
+//! The segmented archive (storage format v3).
 //!
 //! A store is a **directory**: a CRC-checked [`Manifest`] naming the live
-//! segment set, plus one `seg-<id>.ptms` file per segment. Writes go to the
-//! single *active* segment (transactional commits through the
-//! [`StorageIo`] fault boundary) and rotate to a fresh segment once the
-//! active one reaches `rotate_bytes`. Rotation *seals* the outgoing
-//! segment: a footer [`SegmentIndex`] frame — its length word carries the
-//! high bit so a sequential scanner recognizes it — followed by a 12-byte
-//! trailer (`index frame offset u64 | "PTMF"`).
+//! segment set and which of its segments are sealed, plus one
+//! `seg-<id>.ptms` file per segment. A segment file is a header followed by
+//! CRC frames and nothing else:
 //!
 //! ```text
-//! segment: "PTMS" (4) | version u16 = 2 | reserved u16
+//! segment: "PTMS" (4) | version u16 = 3 | reserved u16
 //!          record frames:  len u32 | crc32 u32 | payload
-//!          sealed only:    (len | 0x8000_0000) u32 | crc32 u32 | index
-//!                          index frame offset u64 | "PTMF"
 //! ```
 //!
-//! `open()` therefore reads **manifest + footers only** — O(index), not
-//! O(records): sealed segments load their index from the trailer without
-//! touching record payloads, and only the active segment is scanned
-//! (key-peek, no bitmap decode) with torn-tail recovery: a final frame cut
-//! short by a crash is discarded and the file truncated back to the last
-//! complete frame, while a checksum failure with complete frames after it
-//! is media damage, reported as [`StoreError::CorruptFrame`].
+//! Writes go to the single *active* segment (transactional commits through
+//! the [`StorageIo`] fault boundary) and rotate to a fresh segment once the
+//! active one reaches `rotate_bytes`. Rotation fsyncs the outgoing segment
+//! and commits a manifest that marks it sealed with its exact frame count.
 //!
-//! Every read — a single [`SegmentStore::get`], a location's whole history
-//! in [`SegmentStore::records_for_location`], compaction's copy of live
-//! frames — goes through one frame reader: one open file per segment, one
-//! seek plus one read per frame into a reused buffer, with each index
-//! entry bounded by its segment's length before anything is allocated and
-//! every frame's length word and CRC checked. The store keeps no decoded
-//! record resident. Background merging lives in [`crate::compact`].
+//! The archive is a log: a second frame for a `(location, period)` key is
+//! kept, not superseded. Key uniqueness is the daemon's invariant, checked
+//! against its query engine before anything is appended.
+//!
+//! [`SegmentStore::open`] reads every segment front to back, once, through
+//! one frame reader (`read_segment`, which also serves
+//! [`SegmentStore::records_for_location`] and compaction): every frame's
+//! length word is bounded before anything is allocated, its CRC checked and
+//! its payload decoded. Damage is judged by the manifest. Its active segment
+//! gets torn-tail recovery: a final frame cut short, or failing its CRC
+//! with nothing after it, is discarded and the file truncated back to the
+//! last complete frame. A sealed segment with a short or bad frame, or with
+//! a frame count other than the manifest's, is
+//! [`StoreError::CorruptFrame`] and is never truncated. Background merging
+//! lives in [`crate::compact`].
 
 use crate::codec::{decode_record, encode_record, peek_key, StoreError};
 use crate::crc32::crc32;
-use crate::index::SegmentIndex;
 use crate::io::{build_io, check_site, StorageIo, StoreHooks, SyncPolicy};
 use crate::manifest::{Manifest, SegmentMeta, MANIFEST_TEMP};
-use ptm_core::record::{PeriodId, TrafficRecord};
+use ptm_core::record::TrafficRecord;
 use ptm_core::LocationId;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fs::{File, OpenOptions};
-use std::io::{BufReader, Read, Seek, SeekFrom, Write};
+use std::io::{BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 const MAGIC: [u8; 4] = *b"PTMS";
-const VERSION: u16 = 2;
+const VERSION: u16 = 3;
 pub(crate) const HEADER_LEN: u64 = 8;
-/// High bit of a frame's length word marks the footer index frame.
-const INDEX_FLAG: u32 = 0x8000_0000;
+/// A frame's `len u32 | crc32 u32` prefix.
+const FRAME_HEADER_LEN: usize = 8;
 const MAX_PAYLOAD: u32 = 32 * 1024 * 1024;
-const TRAILER_MAGIC: [u8; 4] = *b"PTMF";
-const TRAILER_LEN: u64 = 12;
-/// Replay progress cadence: one structured event per this many records.
+/// The frame reader's buffer: one sequential read per 64 KiB of segment.
+const READ_BUFFER: usize = 64 * 1024;
+/// Open progress cadence: one structured event per this many records.
 const REPLAY_PROGRESS_EVERY: u64 = 4096;
 
 fn le_u16(bytes: &[u8]) -> u16 {
@@ -68,12 +66,6 @@ fn le_u32(bytes: &[u8]) -> u32 {
     u32::from_le_bytes(raw)
 }
 
-fn le_u64(bytes: &[u8]) -> u64 {
-    let mut raw = [0u8; 8];
-    raw.copy_from_slice(&bytes[..8]);
-    u64::from_le_bytes(raw)
-}
-
 /// `seg-<id>.ptms`, zero-padded so lexicographic order is id order.
 pub(crate) fn segment_file_name(id: u64) -> String {
     format!("seg-{id:08}.ptms")
@@ -85,6 +77,14 @@ pub(crate) fn parse_segment_file_name(name: &str) -> Option<u64> {
         .strip_suffix(".ptms")?
         .parse()
         .ok()
+}
+
+/// The header every segment file starts with.
+pub(crate) fn segment_header() -> [u8; HEADER_LEN as usize] {
+    let mut header = [0u8; HEADER_LEN as usize];
+    header[0..4].copy_from_slice(&MAGIC);
+    header[4..6].copy_from_slice(&VERSION.to_le_bytes());
+    header
 }
 
 /// Tuning knobs for a [`SegmentStore`].
@@ -109,41 +109,17 @@ impl Default for StoreOptions {
     }
 }
 
-/// Where one live record's frame is, store-wide.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct FrameLoc {
-    pub(crate) segment: u64,
-    pub(crate) offset: u64,
-    pub(crate) len: u32,
-}
-
-/// A sealed segment's in-memory face: its footer index and file totals.
-#[derive(Debug)]
-pub(crate) struct SealedSegment {
-    pub(crate) path: PathBuf,
-    pub(crate) index: SegmentIndex,
-    /// Frames in the file (including superseded ones).
-    pub(crate) records: u64,
-    /// File length in bytes.
-    pub(crate) bytes: u64,
-    /// Supersession rank (see [`SegmentMeta::rank`]): the lookup rebuild
-    /// resolves duplicate keys by ascending rank, not raw id, because a
-    /// compacted segment's id exceeds segments holding *newer* frames.
-    pub(crate) rank: u64,
-}
-
 /// The write head: one unsealed segment with buffered, transactional
 /// commits.
 #[derive(Debug)]
 pub(crate) struct ActiveSegment {
     pub(crate) id: u64,
-    pub(crate) path: PathBuf,
     io: Box<dyn StorageIo>,
     pub(crate) committed_len: u64,
     pub(crate) committed_records: u64,
-    pub(crate) index: SegmentIndex,
     pending: Vec<u8>,
-    pending_entries: Vec<(LocationId, PeriodId, u64, u32)>,
+    /// The location of each pending frame, in append order.
+    pending_locations: Vec<LocationId>,
     pub(crate) wedged: bool,
 }
 
@@ -154,46 +130,31 @@ impl ActiveSegment {
         let path = dir.join(segment_file_name(id));
         {
             let mut file = File::create(&path)?;
-            file.write_all(&MAGIC)?;
-            file.write_all(&VERSION.to_le_bytes())?;
-            file.write_all(&0u16.to_le_bytes())?;
+            file.write_all(&segment_header())?;
             file.flush()?;
         }
-        let file = OpenOptions::new().append(true).open(&path)?;
-        Ok(Self {
-            id,
-            path,
-            io: build_io(file, hooks),
-            committed_len: HEADER_LEN,
-            committed_records: 0,
-            index: SegmentIndex::new(),
-            pending: Vec::new(),
-            pending_entries: Vec::new(),
-            wedged: false,
-        })
+        Self::reopen(dir, id, hooks, 0, HEADER_LEN)
     }
 
     /// Reattaches the write head to an existing segment file whose frames
-    /// have already been scanned (and torn tail truncated).
+    /// have already been read (and torn tail truncated).
     fn reopen(
         dir: &Path,
         id: u64,
         hooks: &StoreHooks,
-        index: SegmentIndex,
         records: u64,
         committed_len: u64,
     ) -> Result<Self, StoreError> {
-        let path = dir.join(segment_file_name(id));
-        let file = OpenOptions::new().append(true).open(&path)?;
+        let file = OpenOptions::new()
+            .append(true)
+            .open(dir.join(segment_file_name(id)))?;
         Ok(Self {
             id,
-            path,
             io: build_io(file, hooks),
             committed_len,
             committed_records: records,
-            index,
             pending: Vec::new(),
-            pending_entries: Vec::new(),
+            pending_locations: Vec::new(),
             wedged: false,
         })
     }
@@ -203,29 +164,20 @@ impl ActiveSegment {
             return Err(StoreError::Wedged);
         }
         let payload = encode_record(record);
-        let offset = self.committed_len + self.pending.len() as u64;
-        self.pending.reserve(8 + payload.len());
+        self.pending.reserve(FRAME_HEADER_LEN + payload.len());
         self.pending
             .extend_from_slice(&(payload.len() as u32).to_le_bytes());
         self.pending
             .extend_from_slice(&crc32(&payload).to_le_bytes());
         self.pending.extend_from_slice(&payload);
-        self.pending_entries.push((
-            record.location(),
-            record.period(),
-            offset,
-            payload.len() as u32,
-        ));
+        self.pending_locations.push(record.location());
         Ok(())
     }
 
-    /// Writes everything pending and returns the committed entries, or
-    /// rolls the file back to the committed watermark (wedging on a failed
-    /// truncate).
-    fn commit(
-        &mut self,
-        sync_policy: SyncPolicy,
-    ) -> Result<Vec<(LocationId, PeriodId, u64, u32)>, StoreError> {
+    /// Writes everything pending and returns the committed frames'
+    /// locations, or rolls the file back to the committed watermark
+    /// (wedging on a failed truncate).
+    fn commit(&mut self, sync_policy: SyncPolicy) -> Result<Vec<LocationId>, StoreError> {
         if self.wedged {
             return Err(StoreError::Wedged);
         }
@@ -248,20 +200,16 @@ impl ActiveSegment {
             }
         }
         self.committed_len += self.pending.len() as u64;
-        self.committed_records += self.pending_entries.len() as u64;
+        self.committed_records += self.pending_locations.len() as u64;
         self.pending.clear();
-        let entries = std::mem::take(&mut self.pending_entries);
-        for (location, period, offset, len) in &entries {
-            self.index.insert(*location, *period, *offset, *len);
-        }
-        Ok(entries)
+        Ok(std::mem::take(&mut self.pending_locations))
     }
 
     fn rollback(&mut self) {
         let dropped_bytes = self.pending.len() as u64;
-        let dropped_records = self.pending_entries.len();
+        let dropped_records = self.pending_locations.len();
         self.pending.clear();
-        self.pending_entries.clear();
+        self.pending_locations.clear();
         ptm_obs::counter!("store.recovery.rollbacks").inc();
         ptm_obs::counter!("store.recovery.rolled_back_records").add(dropped_records as u64);
         match self.io.set_len(self.committed_len) {
@@ -290,65 +238,14 @@ impl ActiveSegment {
         }
     }
 
-    /// Appends the footer index frame + trailer and fsyncs, turning this
-    /// segment into a sealed one. Consults the `store.seal` fault site; on
-    /// failure the footer is truncated away so the segment stays active
-    /// (wedging only if even that truncate fails).
+    /// Makes the committed frames durable before a manifest marks this
+    /// segment sealed. Consults the `store.seal` fault site first; on any
+    /// failure nothing changed and the segment stays the write head.
     fn seal(&mut self, hooks: &StoreHooks) -> Result<(), StoreError> {
         debug_assert!(self.pending.is_empty(), "seal requires a committed segment");
-        let payload = self.index.encode();
-        let mut footer = Vec::with_capacity(8 + payload.len() + TRAILER_LEN as usize);
-        footer.extend_from_slice(&((payload.len() as u32) | INDEX_FLAG).to_le_bytes());
-        footer.extend_from_slice(&crc32(&payload).to_le_bytes());
-        footer.extend_from_slice(&payload);
-        footer.extend_from_slice(&self.committed_len.to_le_bytes());
-        footer.extend_from_slice(&TRAILER_MAGIC);
-        let sealed = check_site(&hooks.seal, "segment seal")
-            .map_err(StoreError::from)
-            .and_then(|()| {
-                self.io.write_all(&footer)?;
-                self.io.flush()?;
-                self.io.sync()?;
-                Ok(())
-            });
-        if let Err(err) = sealed {
-            // Drop the partial footer; the segment keeps accepting appends.
-            if let Err(trunc) = self.io.set_len(self.committed_len) {
-                self.wedged = true;
-                ptm_obs::counter!("store.recovery.wedged").inc();
-                ptm_obs::gauge!("store.archive.wedged").set(1);
-                ptm_obs::error!(
-                    "store.archive",
-                    "seal rollback truncate failed; store wedged until reopen";
-                    segment = self.id,
-                    error = format!("{trunc}")
-                );
-            }
-            return Err(err);
-        }
-        self.committed_len += footer.len() as u64;
+        check_site(&hooks.seal, "segment seal")?;
+        self.io.sync()?;
         Ok(())
-    }
-
-    /// Truncates a just-written footer back off, returning the segment to
-    /// active duty — the undo of [`ActiveSegment::seal`] for a rotation
-    /// that could not be published. Wedges on a failed truncate, exactly
-    /// like the other rollback paths.
-    fn unseal(&mut self, committed_len: u64) {
-        match self.io.set_len(committed_len) {
-            Ok(()) => self.committed_len = committed_len,
-            Err(err) => {
-                self.wedged = true;
-                ptm_obs::counter!("store.recovery.wedged").inc();
-                ptm_obs::gauge!("store.archive.wedged").set(1);
-                ptm_obs::error!(
-                    "store.archive",
-                    "unseal truncate failed; store wedged until reopen";
-                    segment = self.id,
-                    error = format!("{err}")
-                );
-            }
-        }
     }
 }
 
@@ -377,163 +274,99 @@ fn read_exact_or_eof<R: Read>(reader: &mut R, buf: &mut [u8]) -> Result<ReadOutc
     Ok(ReadOutcome::Full)
 }
 
-/// What scanning a segment file found.
-#[derive(Debug)]
-pub(crate) enum ScanOutcome {
-    /// A complete footer index frame: the segment is sealed.
-    Sealed {
-        index: SegmentIndex,
-        records: u64,
-        bytes: u64,
-    },
-    /// No footer: the segment is (still) active. Any torn tail has been
-    /// truncated away.
-    Active {
-        index: SegmentIndex,
-        records: u64,
-        committed_len: u64,
-        torn_bytes: u64,
-    },
+/// What one [`read_segment`] pass found.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Pass {
+    /// Complete, CRC-checked frames read.
+    pub(crate) frames: u64,
+    /// The offset just past the last of them.
+    pub(crate) end: u64,
+    /// Bytes after `end`: a final frame cut short, or failing its CRC with
+    /// nothing after it. 0 when the segment ends on a frame boundary.
+    pub(crate) torn_bytes: u64,
 }
 
-/// Sequentially validates a segment's frames (CRC per frame, key peek only
-/// — bitmaps are not decoded), truncating a torn tail. Finding a complete
-/// index frame proves the segment was sealed even if the trailer (or the
-/// manifest update after it) never landed.
-pub(crate) fn scan_segment(path: &Path, segment_id: u64) -> Result<ScanOutcome, StoreError> {
-    let file = File::open(path)?;
-    let file_len = file.metadata()?.len();
-    let mut reader = BufReader::new(file);
+impl Pass {
+    /// Requires exactly `records` frames and a clean end, as the manifest
+    /// promises for a sealed segment.
+    pub(crate) fn check_count(self, records: u64) -> Result<(), StoreError> {
+        if self.torn_bytes > 0 || self.frames != records {
+            return Err(StoreError::CorruptFrame { offset: self.end });
+        }
+        Ok(())
+    }
+}
 
-    let mut header = [0u8; 8];
+/// The one frame reader: reads the segment file at `path` front to back,
+/// up to `limit` bytes, through one buffered reader and one frame buffer
+/// reused across frames. A header with the wrong magic or version is
+/// [`StoreError::BadHeader`]. Each frame's length word is bounded by
+/// `MAX_PAYLOAD` before the buffer grows, its CRC is checked, and `visit`
+/// gets the whole frame, `len | crc` prefix included. A final frame cut
+/// short, or failing its CRC with nothing after it, ends the pass as torn
+/// (the caller decides what that means); a CRC failure with bytes after it
+/// is media damage, [`StoreError::CorruptFrame`] at that frame's offset.
+pub(crate) fn read_segment(
+    path: &Path,
+    limit: u64,
+    mut visit: impl FnMut(&[u8]) -> Result<(), StoreError>,
+) -> Result<Pass, StoreError> {
+    let file = File::open(path)?;
+    let len = file.metadata()?.len().min(limit);
+    let mut reader = BufReader::with_capacity(READ_BUFFER, file.take(len));
+    let mut header = [0u8; HEADER_LEN as usize];
     reader
         .read_exact(&mut header)
         .map_err(|_| StoreError::BadHeader)?;
     if header[0..4] != MAGIC || le_u16(&header[4..6]) != VERSION {
         return Err(StoreError::BadHeader);
     }
-
-    let mut index = SegmentIndex::new();
-    let mut records = 0u64;
-    let mut offset = HEADER_LEN;
-    let mut torn_bytes = 0u64;
+    let mut pass = Pass {
+        frames: 0,
+        end: HEADER_LEN,
+        torn_bytes: 0,
+    };
+    let mut frame = Vec::new();
     loop {
-        let mut frame_header = [0u8; 8];
-        match read_exact_or_eof(&mut reader, &mut frame_header)? {
-            ReadOutcome::Eof => break,
-            ReadOutcome::Partial => {
-                torn_bytes = file_len - offset;
-                break;
-            }
+        frame.resize(FRAME_HEADER_LEN, 0);
+        match read_exact_or_eof(&mut reader, &mut frame)? {
+            ReadOutcome::Eof => return Ok(pass),
+            ReadOutcome::Partial => break,
             ReadOutcome::Full => {}
         }
-        let len_raw = le_u32(&frame_header[0..4]);
-        let expected_crc = le_u32(&frame_header[4..8]);
-        let is_index = len_raw & INDEX_FLAG != 0;
-        let len = len_raw & !INDEX_FLAG;
-        if len > MAX_PAYLOAD {
-            return Err(StoreError::CorruptFrame { offset });
+        let payload_len = le_u32(&frame[0..4]);
+        if payload_len > MAX_PAYLOAD {
+            return Err(StoreError::CorruptFrame { offset: pass.end });
         }
-        let mut payload = vec![0u8; len as usize];
-        match read_exact_or_eof(&mut reader, &mut payload)? {
+        frame.resize(FRAME_HEADER_LEN + payload_len as usize, 0);
+        match read_exact_or_eof(&mut reader, &mut frame[FRAME_HEADER_LEN..])? {
             ReadOutcome::Full => {}
-            ReadOutcome::Eof | ReadOutcome::Partial => {
-                torn_bytes = file_len - offset;
-                break;
+            ReadOutcome::Eof | ReadOutcome::Partial => break,
+        }
+        let frame_end = pass.end + frame.len() as u64;
+        if crc32(&frame[FRAME_HEADER_LEN..]) != le_u32(&frame[4..8]) {
+            if frame_end < len {
+                return Err(StoreError::CorruptFrame { offset: pass.end });
             }
+            break;
         }
-        if crc32(&payload) != expected_crc {
-            let frame_end = offset + 8 + len as u64;
-            if frame_end >= file_len.saturating_sub(TRAILER_LEN) {
-                // The final frame (a trailer may follow it): torn, not
-                // mid-file damage.
-                torn_bytes = file_len - offset;
-                break;
-            }
-            return Err(StoreError::CorruptFrame { offset });
-        }
-        if is_index {
-            // A complete, checksummed index frame seals the segment; its
-            // contents supersede the scan (identical by construction).
-            let index = SegmentIndex::decode(&payload)?;
-            let records = index.len() as u64;
-            return Ok(ScanOutcome::Sealed {
-                index,
-                records,
-                bytes: file_len,
-            });
-        }
-        let (location, period) = peek_key(&payload)?;
-        index.insert(location, period, offset, len);
-        records += 1;
-        offset += 8 + len as u64;
-        ptm_obs::counter!("store.replay.records").inc();
-        if records.is_multiple_of(REPLAY_PROGRESS_EVERY) {
-            ptm_obs::info!("store.replay", "segment scan progress";
-                segment = segment_id, records = records, bytes = offset);
-        }
+        visit(&frame)?;
+        pass.frames += 1;
+        pass.end = frame_end;
     }
-    if torn_bytes > 0 {
-        let file = OpenOptions::new().write(true).open(path)?;
-        file.set_len(offset)?;
-        ptm_obs::counter!("store.replay.torn_bytes").add(torn_bytes);
-    }
-    Ok(ScanOutcome::Active {
-        index,
-        records,
-        committed_len: offset,
-        torn_bytes,
-    })
+    pass.torn_bytes = len - pass.end;
+    Ok(pass)
 }
 
-/// Fast sealed open: trailer → index frame, no record bytes touched.
-/// `None` means "no usable trailer" — the caller falls back to a scan.
-fn load_sealed_index(path: &Path) -> Result<Option<(SegmentIndex, u64)>, StoreError> {
-    let mut file = File::open(path)?;
-    let file_len = file.metadata()?.len();
-    if file_len < HEADER_LEN + 8 + TRAILER_LEN {
-        return Ok(None);
-    }
-    let mut trailer = [0u8; TRAILER_LEN as usize];
-    file.seek(SeekFrom::End(-(TRAILER_LEN as i64)))?;
-    file.read_exact(&mut trailer)?;
-    if trailer[8..12] != TRAILER_MAGIC {
-        return Ok(None);
-    }
-    let index_offset = le_u64(&trailer[0..8]);
-    // checked_add: a corrupt trailer can carry an offset near u64::MAX,
-    // and a wrapped sum here would pass validation and turn the scan
-    // fallback into a hard open() failure.
-    match index_offset.checked_add(8 + TRAILER_LEN) {
-        Some(end) if index_offset >= HEADER_LEN && end <= file_len => {}
-        _ => return Ok(None),
-    }
-    file.seek(SeekFrom::Start(index_offset))?;
-    let mut frame_header = [0u8; 8];
-    file.read_exact(&mut frame_header)?;
-    let len_raw = le_u32(&frame_header[0..4]);
-    if len_raw & INDEX_FLAG == 0 {
-        return Ok(None);
-    }
-    let len = len_raw & !INDEX_FLAG;
-    if len > MAX_PAYLOAD || index_offset + 8 + len as u64 + TRAILER_LEN != file_len {
-        return Ok(None);
-    }
-    let mut payload = vec![0u8; len as usize];
-    file.read_exact(&mut payload)?;
-    if crc32(&payload) != le_u32(&frame_header[4..8]) {
-        return Ok(None);
-    }
-    let index = SegmentIndex::decode(&payload)?;
-    let records = index.len() as u64;
-    Ok(Some((index, records)))
-}
-
-/// An open [`SegmentStore`] plus what recovery found on the way in.
+/// An open [`SegmentStore`] plus what the open read and recovered.
 #[derive(Debug)]
 pub struct OpenedStore {
-    /// The store, positioned for appends and reads.
+    /// The store, positioned for appends.
     pub store: SegmentStore,
+    /// Every record in the archive, in manifest order, each in an `Arc`
+    /// nothing else holds, so a caller can keep that `Arc` as the record's
+    /// only copy. A key written twice comes back twice.
+    pub records: Vec<Arc<TrafficRecord>>,
     /// Bytes discarded from the active segment's torn tail (0 after a
     /// clean shutdown).
     pub torn_bytes: u64,
@@ -545,25 +378,26 @@ pub struct SegmentStore {
     pub(crate) dir: PathBuf,
     pub(crate) opts: StoreOptions,
     pub(crate) manifest: Manifest,
-    pub(crate) sealed: BTreeMap<u64, SealedSegment>,
     pub(crate) active: ActiveSegment,
-    pub(crate) lookup: HashMap<(LocationId, PeriodId), FrameLoc>,
-    pub(crate) location_set: BTreeSet<u64>,
+    location_set: BTreeSet<u64>,
     pub(crate) compactions: u64,
 }
 
 impl SegmentStore {
-    /// Opens (or creates) a segment store at directory `dir`.
+    /// Opens (or creates) a segment store at directory `dir`, reading
+    /// every record in it.
     ///
-    /// Startup is O(index): sealed segments load their footer index via
-    /// the trailer, only the active segment is scanned (with torn-tail
-    /// truncation), orphan files from interrupted rotations or compactions
-    /// are removed, and the manifest is re-committed if reconciliation
-    /// changed it.
+    /// One pass: orphan files from interrupted rotations or compactions
+    /// are removed, then every segment the manifest names is read front to
+    /// back once (a `store.replay.scan` span each) and every record
+    /// decoded. Only the active segment gets torn-tail truncation.
     ///
     /// # Errors
     ///
-    /// Manifest/segment corruption and I/O failures — including
+    /// [`StoreError::BadHeader`] for a manifest or segment of another
+    /// format version (left untouched); [`StoreError::CorruptFrame`] for a
+    /// damaged frame, or a sealed segment whose frame count differs from
+    /// the manifest's (never truncated); I/O failures — including
     /// [`StoreError::Io`] when `dir` names a regular file, which is left
     /// untouched.
     pub fn open(dir: impl AsRef<Path>, opts: StoreOptions) -> Result<OpenedStore, StoreError> {
@@ -572,7 +406,6 @@ impl SegmentStore {
         let _ = std::fs::remove_file(dir.join(MANIFEST_TEMP));
 
         let mut manifest = Manifest::load(&dir)?.unwrap_or_default();
-        let mut manifest_dirty = false;
 
         // Drop segment files the manifest does not own: leftovers of a
         // rotation or compaction that died before its manifest commit.
@@ -591,87 +424,43 @@ impl SegmentStore {
             }
         }
 
-        let mut sealed = BTreeMap::new();
-        let mut active: Option<ActiveSegment> = None;
-        let mut torn_bytes = 0u64;
-        {
-            let _s = ptm_obs::tspan!("store.index.load");
-            for meta in manifest.segments.clone() {
-                let path = dir.join(segment_file_name(meta.id));
-                if meta.sealed {
-                    let (index, records) = match load_sealed_index(&path)? {
-                        Some(loaded) => loaded,
-                        None => {
-                            // Trailer unusable (e.g. media damage): rebuild
-                            // the index the slow way.
-                            match scan_segment(&path, meta.id)? {
-                                ScanOutcome::Sealed { index, records, .. } => (index, records),
-                                ScanOutcome::Active { index, records, .. } => (index, records),
-                            }
-                        }
-                    };
-                    let bytes = std::fs::metadata(&path)?.len();
-                    sealed.insert(
-                        meta.id,
-                        SealedSegment {
-                            path,
-                            index,
-                            records,
-                            bytes,
-                            rank: meta.rank,
-                        },
-                    );
-                    continue;
+        let mut records: Vec<Arc<TrafficRecord>> = Vec::new();
+        let mut location_set = BTreeSet::new();
+        let mut active_pass = None;
+        for meta in &manifest.segments {
+            let _scan = ptm_obs::tspan!("store.replay.scan");
+            let pass = read_segment(&dir.join(segment_file_name(meta.id)), u64::MAX, |frame| {
+                let record = decode_record(&frame[FRAME_HEADER_LEN..])?;
+                location_set.insert(record.location().get());
+                records.push(Arc::new(record));
+                if (records.len() as u64).is_multiple_of(REPLAY_PROGRESS_EVERY) {
+                    ptm_obs::info!("store.replay", "archive read progress";
+                        segment = meta.id, records = records.len() as u64);
                 }
-                // The (single) unsealed entry: scan it. Finding a footer
-                // means the crash landed between seal and manifest commit.
-                let _scan = ptm_obs::tspan!("store.replay.scan");
-                match scan_segment(&path, meta.id)? {
-                    ScanOutcome::Sealed {
-                        index,
-                        records,
-                        bytes,
-                    } => {
-                        sealed.insert(
-                            meta.id,
-                            SealedSegment {
-                                path,
-                                index,
-                                records,
-                                bytes,
-                                rank: meta.rank,
-                            },
-                        );
-                        for slot in &mut manifest.segments {
-                            if slot.id == meta.id {
-                                slot.sealed = true;
-                                slot.records = records;
-                            }
-                        }
-                        manifest_dirty = true;
-                    }
-                    ScanOutcome::Active {
-                        index,
-                        records,
-                        committed_len,
-                        torn_bytes: torn,
-                    } => {
-                        torn_bytes += torn;
-                        active = Some(ActiveSegment::reopen(
-                            &dir,
-                            meta.id,
-                            &opts.hooks,
-                            index,
-                            records,
-                            committed_len,
-                        )?);
-                    }
-                }
+                Ok(())
+            })?;
+            ptm_obs::counter!("store.replay.records").add(pass.frames);
+            if meta.sealed {
+                pass.check_count(meta.records)?;
+            } else {
+                active_pass = Some((meta.id, pass));
             }
         }
 
-        let active = match active {
-            Some(active) => active,
+        // Every segment checked out; only now touch the active one's tail.
+        let mut torn_bytes = 0u64;
+        let active = match active_pass {
+            Some((id, pass)) => {
+                if pass.torn_bytes > 0 {
+                    let file = OpenOptions::new()
+                        .write(true)
+                        .open(dir.join(segment_file_name(id)))?;
+                    file.set_len(pass.end)?;
+                    ptm_obs::counter!("store.replay.torn_bytes").add(pass.torn_bytes);
+                    torn_bytes = pass.torn_bytes;
+                }
+                ActiveSegment::reopen(&dir, id, &opts.hooks, pass.frames, pass.end)?
+            }
             None => {
                 let id = manifest.next_segment_id;
                 let active = ActiveSegment::create(&dir, id, &opts.hooks)?;
@@ -680,30 +469,27 @@ impl SegmentStore {
                     id,
                     sealed: false,
                     records: 0,
-                    rank: id,
                 });
-                manifest_dirty = true;
+                manifest.commit(&dir, &opts.hooks.manifest)?;
                 active
             }
         };
-        if manifest_dirty {
-            manifest.commit(&dir, &opts.hooks.manifest)?;
-        }
 
-        let mut store = Self {
+        let store = Self {
             dir,
             opts,
             manifest,
-            sealed,
             active,
-            lookup: HashMap::new(),
-            location_set: BTreeSet::new(),
+            location_set,
             compactions: 0,
         };
-        store.rebuild_lookup();
         ptm_obs::gauge!("store.archive.wedged").set(0);
         store.publish_gauges();
-        Ok(OpenedStore { store, torn_bytes })
+        Ok(OpenedStore {
+            store,
+            records,
+            torn_bytes,
+        })
     }
 
     /// The directory this store lives in.
@@ -711,41 +497,25 @@ impl SegmentStore {
         &self.dir
     }
 
-    /// Live records (latest frame per `(location, period)`).
+    /// Committed record frames, sealed and active. The store keeps every
+    /// frame, so a key appended twice counts twice.
     pub fn record_count(&self) -> usize {
-        self.lookup.len()
+        let sealed: u64 = self
+            .manifest
+            .segments
+            .iter()
+            .filter(|s| s.sealed)
+            .map(|s| s.records)
+            .sum();
+        (sealed + self.active.committed_records) as usize
     }
 
-    /// Locations with at least one live record.
-    pub fn location_count(&self) -> usize {
-        self.location_set.len()
-    }
-
-    /// Every location with a live record, ascending.
+    /// Every location with a committed record, ascending.
     pub fn locations(&self) -> Vec<LocationId> {
         self.location_set
             .iter()
             .map(|id| LocationId::new(*id))
             .collect()
-    }
-
-    /// Whether a live record exists for `(location, period)`.
-    pub fn contains(&self, location: LocationId, period: PeriodId) -> bool {
-        self.lookup.contains_key(&(location, period))
-    }
-
-    /// Live periods for `location`, ascending.
-    pub fn periods_for_location(&self, location: LocationId) -> Vec<PeriodId> {
-        let mut periods = BTreeSet::new();
-        for segment in self.sealed.values() {
-            for entry in segment.index.entries_for(location) {
-                periods.insert(entry.period.get());
-            }
-        }
-        for entry in self.active.index.entries_for(location) {
-            periods.insert(entry.period.get());
-        }
-        periods.into_iter().map(PeriodId::new).collect()
     }
 
     /// Whether a failed rollback wedged the write head (appends refused
@@ -756,12 +526,12 @@ impl SegmentStore {
 
     /// Total live segments (sealed + active).
     pub fn segment_count(&self) -> usize {
-        self.sealed.len() + 1
+        self.manifest.segments.len()
     }
 
     /// Sealed segments.
     pub fn sealed_count(&self) -> usize {
-        self.sealed.len()
+        self.manifest.segments.iter().filter(|s| s.sealed).count()
     }
 
     /// Committed bytes in the active segment.
@@ -815,20 +585,8 @@ impl SegmentStore {
     ///
     /// I/O failures (after rollback); [`StoreError::Wedged`].
     pub fn flush(&mut self) -> Result<(), StoreError> {
-        let committed = self.active.commit(self.opts.sync_policy)?;
-        if !committed.is_empty() {
-            let segment = self.active.id;
-            for (location, period, offset, len) in committed {
-                self.lookup.insert(
-                    (location, period),
-                    FrameLoc {
-                        segment,
-                        offset,
-                        len,
-                    },
-                );
-                self.location_set.insert(location.get());
-            }
+        for location in self.active.commit(self.opts.sync_policy)? {
+            self.location_set.insert(location.get());
         }
         if self.active.committed_records > 0 && self.active.committed_len >= self.opts.rotate_bytes
         {
@@ -853,13 +611,13 @@ impl SegmentStore {
     }
 
     /// Commits, then seals the active segment (regardless of size) and
-    /// starts a fresh one, leaving the whole store indexable — the next
-    /// open is pure O(index). The clean-shutdown path.
+    /// starts a fresh one — the clean-shutdown path. Every acked frame then
+    /// sits in a sealed segment whose frame count the next open checks.
     ///
     /// # Errors
     ///
     /// Commit failures. Seal/rotation failures are logged and deferred
-    /// (the scan-based recovery covers an unsealed tail segment).
+    /// (the active segment's torn-tail recovery covers an unsealed tail).
     pub fn checkpoint(&mut self) -> Result<(), StoreError> {
         self.sync()?;
         if self.active.committed_records > 0 {
@@ -869,11 +627,11 @@ impl SegmentStore {
         Ok(())
     }
 
-    /// Seals the active segment and swings the write head to a fresh one.
-    /// Entirely best-effort: every failure mode either defers the rotation
-    /// (the footer is truncated back off and the segment keeps accepting
-    /// appends) or wedges the store, so a failed rotation never un-acks
-    /// committed data.
+    /// Seals the active segment and swings the write head to a fresh one:
+    /// check the `store.seal` site and fsync the outgoing segment, create
+    /// the next segment file, commit the manifest. Entirely best-effort:
+    /// any failure defers the rotation with the outgoing segment still the
+    /// write head, so a failed rotation never un-acks committed data.
     ///
     /// Ordering is load-bearing: the new segment file is created and the
     /// manifest naming it is committed *before* the write head swings.
@@ -881,7 +639,6 @@ impl SegmentStore {
     /// would hand them to `open()`'s orphan sweep on the next start.
     fn rotate(&mut self) {
         let _s = ptm_obs::tspan!("store.segment.rotate");
-        let unsealed_len = self.active.committed_len;
         if let Err(err) = self.active.seal(&self.opts.hooks) {
             ptm_obs::counter!("store.segment.seal_failures").inc();
             ptm_obs::warn!("store.archive", "segment seal failed; rotation deferred";
@@ -897,7 +654,6 @@ impl SegmentStore {
                     "segment create after seal failed; rotation deferred";
                     segment = new_id, error = err.to_string());
                 let _ = std::fs::remove_file(self.dir.join(segment_file_name(new_id)));
-                self.active.unseal(unsealed_len);
                 return;
             }
         };
@@ -914,182 +670,58 @@ impl SegmentStore {
             id: new_id,
             sealed: false,
             records: 0,
-            rank: new_id,
         });
         if let Err(err) = manifest.commit(&self.dir, &self.opts.hooks.manifest) {
             // Unpublished: the new file is an orphan the next open would
-            // sweep, so nothing may be acked into it. Unseal the old
-            // segment and keep writing there; rotation retries on a later
-            // flush.
+            // sweep, so nothing may be acked into it. Keep writing to the
+            // old segment; rotation retries on a later flush.
             ptm_obs::counter!("store.segment.rotation_deferrals").inc();
             ptm_obs::warn!("store.archive",
                 "manifest commit failed; rotation deferred";
                 segment = self.active.id, error = err.to_string());
             drop(new_active);
             let _ = std::fs::remove_file(self.dir.join(segment_file_name(new_id)));
-            self.active.unseal(unsealed_len);
             return;
         }
         let retired = std::mem::replace(&mut self.active, new_active);
-        let rank = retired.id;
-        self.sealed.insert(
-            retired.id,
-            SealedSegment {
-                path: retired.path,
-                index: retired.index,
-                records,
-                bytes: retired.committed_len,
-                rank,
-            },
-        );
         self.manifest = manifest;
         ptm_obs::counter!("store.segment.rotations").inc();
         ptm_obs::info!("store.archive", "segment rotated";
             sealed_segment = retired.id, new_segment = new_id, records = records);
     }
 
-    /// Reads the live record for `(location, period)` straight from its
-    /// segment file (one frame, uncached), or `None` when the store has
-    /// none.
+    /// Loads every committed record for `location`, periods ascending, by
+    /// a pass over the whole archive through the same frame reader `open`
+    /// uses (only matching frames are decoded). Each record comes back in
+    /// an `Arc` nothing else holds. A key written twice comes back twice.
     ///
     /// # Errors
     ///
-    /// I/O failures and frame corruption.
-    pub fn get(
-        &mut self,
-        location: LocationId,
-        period: PeriodId,
-    ) -> Result<Option<Arc<TrafficRecord>>, StoreError> {
-        let Some(loc) = self.lookup.get(&(location, period)).copied() else {
-            return Ok(None);
-        };
-        let mut record = None;
-        self.read_frames(&[((), loc)], |(), payload| {
-            record = Some(Arc::new(decode_record(payload)?));
-            Ok(())
-        })?;
-        Ok(record)
-    }
-
-    /// Loads every live record for `location`, periods ascending. Frames
-    /// are read in `(segment, offset)` order, and each record comes back
-    /// in an `Arc` nothing else holds, so a caller can keep that `Arc` as
-    /// the record's only copy instead of cloning it.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures and frame corruption.
+    /// I/O failures and frame corruption, including a segment whose frame
+    /// count differs from what the store committed to it.
     pub fn records_for_location(
         &mut self,
         location: LocationId,
     ) -> Result<Vec<Arc<TrafficRecord>>, StoreError> {
-        let mut frames: Vec<(PeriodId, FrameLoc)> = self
-            .periods_for_location(location)
-            .into_iter()
-            .filter_map(|period| Some((period, *self.lookup.get(&(location, period))?)))
-            .collect();
-        frames.sort_unstable_by_key(|(_, loc)| (loc.segment, loc.offset));
-        let mut records = Vec::with_capacity(frames.len());
-        self.read_frames(&frames, |period, payload| {
-            records.push((period.get(), decode_record(payload)?));
-            Ok(())
-        })?;
-        records.sort_unstable_by_key(|(period, _)| *period);
-        Ok(records
-            .into_iter()
-            .map(|(_, record)| Arc::new(record))
-            .collect())
-    }
-
-    /// The frame reader behind every read. Walks `frames` in the order
-    /// given, opening one file per run of frames from the same segment
-    /// (callers group them by segment), and makes one seek plus one read
-    /// of header and payload per frame into a buffer reused across frames.
-    /// Before the buffer grows, the entry must fit its segment: `len <=
-    /// MAX_PAYLOAD` and `offset + 8 + len` within the file. After the read,
-    /// the header's length word must equal the entry's and the CRC must
-    /// match. `visit` then gets the frame's tag and its payload.
-    pub(crate) fn read_frames<T>(
-        &self,
-        frames: &[(T, FrameLoc)],
-        mut visit: impl FnMut(&T, &[u8]) -> Result<(), StoreError>,
-    ) -> Result<(), StoreError> {
-        let mut buf = Vec::new();
-        for run in frames.chunk_by(|(_, a), (_, b)| a.segment == b.segment) {
-            let Some((_, first)) = run.first() else {
-                continue;
+        let mut records = Vec::new();
+        for meta in &self.manifest.segments {
+            let (limit, frames) = if meta.sealed {
+                (u64::MAX, meta.records)
+            } else {
+                (self.active.committed_len, self.active.committed_records)
             };
-            // ptm-analyze: allow(reactor-blocking): store reads run on worker jobs; the reactor edge is `conns.insert` (HashMap) aliasing `SegmentIndex::insert`, whose `location.get()` aliases `SegmentStore::get`
-            let mut file = File::open(self.segment_path(first.segment)?)?;
-            let file_len = file.metadata()?.len();
-            for (tag, loc) in run {
-                let corrupt = || StoreError::CorruptFrame { offset: loc.offset };
-                let end = loc.offset.checked_add(8 + u64::from(loc.len));
-                if loc.len > MAX_PAYLOAD || end.is_none_or(|end| end > file_len) {
-                    return Err(corrupt());
+            let path = self.dir.join(segment_file_name(meta.id));
+            read_segment(&path, limit, |frame| {
+                let payload = &frame[FRAME_HEADER_LEN..];
+                if peek_key(payload)?.0 == location {
+                    records.push(decode_record(payload)?);
                 }
-                buf.resize(8 + loc.len as usize, 0);
-                file.seek(SeekFrom::Start(loc.offset))?;
-                file.read_exact(&mut buf)?;
-                let (header, payload) = buf.split_at(8);
-                if le_u32(&header[0..4]) != loc.len || crc32(payload) != le_u32(&header[4..8]) {
-                    return Err(corrupt());
-                }
-                visit(tag, payload)?;
-            }
+                Ok(())
+            })?
+            .check_count(frames)?;
         }
-        Ok(())
-    }
-
-    /// The file holding `segment`, active or sealed.
-    fn segment_path(&self, segment: u64) -> Result<&Path, StoreError> {
-        if segment == self.active.id {
-            return Ok(&self.active.path);
-        }
-        match self.sealed.get(&segment) {
-            Some(sealed) => Ok(&sealed.path),
-            None => Err(StoreError::MalformedRecord {
-                reason: format!("lookup names unknown segment {segment}"),
-            }),
-        }
-    }
-
-    /// Rebuilds the store-wide lookup from segment indexes, ascending
-    /// *rank* with the active segment last — higher-ranked segments
-    /// supersede earlier frames for the same key. Rank, not raw id: a
-    /// compacted segment's id exceeds the id of the segment that was
-    /// active during the merge, but its frames are older than anything
-    /// appended there afterwards.
-    fn rebuild_lookup(&mut self) {
-        self.lookup.clear();
-        self.location_set.clear();
-        let mut by_rank: Vec<(&u64, &SealedSegment)> = self.sealed.iter().collect();
-        by_rank.sort_by_key(|(id, segment)| (segment.rank, **id));
-        for (id, segment) in by_rank {
-            for (location, entry) in segment.index.iter() {
-                self.lookup.insert(
-                    (location, entry.period),
-                    FrameLoc {
-                        segment: *id,
-                        offset: entry.offset,
-                        len: entry.len,
-                    },
-                );
-                self.location_set.insert(location.get());
-            }
-        }
-        let active_id = self.active.id;
-        for (location, entry) in self.active.index.iter() {
-            self.lookup.insert(
-                (location, entry.period),
-                FrameLoc {
-                    segment: active_id,
-                    offset: entry.offset,
-                    len: entry.len,
-                },
-            );
-            self.location_set.insert(location.get());
-        }
+        records.sort_by_key(|record| record.period().get());
+        Ok(records.into_iter().map(Arc::new).collect())
     }
 
     pub(crate) fn publish_gauges(&self) {
@@ -1106,9 +738,11 @@ mod tests {
     use super::*;
     use ptm_core::encoding::{EncodingScheme, VehicleSecrets};
     use ptm_core::params::BitmapSize;
+    use ptm_core::record::PeriodId;
     use ptm_fault::{sites, FaultAction, FaultPlan, Rule};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+    use std::collections::BTreeMap;
     use std::io::ErrorKind;
 
     fn temp_dir(name: &str) -> PathBuf {
@@ -1145,33 +779,18 @@ mod tests {
         }
     }
 
-    #[test]
-    fn roundtrip_reads_through_cache() {
-        let dir = temp_dir("roundtrip");
-        let records = sample_records(7, 5);
-        let mut store = SegmentStore::open(&dir, StoreOptions::default())
-            .expect("open")
-            .store;
-        assert_eq!(store.append_all(&records).expect("batch"), 5);
-        assert_eq!(store.record_count(), 5);
-        for record in &records {
-            let got = store
-                .get(record.location(), record.period())
-                .expect("read")
-                .expect("present");
-            assert_eq!(*got, *record);
+    fn owned(records: &[Arc<TrafficRecord>]) -> Vec<TrafficRecord> {
+        records.iter().map(|record| (**record).clone()).collect()
+    }
+
+    /// Every committed record, read back through `records_for_location`,
+    /// ordered by location, then period.
+    fn read_back(store: &mut SegmentStore) -> Vec<TrafficRecord> {
+        let mut out = Vec::new();
+        for location in store.locations() {
+            out.extend(owned(&store.records_for_location(location).expect("read")));
         }
-        // Reads are uncached: every pass decodes the frame again and hands
-        // back an Arc nothing else holds.
-        for record in &records {
-            let got = store
-                .get(record.location(), record.period())
-                .expect("read")
-                .expect("present");
-            assert_eq!(Arc::strong_count(&got), 1);
-            assert_eq!(*got, *record);
-        }
-        std::fs::remove_dir_all(&dir).ok();
+        out
     }
 
     /// Copies a (flat) store directory to a fresh temp directory.
@@ -1185,20 +804,52 @@ mod tests {
         dst
     }
 
-    /// Rewrites a sealed segment's footer index through `edit` and
-    /// re-checksums the index frame, so only the edited entries lie.
-    fn rewrite_footer_index(path: &Path, edit: impl FnOnce(&mut SegmentIndex)) {
-        let mut bytes = std::fs::read(path).expect("read segment");
-        let index_at = le_u64(&bytes[bytes.len() - TRAILER_LEN as usize..]) as usize;
-        let len = (le_u32(&bytes[index_at..]) & !INDEX_FLAG) as usize;
-        let payload = index_at + 8..index_at + 8 + len;
-        let mut index = SegmentIndex::decode(&bytes[payload.clone()]).expect("footer index");
-        edit(&mut index);
-        let encoded = index.encode();
-        assert_eq!(encoded.len(), len, "entry edits keep the index size");
-        bytes[index_at + 4..index_at + 8].copy_from_slice(&crc32(&encoded).to_le_bytes());
-        bytes[payload].copy_from_slice(&encoded);
-        std::fs::write(path, bytes).expect("write segment");
+    /// Every file in a store directory, by name, with its bytes.
+    fn snapshot(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+        std::fs::read_dir(dir)
+            .expect("list")
+            .map(|entry| {
+                let entry = entry.expect("entry");
+                let name = entry.file_name().to_string_lossy().into_owned();
+                (name, std::fs::read(entry.path()).expect("read"))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn roundtrip_reads_through_cache() {
+        let dir = temp_dir("roundtrip");
+        let records = sample_records(7, 5);
+        let mut store = SegmentStore::open(&dir, StoreOptions::default())
+            .expect("open")
+            .store;
+        assert_eq!(store.append_all(&records).expect("batch"), 5);
+        assert_eq!(store.record_count(), 5);
+        // Reads are uncached: every pass decodes the frames again and hands
+        // back Arcs nothing else holds.
+        for _ in 0..2 {
+            let got = store
+                .records_for_location(LocationId::new(7))
+                .expect("read");
+            assert!(got.iter().all(|record| Arc::strong_count(record) == 1));
+            assert_eq!(owned(&got), records);
+        }
+        drop(store);
+        // The open hands over what it read the same way.
+        let opened = SegmentStore::open(&dir, StoreOptions::default()).expect("reopen");
+        assert!(opened
+            .records
+            .iter()
+            .all(|record| Arc::strong_count(record) == 1));
+        assert_eq!(owned(&opened.records), records);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Damage done to a segment file's bytes.
+    type Damage = fn(&mut Vec<u8>);
+
+    fn set_len_word(frame: &mut [u8], len: u32) {
+        frame[0..4].copy_from_slice(&len.to_le_bytes());
     }
 
     #[test]
@@ -1208,12 +859,7 @@ mod tests {
         let mut model: BTreeMap<(u64, u32), TrafficRecord> = BTreeMap::new();
         let check = |store: &mut SegmentStore, model: &BTreeMap<(u64, u32), TrafficRecord>| {
             for location in [target, other] {
-                let got: Vec<TrafficRecord> = store
-                    .records_for_location(location)
-                    .expect("read")
-                    .iter()
-                    .map(|record| (**record).clone())
-                    .collect();
+                let got = owned(&store.records_for_location(location).expect("read"));
                 let want: Vec<TrafficRecord> = model
                     .range((location.get(), 0)..=(location.get(), u32::MAX))
                     .map(|(_, record)| record.clone())
@@ -1239,90 +885,68 @@ mod tests {
         assert!(store.compact().expect("compact").new_segment.is_some());
         check(&mut store, &model);
 
-        // Supersede a merged period, then append later periods out of
-        // period order, so offset order and period order disagree.
-        let altered = TrafficRecord::new(
-            target,
-            PeriodId::new(2),
-            BitmapSize::new(1024).expect("pow2"),
-        );
-        assert_ne!(altered, targets[2], "the superseding frame must differ");
-        let later = [11, 9, 10, 6, 8, 7].map(|period| &targets[period]);
-        for record in std::iter::once(&altered).chain(later) {
+        // Later periods out of period order, so file order and period
+        // order disagree.
+        for record in [11, 9, 10, 6, 8, 7].map(|period| &targets[period]) {
             store.append_all([record]).expect("append");
             model.insert(
                 (record.location().get(), record.period().get()),
                 record.clone(),
             );
         }
-        let segments: BTreeSet<u64> = store
-            .lookup
+        assert!(store.segment_count() >= 3, "target spread over segments");
+        check(&mut store, &model);
+        let sealed_id = store
+            .manifest
+            .segments
             .iter()
-            .filter(|((location, _), _)| *location == target)
-            .map(|(_, loc)| loc.segment)
-            .collect();
-        assert!(segments.len() >= 3, "target spread over {segments:?}");
-        check(&mut store, &model);
-        let sealed_loc = store.lookup[&(target, PeriodId::new(0))];
-        assert!(store.sealed.contains_key(&sealed_loc.segment));
+            .find(|segment| segment.sealed)
+            .expect("a sealed segment")
+            .id;
         drop(store);
 
-        let mut store = SegmentStore::open(&dir, StoreOptions::default())
-            .expect("reopen")
-            .store;
+        let opened = SegmentStore::open(&dir, StoreOptions::default()).expect("reopen");
+        let mut from_open = owned(&opened.records);
+        from_open.sort_by_key(|record| (record.location().get(), record.period().get()));
+        assert_eq!(from_open, model.values().cloned().collect::<Vec<_>>());
+        let mut store = opened.store;
         check(&mut store, &model);
         drop(store);
 
-        let segment_of = |dir: &Path| dir.join(segment_file_name(sealed_loc.segment));
-        let read_copy = |copy: &Path| {
-            let result = SegmentStore::open(copy, StoreOptions::default())
+        // Damage to the first frame of a sealed segment: a store opened
+        // before it refuses its next read, and `open` refuses the archive,
+        // both before any oversized allocation and without truncating.
+        let cases: [(&str, Damage); 5] = [
+            ("flip", |bytes| bytes[HEADER_LEN as usize + 8 + 30] ^= 0x01),
+            ("len-plus-one", |bytes| {
+                let len = le_u32(&bytes[8..12]);
+                set_len_word(&mut bytes[8..], len + 1);
+            }),
+            ("past-end", |bytes| {
+                let len = bytes.len() as u32;
+                set_len_word(&mut bytes[8..], len);
+            }),
+            ("over-max", |bytes| {
+                set_len_word(&mut bytes[8..], MAX_PAYLOAD + 1)
+            }),
+            ("u32-max", |bytes| set_len_word(&mut bytes[8..], u32::MAX)),
+        ];
+        for (name, damage) in cases {
+            let copy = copy_store(&dir, &format!("reader-model-{name}"));
+            let segment = copy.join(segment_file_name(sealed_id));
+            let mut live = SegmentStore::open(&copy, StoreOptions::default())
                 .expect("open copy")
-                .store
-                .records_for_location(target);
-            std::fs::remove_dir_all(copy).ok();
-            result
-        };
-        let corrupt = StoreError::CorruptFrame {
-            offset: sealed_loc.offset,
-        };
-
-        // One flipped payload byte in a sealed frame fails its CRC.
-        let copy = copy_store(&dir, "reader-model-flip");
-        let mut bytes = std::fs::read(segment_of(&copy)).expect("read");
-        bytes[(sealed_loc.offset + 8 + 30) as usize] ^= 0x01;
-        std::fs::write(segment_of(&copy), bytes).expect("write");
-        let err = read_copy(&copy).expect_err("flipped byte");
-        assert_eq!(err.to_string(), corrupt.to_string());
-
-        // An index entry whose len disagrees with the frame header.
-        let copy = copy_store(&dir, "reader-model-len");
-        rewrite_footer_index(&segment_of(&copy), |index| {
-            index.insert(
-                target,
-                PeriodId::new(0),
-                sealed_loc.offset,
-                sealed_loc.len + 1,
-            );
-        });
-        let err = read_copy(&copy).expect_err("len mismatch");
-        assert_eq!(err.to_string(), corrupt.to_string());
-
-        // Entries pointing past the end of the file, or too long to be a
-        // frame at all: an error before any read or allocation.
-        let file_len = std::fs::metadata(segment_of(&dir)).expect("meta").len();
-        for (offset, len) in [
-            (file_len, sealed_loc.len),
-            (file_len - 4, sealed_loc.len),
-            (u64::MAX - 4, sealed_loc.len),
-            (sealed_loc.offset, MAX_PAYLOAD),
-            (sealed_loc.offset, u32::MAX),
-        ] {
-            let copy = copy_store(&dir, "reader-model-past-end");
-            rewrite_footer_index(&segment_of(&copy), |index| {
-                index.insert(target, PeriodId::new(0), offset, len);
-            });
-            let err = read_copy(&copy).expect_err("entry past the end");
-            assert_eq!(err.to_string(), format!("corrupt frame at offset {offset}"));
+                .store;
+            let mut bytes = std::fs::read(&segment).expect("read");
+            damage(&mut bytes);
+            std::fs::write(&segment, &bytes).expect("write");
+            let err = live.records_for_location(target).expect_err(name);
+            assert_eq!(err.to_string(), "corrupt frame at offset 8", "{name}");
+            drop(live);
+            let err = SegmentStore::open(&copy, StoreOptions::default()).expect_err(name);
+            assert_eq!(err.to_string(), "corrupt frame at offset 8", "{name}");
+            assert_eq!(std::fs::read(&segment).expect("reread"), bytes, "{name}");
+            std::fs::remove_dir_all(&copy).ok();
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1341,21 +965,126 @@ mod tests {
             assert!(store.sealed_count() >= 2, "tiny threshold forces rotations");
             store.checkpoint().expect("checkpoint");
         }
+        // The manifest's sealed counts cover every record; the reopen reads
+        // each segment once and hands every record over.
         let opened = SegmentStore::open(&dir, small_rotate_opts(600)).expect("reopen");
         assert_eq!(opened.torn_bytes, 0);
+        assert_eq!(owned(&opened.records), records);
         let mut store = opened.store;
         assert_eq!(store.record_count(), 12);
-        for record in &records {
-            let got = store
-                .get(record.location(), record.period())
-                .expect("read")
-                .expect("present");
-            assert_eq!(*got, *record);
-        }
         assert_eq!(
-            store.periods_for_location(LocationId::new(3)).len(),
-            12,
-            "period listing spans every sealed segment"
+            store.active_bytes(),
+            HEADER_LEN,
+            "checkpoint sealed the tail"
+        );
+        assert_eq!(read_back(&mut store), records);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Ten records in one sealed segment (`checkpoint`), the segment file's
+    /// length, and the length of each frame.
+    fn sealed_ten(name: &str) -> (PathBuf, u64, u64) {
+        let dir = temp_dir(name);
+        let records = sample_records(6, 10);
+        let mut store = SegmentStore::open(&dir, StoreOptions::default())
+            .expect("open")
+            .store;
+        store.append_all(&records).expect("batch");
+        store.checkpoint().expect("checkpoint");
+        assert_eq!(store.sealed_count(), 1);
+        drop(store);
+        let len = std::fs::metadata(dir.join(segment_file_name(0)))
+            .expect("meta")
+            .len();
+        let frame = (FRAME_HEADER_LEN + encode_record(&records[9]).len()) as u64;
+        (dir, len, frame)
+    }
+
+    /// Cuts the sealed segment to `cut` bytes and requires `open` to
+    /// refuse it at `offset` while leaving every file byte-identical.
+    fn assert_cut_sealed_is_refused(dir: &Path, cut: u64, offset: u64) {
+        let segment = dir.join(segment_file_name(0));
+        let file = OpenOptions::new()
+            .write(true)
+            .open(&segment)
+            .expect("open rw");
+        file.set_len(cut).expect("cut");
+        drop(file);
+        let before = snapshot(dir);
+        match SegmentStore::open(dir, StoreOptions::default()) {
+            Err(StoreError::CorruptFrame { offset: at }) => assert_eq!(at, offset),
+            other => panic!("expected CorruptFrame, got {other:?}"),
+        }
+        assert_eq!(snapshot(dir), before, "a sealed segment is never truncated");
+    }
+
+    #[test]
+    fn sealed_segment_cut_mid_frame_is_refused_untouched() {
+        let (dir, len, frame) = sealed_ten("sealed-torn");
+        // 100 bytes into the last frame: torn-tail recovery would drop an
+        // acked record from a segment the manifest says holds ten.
+        assert_cut_sealed_is_refused(&dir, len - 100, len - frame);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn sealed_segment_missing_a_whole_frame_is_refused_untouched() {
+        let (dir, len, frame) = sealed_ten("sealed-short");
+        // A cut on a frame boundary reads as a clean nine-frame segment;
+        // only the manifest's count of ten catches it.
+        assert_cut_sealed_is_refused(&dir, len - frame, len - frame);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn v2_segment_and_manifest_are_refused_untouched() {
+        let dir = temp_dir("v2");
+        {
+            let mut store = SegmentStore::open(&dir, StoreOptions::default())
+                .expect("open")
+                .store;
+            store.append_all(&sample_records(4, 3)).expect("batch");
+        }
+        // Each file's version field (bytes 4..6) set back to 2: a v2
+        // header, refused before anything else is read.
+        for file in [segment_file_name(0), "MANIFEST".to_string()] {
+            let copy = copy_store(&dir, "v2-copy");
+            let path = copy.join(&file);
+            let mut bytes = std::fs::read(&path).expect("read");
+            bytes[4..6].copy_from_slice(&2u16.to_le_bytes());
+            std::fs::write(&path, &bytes).expect("write");
+            let before = snapshot(&copy);
+            assert!(
+                matches!(
+                    SegmentStore::open(&copy, StoreOptions::default()),
+                    Err(StoreError::BadHeader)
+                ),
+                "{file}"
+            );
+            assert_eq!(snapshot(&copy), before, "{file}: left as it was");
+            std::fs::remove_dir_all(&copy).ok();
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_second_frame_for_a_key_is_kept() {
+        let dir = temp_dir("log");
+        let records = sample_records(8, 2);
+        let mut altered = records[1].clone();
+        altered.set_reported_index(0);
+        let mut store = SegmentStore::open(&dir, StoreOptions::default())
+            .expect("open")
+            .store;
+        store.append_all(&records).expect("batch");
+        store.append_all([&altered]).expect("second frame");
+        assert_eq!(store.record_count(), 3, "the store counts frames");
+        drop(store);
+        let opened = SegmentStore::open(&dir, StoreOptions::default()).expect("reopen");
+        assert_eq!(
+            owned(&opened.records),
+            vec![records[0].clone(), records[1].clone(), altered],
+            "every frame comes back, in the order written"
         );
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1417,41 +1146,6 @@ mod tests {
         let opened = SegmentStore::open(&dir, StoreOptions::default()).expect("reopen");
         assert_eq!(opened.torn_bytes, 0);
         assert_eq!(opened.store.record_count(), 2);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn crash_between_seal_and_manifest_commit_recovers_sealed() {
-        let dir = temp_dir("seal-crash");
-        let records = sample_records(2, 4);
-        {
-            let mut store = SegmentStore::open(&dir, StoreOptions::default())
-                .expect("open")
-                .store;
-            store.append_all(&records).expect("batch");
-            // Seal the active segment by hand, but "crash" before any
-            // manifest update: the manifest still says unsealed.
-            store
-                .active
-                .seal(&StoreHooks::disabled())
-                .expect("manual seal");
-        }
-        let opened = SegmentStore::open(&dir, StoreOptions::default()).expect("reopen");
-        let store = opened.store;
-        assert_eq!(store.record_count(), 4);
-        assert_eq!(
-            store.sealed_count(),
-            1,
-            "scan must detect the footer and mark the segment sealed"
-        );
-        assert!(
-            store
-                .manifest
-                .segments
-                .iter()
-                .any(|s| s.id == 0 && s.sealed),
-            "manifest reconciled"
-        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1527,52 +1221,7 @@ mod tests {
             records.len(),
             "zero acked-record loss across the failed manifest commit"
         );
-        for record in &records {
-            let got = store
-                .get(record.location(), record.period())
-                .expect("read")
-                .expect("present");
-            assert_eq!(*got, *record);
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn implausible_trailer_offset_falls_back_to_scan() {
-        let dir = temp_dir("bogus-trailer");
-        let records = sample_records(4, 3);
-        {
-            let mut store = SegmentStore::open(&dir, StoreOptions::default())
-                .expect("open")
-                .store;
-            store.append_all(&records).expect("batch");
-            store.checkpoint().expect("seal");
-        }
-        // Corrupt the trailer's index offset to u64::MAX: the fast-path
-        // offset arithmetic must not wrap into a "plausible" value — the
-        // open falls back to the frame scan (which still finds the intact
-        // footer) instead of erroring out.
-        let seg_path = dir.join(segment_file_name(0));
-        let len = std::fs::metadata(&seg_path).expect("meta").len();
-        {
-            let mut file = OpenOptions::new()
-                .write(true)
-                .open(&seg_path)
-                .expect("open rw");
-            file.seek(SeekFrom::Start(len - TRAILER_LEN)).expect("seek");
-            file.write_all(&u64::MAX.to_le_bytes()).expect("poison");
-        }
-        let mut store = SegmentStore::open(&dir, StoreOptions::default())
-            .expect("open survives a bogus trailer offset")
-            .store;
-        assert_eq!(store.record_count(), records.len());
-        for record in &records {
-            let got = store
-                .get(record.location(), record.period())
-                .expect("read")
-                .expect("present");
-            assert_eq!(*got, *record);
-        }
+        assert_eq!(read_back(&mut store), records);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1667,13 +1316,11 @@ mod tests {
         let mut store = SegmentStore::open(&dir, StoreOptions::default())
             .expect("reopen")
             .store;
-        let got: Vec<TrafficRecord> = store
-            .records_for_location(LocationId::new(6))
-            .expect("read")
-            .iter()
-            .map(|record| (**record).clone())
-            .collect();
-        assert_eq!(got, records, "each record exactly once, bit-exact");
+        assert_eq!(
+            read_back(&mut store),
+            records,
+            "each record exactly once, bit-exact"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1710,21 +1357,17 @@ mod tests {
             Err(StoreError::Wedged)
         ));
         assert_eq!(store.record_count(), 1);
+        // Reads stop at the committed watermark, not at the torn bytes.
+        assert_eq!(read_back(&mut store), records[..1]);
         drop(store);
 
         // A reopen discards the 4 torn bytes and keeps the acked record.
         let opened = SegmentStore::open(&dir, StoreOptions::default()).expect("reopen");
         assert_eq!(opened.torn_bytes, 4);
+        assert_eq!(owned(&opened.records), records[..1]);
         let mut store = opened.store;
         assert!(!store.is_wedged());
         assert_eq!(store.record_count(), 1);
-        assert_eq!(
-            store
-                .get(records[0].location(), records[0].period())
-                .expect("read")
-                .as_deref(),
-            Some(&records[0])
-        );
         assert_eq!(
             store.append_all(&records[1..]).expect("appends work again"),
             2
@@ -1782,35 +1425,6 @@ mod tests {
         assert!(path.is_file());
         assert_eq!(std::fs::read(&path).expect("reread"), contents);
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn duplicate_key_append_supersedes() {
-        let dir = temp_dir("supersede");
-        let records = sample_records(8, 2);
-        let mut altered = records[1].clone();
-        altered.set_reported_index(0);
-        let mut store = SegmentStore::open(&dir, StoreOptions::default())
-            .expect("open")
-            .store;
-        store.append_all(&records).expect("batch");
-        store.append_all([&altered]).expect("supersede");
-        assert_eq!(store.record_count(), 2, "same key counts once");
-        let got = store
-            .get(altered.location(), altered.period())
-            .expect("read")
-            .expect("present");
-        assert_eq!(*got, altered, "later frame wins");
-        drop(store);
-        let mut store = SegmentStore::open(&dir, StoreOptions::default())
-            .expect("reopen")
-            .store;
-        let got = store
-            .get(altered.location(), altered.period())
-            .expect("read")
-            .expect("present");
-        assert_eq!(*got, altered, "supersession survives reopen");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     // --- property tests (vendored deterministic proptest stub) -----------
@@ -1871,29 +1485,6 @@ mod tests {
             store.append_all(&records[survivors..]).expect("repair");
             prop_assert_eq!(store.record_count(), records.len());
             std::fs::remove_dir_all(&dir).ok();
-        }
-
-        /// Segment index encode/decode is lossless for arbitrary entry
-        /// sets, and every truncation of the encoding is rejected.
-        #[test]
-        fn index_roundtrips_and_rejects_truncation(
-            entries in proptest::collection::vec(
-                (0u64..50, 0u32..100, 8u64..100_000, 1u32..10_000), 0..40),
-            cut in any::<proptest::sample::Index>(),
-        ) {
-            let mut index = SegmentIndex::new();
-            for (location, period, offset, len) in &entries {
-                index.insert(LocationId::new(*location), PeriodId::new(*period), *offset, *len);
-            }
-            let bytes = index.encode();
-            let back = SegmentIndex::decode(&bytes).expect("roundtrip");
-            prop_assert_eq!(&back, &index);
-            if bytes.len() > 4 {
-                let cut = 4 + cut.index(bytes.len() - 4);
-                if cut < bytes.len() {
-                    prop_assert!(SegmentIndex::decode(&bytes[..cut]).is_err());
-                }
-            }
         }
     }
 }

@@ -92,7 +92,8 @@ fn main() {
             .append(&make_record(PeriodId::new(day), &mut rng2))
             .expect("append");
     }
-    // Clean shutdown: commit, fsync and seal the segment with its index.
+    // Clean shutdown: commit, fsync and seal the segment; the manifest now
+    // records its exact frame count, which the next open checks.
     store.checkpoint().expect("checkpoint");
     drop(store);
 

@@ -128,18 +128,21 @@ serve_pid=$!
 wait "$serve_pid"
 "$ptm" trace-validate --file out/trace-sample.jsonl
 
-# Cold-start smoke for storage engine v2: populate an archive with enough
-# uploads to rotate a few segments, kill the daemon, reopen with tracing on,
-# query the reopened daemon, and assert the open went through the indexed
-# path (a recorded `store.index.load` span) instead of a full replay.
-echo "==> cold-start smoke (O(index) reopen)"
+# Cold-start smoke for the segment store: populate an archive past the
+# rotation threshold (a sealed segment and an active one), stop the daemon,
+# reopen with tracing on, and require the reopened daemon to answer a query
+# exactly as the live one did, after an open that read each segment file
+# once.
+echo "==> cold-start smoke (one-pass reopen)"
 rm -f out/trace-coldstart.jsonl
 rm -rf out/coldstart.ptma
+query=("$ptm" query --addr 127.0.0.1:17172 --kind point --location 7 --periods 12 --quiet)
 "$ptm" serve --archive out/coldstart.ptma --addr 127.0.0.1:17172 \
     --rotate-bytes 1024 --duration-secs 4 --quiet &
 serve_pid=$!
 "$ptm" upload --addr 127.0.0.1:17172 --location 7 --periods 12 \
     --vehicles 400 --persistent 100 --quiet
+live_answer="$("${query[@]}")"
 # The health probe (one Ping, no retries) must pass against the live
 # daemon and fail once it has stopped.
 "$ptm" serve --health --addr 127.0.0.1:17172
@@ -148,20 +151,27 @@ if "$ptm" serve --health --addr 127.0.0.1:17172; then
     echo "ci: the health probe passed against a stopped daemon" >&2
     exit 1
 fi
-# The shutdown checkpoint seals the tail, so this reopen must go through
-# sealed-index loads only — no record replay — before the daemon loads the
-# records into its query engine and answers from memory.
+segments=$(find out/coldstart.ptma -name 'seg-*.ptms' | wc -l)
+# The reopen reads every segment front to back, once, and loads the records
+# into the query engine before it answers from memory.
 "$ptm" serve --archive out/coldstart.ptma --addr 127.0.0.1:17172 \
     --duration-secs 4 --trace out/trace-coldstart.jsonl --quiet &
 serve_pid=$!
-if ! "$ptm" query --addr 127.0.0.1:17172 --kind point --location 7 --periods 12 --quiet; then
+if ! reopened_answer="$("${query[@]}")"; then
     kill "$serve_pid" 2> /dev/null || true
     echo "ci: the reopened daemon did not answer a query" >&2
     exit 1
 fi
 wait "$serve_pid"
-grep -q 'store.index.load' out/trace-coldstart.jsonl \
-    || { echo "ci: cold start did not record a store.index.load span" >&2; exit 1; }
+if [ "$reopened_answer" != "$live_answer" ]; then
+    echo "ci: reopened daemon answered '$reopened_answer', live one '$live_answer'" >&2
+    exit 1
+fi
+scans=$(grep -c '"name":"store.replay.scan"' out/trace-coldstart.jsonl || true)
+if [ "$scans" -ne "$segments" ]; then
+    echo "ci: reopen recorded $scans store.replay.scan spans for $segments segment files" >&2
+    exit 1
+fi
 rm -rf out/trace-smoke.ptma out/coldstart.ptma
 
 echo "ci: all green"

@@ -23,7 +23,7 @@ use ptm_core::encoding::{EncodingScheme, LocationId};
 use ptm_core::params::BitmapSize;
 use ptm_core::record::{PeriodId, TrafficRecord};
 use ptm_fault::{sites, FaultAction, FaultPlan, Rule};
-use ptm_integration_tests::{direct_record, fleet};
+use ptm_integration_tests::{cleanup_archive, direct_record, fleet, temp_archive};
 use ptm_net::CentralServer;
 use ptm_rpc::proto::{decode_response, encode_request};
 use ptm_rpc::{
@@ -45,18 +45,6 @@ fn lock() -> MutexGuard<'static, ()> {
     TEST_LOCK
         .lock()
         .unwrap_or_else(|poison| poison.into_inner())
-}
-
-fn temp_archive(name: &str) -> PathBuf {
-    let mut path = std::env::temp_dir();
-    path.push(format!("ptm-chaos-{}-{name}.ptma", std::process::id()));
-    // The path may hold a segment directory from an earlier run.
-    let _ = std::fs::remove_dir_all(&path);
-    path
-}
-
-fn cleanup_archive(path: &PathBuf) {
-    let _ = std::fs::remove_dir_all(path);
 }
 
 /// Every `seg-*.ptms` file in the archive directory, lowest id first (the
@@ -256,7 +244,7 @@ fn storm_client_config(seed: u64) -> ClientConfig {
 
 fn run_storm(seed: u64) {
     let fsync = seed % 2 == 1;
-    let path = temp_archive(&format!("storm-{seed}"));
+    let path = temp_archive("chaos", &format!("storm-{seed}"));
     let plan = storm_plan(seed, fsync);
     let locations: Vec<u64> = vec![11, 12, 13];
     let all: Vec<TrafficRecord> = locations
@@ -400,7 +388,7 @@ fn read_response(stream: &mut TcpStream) -> Response {
 #[test]
 fn overload_burst_sheds_explicitly_and_answers_the_rest_exactly() {
     let _guard = lock();
-    let path = temp_archive("burst");
+    let path = temp_archive("chaos", "burst");
     let plan = FaultPlan::builder(7)
         // Only the first estimate is slow: it parks the daemon's single
         // worker for 400 ms while the burst queues up behind it.
@@ -557,7 +545,7 @@ fn overload_burst_sheds_explicitly_and_answers_the_rest_exactly() {
 #[test]
 fn degraded_mode_sheds_uploads_serves_queries_then_recovers() {
     let _guard = lock();
-    let path = temp_archive("degraded");
+    let path = temp_archive("chaos", "degraded");
     // The second and third commits fail; everything after is healthy.
     let plan = FaultPlan::builder(99)
         .rule(
@@ -710,7 +698,7 @@ fn lifecycle_server_config(
 }
 
 fn run_rotation_storm(seed: u64) {
-    let path = temp_archive(&format!("rotate-{seed}"));
+    let path = temp_archive("chaos", &format!("rotate-{seed}"));
     // The first two seal attempts fail: those rotations defer (the commit
     // that triggered them still acks) and retry on a later commit.
     let plan = FaultPlan::builder(seed)
@@ -747,38 +735,45 @@ fn run_rotation_storm(seed: u64) {
         server.shutdown().expect("shutdown");
     }
 
-    // Crash simulation for a kill mid-rotation: the last sealed segment
-    // loses half its trailer (as if the process died inside seal) and the
-    // active segment gains a torn frame (as if it died mid-append).
-    {
+    // Crash simulation for a kill mid-rotation. Rotation creates the next
+    // segment file before the manifest commit that names it, so a kill
+    // between the two leaves an orphan file: here the next id's, holding a
+    // header and a partial frame. The active segment gains a torn frame
+    // too (as if the kill landed mid-append).
+    let orphan = {
         use std::io::Write as _;
         let segments = segment_files(&path);
         assert!(
             segments.len() >= 3,
             "tiny threshold forces rotations (seed {seed}): {segments:?}"
         );
-        let sealed = &segments[segments.len() - 2];
-        let len = std::fs::metadata(sealed).expect("sealed metadata").len();
-        let file = std::fs::OpenOptions::new()
-            .write(true)
-            .open(sealed)
-            .expect("open sealed for tearing");
-        file.set_len(len - 7).expect("chop trailer");
+        let manifest = ptm_store::Manifest::load(&path)
+            .expect("manifest readable")
+            .expect("manifest present");
+        let orphan = path.join(format!("seg-{:08}.ptms", manifest.next_segment_id));
+        let mut bytes = b"PTMS\x03\x00\x00\x00".to_vec();
+        bytes.extend_from_slice(&[0x40, 0x00, 0x00, 0x00, 0x12, 0x34, 0x56, 0x78, 0xAB]);
+        std::fs::write(&orphan, bytes).expect("orphan segment");
         let mut active = std::fs::OpenOptions::new()
             .append(true)
-            .open(&segments[segments.len() - 1])
+            .open(active_segment_file(&path))
             .expect("open active for tearing");
         active
             .write_all(&[0x40, 0x00, 0x00, 0x00, 0xAB])
             .expect("torn tail");
-    }
+        orphan
+    };
 
-    // Phase 2: a clean daemon reopens the damaged directory. The chopped
-    // trailer forces the scan fallback; no acked record may be missing and
+    // Phase 2: a clean daemon reopens the damaged directory. The orphan is
+    // swept and the torn tail discarded; no acked record may be missing and
     // every estimate must match the in-process reference bit for bit.
     {
         let server = RpcServer::start("127.0.0.1:0", &path, lifecycle_server_config(None, 400, 0))
             .expect("restart");
+        assert!(
+            !orphan.exists(),
+            "the open sweeps the orphan segment (seed {seed})"
+        );
         let replay = server.replay_report();
         assert_eq!(
             replay.records,
@@ -813,11 +808,10 @@ fn kill_during_rotation_storm_loses_no_acked_record() {
 }
 
 fn run_compaction_storm(seed: u64) {
-    let path = temp_archive(&format!("compact-{seed}"));
+    let path = temp_archive("chaos", &format!("compact-{seed}"));
     // Two manifest commits fail mid-storm: a rotation's commit failure
-    // defers the rotation (the footer is truncated back off and the
-    // segment stays the write head) and a compaction's rolls the whole
-    // merge back. The budget then runs dry, so a later compaction pass
+    // defers the rotation (the new file is removed and the old segment
+    // stays the write head) and a compaction's rolls the whole merge back. The budget then runs dry, so a later compaction pass
     // succeeds.
     let plan = FaultPlan::builder(seed)
         .rule(
@@ -941,7 +935,7 @@ fn handler_panic_dumps_a_nonempty_flight_recorder() {
         std::process::id()
     ));
     let _ = std::fs::remove_file(&dump);
-    let path = temp_archive("recorder");
+    let path = temp_archive("chaos", "recorder");
     // The panic rides the registered rpc.ingest site: the first ingest
     // job (the pre-panic upload) passes, the second panics inside the
     // writer lock.
@@ -986,5 +980,5 @@ fn handler_panic_dumps_a_nonempty_flight_recorder() {
     server.shutdown().expect("clean shutdown");
     ptm_obs::set_tracing_enabled(false);
     let _ = std::fs::remove_file(&dump);
-    let _ = std::fs::remove_file(&path);
+    cleanup_archive(&path);
 }

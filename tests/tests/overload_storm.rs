@@ -20,7 +20,7 @@ use ptm_core::encoding::{EncodingScheme, LocationId};
 use ptm_core::params::BitmapSize;
 use ptm_core::record::{PeriodId, TrafficRecord};
 use ptm_fault::FaultPlan;
-use ptm_integration_tests::{direct_record, fleet};
+use ptm_integration_tests::{cleanup_archive, direct_record, fleet, temp_archive};
 use ptm_net::CentralServer;
 use ptm_rpc::proto::{decode_response, encode_request_with};
 use ptm_rpc::{
@@ -30,7 +30,6 @@ use ptm_rpc::{
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::net::TcpStream;
-use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -40,19 +39,6 @@ fn lock() -> MutexGuard<'static, ()> {
     TEST_LOCK
         .lock()
         .unwrap_or_else(|poison| poison.into_inner())
-}
-
-fn temp_archive(name: &str) -> PathBuf {
-    let mut path = std::env::temp_dir();
-    path.push(format!("ptm-overload-{}-{name}.ptma", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_dir_all(&path);
-    path
-}
-
-fn cleanup_archive(path: &PathBuf) {
-    let _ = std::fs::remove_file(path);
-    let _ = std::fs::remove_dir_all(path);
 }
 
 fn campaign(location: u64, periods: u32, seed: u64) -> Vec<TrafficRecord> {
@@ -122,7 +108,7 @@ fn assert_gauges_settle(client: &mut RpcClient, context: &str) {
 }
 
 fn run_overload_storm(seed: u64) {
-    let path = temp_archive(&format!("storm-{seed}"));
+    let path = temp_archive("overload", &format!("storm-{seed}"));
     // Every ingest commit stalls 25 ms: three uploader threads against two
     // workers keeps the pool saturated for the whole storm.
     let plan = FaultPlan::parse("rpc.ingest@1/1=delay:25", seed).expect("plan");
@@ -332,7 +318,7 @@ fn seeded_overload_storms_hold_every_invariant() {
 #[test]
 fn stats_answers_while_every_worker_is_parked() {
     let _guard = lock();
-    let path = temp_archive("parked");
+    let path = temp_archive("overload", "parked");
     let plan = FaultPlan::parse("rpc.ingest@1=delay:400", 5).expect("plan");
     let config = ServerConfig {
         s: 3,

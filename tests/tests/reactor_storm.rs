@@ -14,7 +14,7 @@
 use ptm_core::encoding::{EncodingScheme, LocationId};
 use ptm_core::params::BitmapSize;
 use ptm_core::record::{PeriodId, TrafficRecord};
-use ptm_integration_tests::{direct_record, fleet};
+use ptm_integration_tests::{cleanup_archive, direct_record, fleet, temp_archive};
 use ptm_rpc::{
     read_frame, write_frame, ClientConfig, ReadOutcome, RpcClient, RpcServer, ServerConfig,
     DEFAULT_MAX_FRAME_LEN,
@@ -23,7 +23,6 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::io::Write;
 use std::net::TcpStream;
-use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -33,19 +32,6 @@ fn lock() -> MutexGuard<'static, ()> {
     TEST_LOCK
         .lock()
         .unwrap_or_else(|poison| poison.into_inner())
-}
-
-fn temp_archive(name: &str) -> PathBuf {
-    let mut path = std::env::temp_dir();
-    path.push(format!("ptm-storm-{}-{name}.ptma", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_dir_all(&path);
-    path
-}
-
-fn cleanup_archive(path: &PathBuf) {
-    let _ = std::fs::remove_file(path);
-    let _ = std::fs::remove_dir_all(path);
 }
 
 /// After a storm the worker pool's accounting must settle: nothing in
@@ -109,7 +95,7 @@ fn campaign(location: u64, periods: u32, seed: u64) -> Vec<TrafficRecord> {
 #[test]
 fn slow_loris_dribblers_do_not_starve_healthy_clients() {
     let _guard = lock();
-    let path = temp_archive("loris");
+    let path = temp_archive("storm", "loris");
     let config = ServerConfig {
         s: 3,
         max_connections: 2048,
@@ -197,7 +183,7 @@ fn slow_loris_dribblers_do_not_starve_healthy_clients() {
 #[test]
 fn one_thousand_concurrent_connections_all_get_answered() {
     let _guard = lock();
-    let path = temp_archive("1k");
+    let path = temp_archive("storm", "1k");
     let config = ServerConfig {
         s: 3,
         max_connections: 1500,
@@ -249,8 +235,8 @@ fn one_thousand_concurrent_connections_all_get_answered() {
 #[test]
 fn pipelined_uploads_are_bit_for_bit_equivalent_to_batched() {
     let _guard = lock();
-    let path_a = temp_archive("pipe-a");
-    let path_b = temp_archive("pipe-b");
+    let path_a = temp_archive("storm", "pipe-a");
+    let path_b = temp_archive("storm", "pipe-b");
     let config = || ServerConfig {
         s: 3,
         poll_interval: Duration::from_millis(2),

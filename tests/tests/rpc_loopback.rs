@@ -10,7 +10,7 @@
 use ptm_core::encoding::{EncodingScheme, LocationId};
 use ptm_core::params::BitmapSize;
 use ptm_core::record::{PeriodId, TrafficRecord};
-use ptm_integration_tests::{direct_record, fleet};
+use ptm_integration_tests::{cleanup_archive, direct_record, fleet, temp_archive};
 use ptm_net::CentralServer;
 use ptm_rpc::{
     ClientConfig, ClientError, DaemonError, ErrorCode, RpcClient, RpcServer, ServerConfig,
@@ -19,7 +19,6 @@ use ptm_rpc::{
 use ptm_store::{SegmentStore, StoreError, StoreOptions};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -29,18 +28,6 @@ fn lock() -> MutexGuard<'static, ()> {
     TEST_LOCK
         .lock()
         .unwrap_or_else(|poison| poison.into_inner())
-}
-
-fn temp_archive(name: &str) -> PathBuf {
-    let mut path = std::env::temp_dir();
-    path.push(format!("ptm-rpc-it-{}-{name}.ptma", std::process::id()));
-    // The path may hold a segment directory from an earlier run.
-    let _ = std::fs::remove_dir_all(&path);
-    path
-}
-
-fn cleanup_archive(path: &PathBuf) {
-    let _ = std::fs::remove_dir_all(path);
 }
 
 fn server_config() -> ServerConfig {
@@ -89,7 +76,7 @@ fn campaign(location: u64, periods: u32, seed: u64) -> Vec<TrafficRecord> {
 #[test]
 fn concurrent_uploads_match_in_process_estimates_bit_for_bit() {
     let _guard = lock();
-    let path = temp_archive("e2e");
+    let path = temp_archive("rpc-it", "e2e");
     let server = RpcServer::start("127.0.0.1:0", &path, server_config()).expect("start");
     let addr = server.local_addr();
 
@@ -152,7 +139,7 @@ fn concurrent_uploads_match_in_process_estimates_bit_for_bit() {
 #[test]
 fn restart_replays_archive_and_answers_identically() {
     let _guard = lock();
-    let path = temp_archive("replay");
+    let path = temp_archive("rpc-it", "replay");
     let records = campaign(9, 5, 77);
     let periods: Vec<PeriodId> = (0..5).map(PeriodId::new).collect();
     let location = LocationId::new(9);
@@ -179,7 +166,7 @@ fn restart_replays_archive_and_answers_identically() {
 #[test]
 fn retry_after_server_killed_mid_campaign_leaves_no_duplicate_frames() {
     let _guard = lock();
-    let path = temp_archive("kill-retry");
+    let path = temp_archive("rpc-it", "kill-retry");
     let records = campaign(3, 6, 13);
 
     // The daemon dies after only part of the campaign is acked.
@@ -199,24 +186,21 @@ fn retry_after_server_killed_mid_campaign_leaves_no_duplicate_frames() {
     assert_eq!(summary.duplicates, 4, "the acked prefix is idempotent");
     server.shutdown().expect("shutdown");
 
-    // The store holds exactly one live frame per record — no duplicates
-    // (a re-archived duplicate would supersede, not coexist, so the key
-    // count equals the record count exactly).
+    // The store is a log that counts frames, so a record archived twice
+    // would count twice: one frame per record means no duplicate frames.
     let opened = SegmentStore::open(&path, StoreOptions::default()).expect("open");
-    let store = opened.store;
-    assert_eq!(store.record_count(), records.len());
-    let mut keys = 0usize;
-    for location in store.locations() {
-        keys += store.periods_for_location(location).len();
-    }
-    assert_eq!(keys, records.len(), "every archived frame is unique");
+    assert_eq!(
+        opened.store.record_count(),
+        records.len(),
+        "every archived frame is unique"
+    );
     cleanup_archive(&path);
 }
 
 #[test]
 fn client_retries_transparently_after_idle_disconnect() {
     let _guard = lock();
-    let path = temp_archive("idle-retry");
+    let path = temp_archive("rpc-it", "idle-retry");
     // An aggressive idle cutoff severs the client's connection quickly.
     let config = ServerConfig {
         read_timeout: Duration::from_millis(100),
@@ -242,7 +226,7 @@ fn client_retries_transparently_after_idle_disconnect() {
 fn corrupt_and_oversized_frames_close_the_connection_not_the_daemon() {
     let _guard = lock();
     use std::io::{Read, Write};
-    let path = temp_archive("faults");
+    let path = temp_archive("rpc-it", "faults");
     let config = ServerConfig {
         max_frame_len: 64 * 1024,
         ..server_config()
@@ -301,7 +285,7 @@ fn corrupt_and_oversized_frames_close_the_connection_not_the_daemon() {
 #[test]
 fn conflicting_record_is_fatal_not_retried() {
     let _guard = lock();
-    let path = temp_archive("conflict-fatal");
+    let path = temp_archive("rpc-it", "conflict-fatal");
     let location = LocationId::new(8);
     let records = campaign(8, 1, 21);
     {
@@ -349,13 +333,13 @@ fn conflicting_record_is_fatal_not_retried() {
 #[test]
 fn corrupt_sealed_frame_fails_the_start() {
     let _guard = lock();
-    let path = temp_archive("corrupt-sealed");
+    let path = temp_archive("rpc-it", "corrupt-sealed");
     {
         let server = RpcServer::start("127.0.0.1:0", &path, server_config()).expect("start");
         let mut client = RpcClient::connect(server.local_addr(), client_config()).expect("client");
         client.upload_batch(&campaign(6, 2, 60)).expect("upload");
-        // The clean shutdown seals the segment, so the next open reads
-        // its footer index, not its frames.
+        // The clean shutdown seals the segment; the next open still reads
+        // and checks every one of its frames.
         server.shutdown().expect("shutdown");
     }
 
@@ -373,5 +357,10 @@ fn corrupt_sealed_frame_fails_the_start() {
             panic!("a daemon started on an archive with a corrupt frame");
         }
     }
+    assert_eq!(
+        std::fs::read(&segment).expect("reread segment"),
+        bytes,
+        "a sealed segment is never truncated"
+    );
     cleanup_archive(&path);
 }

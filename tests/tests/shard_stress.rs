@@ -10,12 +10,11 @@
 use ptm_core::encoding::{EncodingScheme, LocationId};
 use ptm_core::params::BitmapSize;
 use ptm_core::record::{PeriodId, TrafficRecord};
-use ptm_integration_tests::{direct_record, fleet};
+use ptm_integration_tests::{cleanup_archive, direct_record, fleet, temp_archive};
 use ptm_net::CentralServer;
 use ptm_rpc::{ClientConfig, RpcClient, RpcServer, ServerConfig};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
@@ -26,13 +25,6 @@ fn lock() -> MutexGuard<'static, ()> {
     TEST_LOCK
         .lock()
         .unwrap_or_else(|poison| poison.into_inner())
-}
-
-fn temp_archive(name: &str) -> PathBuf {
-    let mut path = std::env::temp_dir();
-    path.push(format!("ptm-shard-it-{}-{name}.ptma", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    path
 }
 
 fn server_config() -> ServerConfig {
@@ -126,7 +118,7 @@ fn parallel_uploads_and_queries_match_sequential_bit_for_bit() {
         .expect("reference p2p")
         .to_bits();
 
-    let path = temp_archive("stress");
+    let path = temp_archive("shard-it", "stress");
     let server = RpcServer::start("127.0.0.1:0", &path, server_config()).expect("start");
     let addr = server.local_addr();
     let done = AtomicBool::new(false);
@@ -197,7 +189,7 @@ fn parallel_uploads_and_queries_match_sequential_bit_for_bit() {
     );
     assert_eq!(server.record_count(), locations.len() * PERIODS as usize);
     server.shutdown().expect("shutdown");
-    std::fs::remove_file(&path).ok();
+    cleanup_archive(&path);
 }
 
 /// A panicking upload publishes nothing: the answers before and after it
@@ -206,7 +198,7 @@ fn parallel_uploads_and_queries_match_sequential_bit_for_bit() {
 #[test]
 fn panicked_upload_publishes_nothing_and_its_retry_lands_once() {
     let _guard = lock();
-    let path = temp_archive("panic-retry");
+    let path = temp_archive("shard-it", "panic-retry");
     // The second ingest job — the fourth-period upload below — panics via
     // the registered rpc.ingest site; the first (the 3-record batch) and
     // the post-panic retry pass untouched.
@@ -269,5 +261,5 @@ fn panicked_upload_publishes_nothing_and_its_retry_lands_once() {
     assert_eq!(over_wire.to_bits(), in_process.to_bits());
 
     server.shutdown().expect("shutdown");
-    std::fs::remove_file(&path).ok();
+    cleanup_archive(&path);
 }

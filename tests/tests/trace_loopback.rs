@@ -11,13 +11,12 @@
 use ptm_core::encoding::{EncodingScheme, LocationId};
 use ptm_core::params::BitmapSize;
 use ptm_core::record::{PeriodId, TrafficRecord};
-use ptm_integration_tests::{direct_record, fleet};
+use ptm_integration_tests::{cleanup_archive, direct_record, fleet, temp_archive};
 use ptm_rpc::{ClientConfig, RpcClient, RpcServer, ServerConfig};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
 use std::io::Write;
-use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -27,18 +26,6 @@ fn lock() -> MutexGuard<'static, ()> {
     TEST_LOCK
         .lock()
         .unwrap_or_else(|poison| poison.into_inner())
-}
-
-fn temp_archive(name: &str) -> PathBuf {
-    let mut path = std::env::temp_dir();
-    path.push(format!("ptm-trace-it-{}-{name}.ptma", std::process::id()));
-    // The path may hold a segment directory from an earlier run.
-    let _ = std::fs::remove_dir_all(&path);
-    path
-}
-
-fn cleanup_archive(path: &PathBuf) {
-    let _ = std::fs::remove_dir_all(path);
 }
 
 /// A `Write` sink the test can read back after the daemon wrote to it.
@@ -162,7 +149,7 @@ fn traced_upload_and_query_each_yield_one_connected_span_tree() {
     ptm_obs::set_trace_seed(0x7AC3);
     ptm_obs::enable_tracing();
 
-    let archive = temp_archive("tree");
+    let archive = temp_archive("trace-it", "tree");
     let server =
         RpcServer::start("127.0.0.1:0", &archive, ServerConfig::default()).expect("daemon starts");
     let mut client = RpcClient::connect(server.local_addr(), client_config()).expect("client");
@@ -269,7 +256,7 @@ fn stats_snapshot_reports_shards_percentiles_and_recorder() {
     ptm_obs::enable_tracing();
     ptm_obs::set_metrics_enabled(true);
 
-    let archive = temp_archive("stats");
+    let archive = temp_archive("trace-it", "stats");
     let server =
         RpcServer::start("127.0.0.1:0", &archive, ServerConfig::default()).expect("daemon starts");
     let mut client = RpcClient::connect(server.local_addr(), client_config()).expect("client");
@@ -302,7 +289,7 @@ fn untraced_clients_still_get_local_server_traces() {
     ptm_obs::set_trace_writer(Some(Box::new(sink.clone())));
     ptm_obs::enable_tracing();
 
-    let archive = temp_archive("local");
+    let archive = temp_archive("trace-it", "local");
     let server =
         RpcServer::start("127.0.0.1:0", &archive, ServerConfig::default()).expect("daemon starts");
 
