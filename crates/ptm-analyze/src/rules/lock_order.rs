@@ -64,7 +64,7 @@ mod tests {
                  let m = manifest.lock().unwrap();\n\
                  let s = shard.write().unwrap();\n\
              }\n\
-             fn compact(manifest: &Mutex<u32>, shard: &RwLock<u32>) {\n\
+             fn rotate(manifest: &Mutex<u32>, shard: &RwLock<u32>) {\n\
                  let s = shard.write().unwrap();\n\
                  let m = manifest.lock().unwrap();\n\
              }\n",
@@ -74,7 +74,7 @@ mod tests {
         assert!(f.message.contains("manifest"), "message: {}", f.message);
         assert!(f.message.contains("shard"), "message: {}", f.message);
         assert!(f.message.contains("ingest"), "message: {}", f.message);
-        assert!(f.message.contains("compact"), "message: {}", f.message);
+        assert!(f.message.contains("rotate"), "message: {}", f.message);
         assert!(f.message.contains("holds"), "message: {}", f.message);
     }
 
@@ -85,7 +85,7 @@ mod tests {
                  let m = manifest.lock().unwrap();\n\
                  let s = shard.write().unwrap();\n\
              }\n\
-             fn compact(manifest: &Mutex<u32>, shard: &RwLock<u32>) {\n\
+             fn rotate(manifest: &Mutex<u32>, shard: &RwLock<u32>) {\n\
                  let m = manifest.lock().unwrap();\n\
                  let s = shard.write().unwrap();\n\
              }\n",

@@ -35,7 +35,7 @@ fn lock_inversion_pair_yields_one_cycle_with_witness_chain() {
              let q = queue.lock().unwrap();\n\
              let i = index.lock().unwrap();\n\
          }\n\
-         fn compact(queue: &Mutex<u32>, index: &Mutex<u32>) {\n\
+         fn rotate(queue: &Mutex<u32>, index: &Mutex<u32>) {\n\
              let i = index.lock().unwrap();\n\
              let q = queue.lock().unwrap();\n\
          }\n",
@@ -45,7 +45,7 @@ fn lock_inversion_pair_yields_one_cycle_with_witness_chain() {
     assert!(message.contains("potential deadlock"), "message: {message}");
     // The witness names both locks and both functions: who holds what
     // while acquiring what.
-    for needle in ["queue", "index", "ingest", "compact", "holds"] {
+    for needle in ["queue", "index", "ingest", "rotate", "holds"] {
         assert!(
             message.contains(needle),
             "message lacks `{needle}`: {message}"
@@ -61,7 +61,7 @@ fn consistent_lock_order_is_clean() {
              let q = queue.lock().unwrap();\n\
              let i = index.lock().unwrap();\n\
          }\n\
-         fn compact(queue: &Mutex<u32>, index: &Mutex<u32>) {\n\
+         fn rotate(queue: &Mutex<u32>, index: &Mutex<u32>) {\n\
              let q = queue.lock().unwrap();\n\
              let i = index.lock().unwrap();\n\
          }\n",

@@ -91,8 +91,6 @@ COMMANDS:
                  [--retry-after-ms N: shed-response hint; default 250]
                  [--sync flush|fsync: archive durability; default flush]
                  [--rotate-bytes N: segment rotation threshold; default 8 MiB]
-                 [--compact-ms N: background compaction interval, 0 disables;
-                  default 30000]
                  [--recorder-dump P: dump the flight recorder as JSONL to P
                   on panic, degraded transitions, and shutdown]
                  [--drain-file P: graceful-drain hook — when P appears the
@@ -164,7 +162,6 @@ fn command_flags(command: &str) -> Option<&'static [&'static str]> {
             "workers",
             "retry-after-ms",
             "rotate-bytes",
-            "compact-ms",
             "sync",
             "faults",
             "fault-seed",

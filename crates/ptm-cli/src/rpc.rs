@@ -98,9 +98,6 @@ pub fn cmd_serve(options: &Options) -> Result<(), String> {
     if let Some(bytes) = opt_u64(options, "rotate-bytes")? {
         config.rotate_bytes = bytes;
     }
-    if let Some(ms) = opt_u64(options, "compact-ms")? {
-        config.compact_interval = Duration::from_millis(ms);
-    }
     match options.get("sync").map(String::as_str) {
         None | Some("flush") => {}
         Some("fsync") => config.sync_policy = ptm_store::SyncPolicy::Fsync,
@@ -324,11 +321,10 @@ pub fn cmd_top(options: &Options) -> Result<(), String> {
             .iter()
             .any(|(k, v)| k == "wedged" && matches!(v, Content::Bool(true)));
         println!(
-            "store: {} segments ({} sealed), active {} B, {} compactions{}",
+            "store: {} segments ({} sealed), active {} B{}",
             cell("segments"),
             cell("sealed"),
             cell("active_bytes"),
-            cell("compactions"),
             if wedged { " — WEDGED" } else { "" },
         );
     }

@@ -58,8 +58,8 @@ pub mod sites {
     /// Segment-store manifest commits (the atomic temp-write + rename that
     /// publishes a new segment set).
     pub const STORE_MANIFEST: &str = "store.manifest";
-    /// Segment seals (the fsync of the outgoing segment, checked before
-    /// the manifest marks it sealed, and of a compaction's merged file).
+    /// Segment seals at rotation (the fsync of the outgoing segment,
+    /// checked before the manifest marks it sealed).
     pub const STORE_SEAL: &str = "store.seal";
     /// RPC server stream reads (request frames arriving).
     pub const RPC_READ: &str = "rpc.read";

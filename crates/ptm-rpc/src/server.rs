@@ -24,7 +24,8 @@
 //!    safe.
 //! 3. **Shutdown** — [`RpcServer::shutdown`] stops the event loop, waits
 //!    for in-flight jobs to finish (bounded), flushes their replies, then
-//!    flushes and fsyncs the archive.
+//!    checkpoints the archive (commit, fsync, and the active segment's
+//!    frame count into the manifest; no new segment file).
 //!
 //! # The wire path
 //!
@@ -53,9 +54,9 @@
 //! validated and applied under it, so a conflict anywhere rejects the
 //! batch whole and a retry can never half-apply. Queries never take the
 //! writer lock: every record is in the engine from start, so archive I/O
-//! is out of the estimation path entirely. A background maintenance
-//! thread compacts small sealed segments and, while degraded, retries
-//! the store reopen automatically under the configured cooldown.
+//! is out of the estimation path entirely. While ingest is degraded, a
+//! background maintenance thread retries the store reopen under the
+//! configured cooldown; it is the only place a reopen is tried.
 //!
 //! # Shedding
 //!
@@ -112,11 +113,9 @@ pub struct ServerConfig {
     /// peer mid-frame may pause up to this long in total before the
     /// connection is declared stalled.
     pub read_timeout: Duration,
-    /// Granularity at which blocked reads and the accept loop re-check the
-    /// shutdown flag.
+    /// Granularity at which blocked reads, the accept loop and the
+    /// maintenance thread re-check the shutdown and degraded flags.
     pub poll_interval: Duration,
-    /// Largest accepted frame payload, in bytes.
-    pub max_frame_len: u32,
     /// Connections served concurrently before new ones are shed (answered
     /// with [`Response::Overloaded`] once they speak, then closed); 0
     /// removes the cap.
@@ -129,18 +128,14 @@ pub struct ServerConfig {
     /// Consecutive archive-append failures before ingest enters degraded
     /// (read-only) mode. A wedged archive enters it immediately.
     pub degraded_after_failures: u32,
-    /// Minimum wait between archive-reopen probes while degraded.
+    /// Wait before each archive-reopen probe while degraded, counted from
+    /// entry into degraded mode and from each failed probe.
     pub degraded_cooldown: Duration,
     /// Durability level for archive commits.
     pub sync_policy: SyncPolicy,
     /// The active segment rotates (seals + fresh file) once its committed
     /// bytes reach this.
     pub rotate_bytes: u64,
-    /// How often the background maintenance thread wakes to compact
-    /// small sealed segments — and, while degraded, to retry the store
-    /// reopen under [`ServerConfig::degraded_cooldown`]. Zero disables the
-    /// thread entirely.
-    pub compact_interval: Duration,
     /// Where the flight recorder dumps its JSONL tail on entry into
     /// degraded mode and on a caught handler panic; `None` disables
     /// automatic dumps (an explicit `Request::Stats` still reads the ring).
@@ -162,7 +157,6 @@ impl Default for ServerConfig {
             s: 3,
             read_timeout: Duration::from_secs(30),
             poll_interval: Duration::from_millis(25),
-            max_frame_len: DEFAULT_MAX_FRAME_LEN,
             max_connections: 256,
             workers: 4,
             retry_after_ms: 250,
@@ -170,7 +164,6 @@ impl Default for ServerConfig {
             degraded_cooldown: Duration::from_secs(2),
             sync_policy: SyncPolicy::Flush,
             rotate_bytes: 8 * 1024 * 1024,
-            compact_interval: Duration::from_secs(30),
             recorder_dump: None,
             metrics_snapshot: None,
             fault_plan: None,
@@ -234,16 +227,13 @@ pub struct ReplayReport {
 }
 
 /// Read-only (degraded) mode bookkeeping: entered when the archive backend
-/// keeps failing, left when a cooldown-gated reopen probe succeeds.
+/// keeps failing, left when the maintenance thread's reopen probe succeeds.
 #[derive(Default)]
 struct DegradedState {
     /// Set while ingest is shedding uploads because the archive is down.
     flag: AtomicBool,
     /// Consecutive archive-append failures; reset by any successful commit.
     failures: AtomicU32,
-    /// When the last reopen probe ran (also set on entry, so the first
-    /// probe waits a full cooldown).
-    last_probe: Mutex<Option<Instant>>,
 }
 
 struct Shared {
@@ -434,16 +424,10 @@ impl RpcServer {
         let reactor_thread = std::thread::Builder::new()
             .name("ptm-rpc-reactor".into())
             .spawn(move || reactor_loop(listener, reactor_shared, pool))?;
-        let maintenance_thread = if shared.config.compact_interval.is_zero() {
-            None
-        } else {
-            let maint_shared = Arc::clone(&shared);
-            Some(
-                std::thread::Builder::new()
-                    .name("ptm-rpc-maint".into())
-                    .spawn(move || maintenance_loop(maint_shared))?,
-            )
-        };
+        let maint_shared = Arc::clone(&shared);
+        let maintenance_thread = std::thread::Builder::new()
+            .name("ptm-rpc-maint".into())
+            .spawn(move || maintenance_loop(maint_shared))?;
 
         ptm_obs::info!("rpc.server", "daemon listening";
             addr = local_addr.to_string(),
@@ -453,7 +437,7 @@ impl RpcServer {
             shared,
             local_addr,
             reactor_thread: Some(reactor_thread),
-            maintenance_thread,
+            maintenance_thread: Some(maintenance_thread),
             replay,
             archive_path,
         })
@@ -529,9 +513,9 @@ impl RpcServer {
 
     /// Graceful shutdown: stop the event loop (in-flight jobs finish and
     /// their replies flush, within a bound), then checkpoint the store —
-    /// pending frames committed and fsynced, the active segment sealed,
-    /// so the next open checks every acked frame against the manifest's
-    /// counts.
+    /// pending frames committed and fsynced and the active segment's frame
+    /// count recorded in the manifest, so the next open checks every acked
+    /// frame against the manifest's counts.
     ///
     /// # Errors
     ///
@@ -675,18 +659,12 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(
-        id: u64,
-        stream: FaultyStream<TcpStream>,
-        peer: SocketAddr,
-        shed: bool,
-        max_frame_len: u32,
-    ) -> Self {
+    fn new(id: u64, stream: FaultyStream<TcpStream>, peer: SocketAddr, shed: bool) -> Self {
         Self {
             id,
             stream,
             peer,
-            decoder: FrameDecoder::new(max_frame_len),
+            decoder: FrameDecoder::new(DEFAULT_MAX_FRAME_LEN),
             out: Vec::new(),
             written: 0,
             pending: VecDeque::new(),
@@ -1137,10 +1115,7 @@ fn reactor_loop(listener: TcpListener, shared: Arc<Shared>, pool: WorkerPool<Job
                         shared.write_site.clone(),
                     );
                     next_id += 1;
-                    conns.insert(
-                        next_id,
-                        Conn::new(next_id, stream, peer, shed, shared.config.max_frame_len),
-                    );
+                    conns.insert(next_id, Conn::new(next_id, stream, peer, shed));
                 }
                 Err(err) if err.kind() == io::ErrorKind::WouldBlock => break,
                 Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
@@ -1278,37 +1253,26 @@ fn reactor_loop(listener: TcpListener, shared: Arc<Shared>, pool: WorkerPool<Job
     pool.shutdown_and_join();
 }
 
-/// The background maintenance thread: every `compact_interval` it either
-/// retries the degraded-mode store reopen (so recovery does not have to
-/// wait for the next upload to probe) or runs a compaction pass merging
-/// small sealed segments. Polls the shutdown flag at
-/// `poll_interval` granularity so shutdown never waits a full interval.
+/// The background maintenance thread, the only place a degraded-mode
+/// store reopen is tried. Every `poll_interval` it checks the shutdown and
+/// degraded flags; the cooldown clock starts when it first sees ingest
+/// degraded and restarts after each failed probe, and only a probe that
+/// is due takes the writer lock.
 fn maintenance_loop(shared: Arc<Shared>) {
-    let mut since_tick = Duration::ZERO;
+    let mut degraded_since: Option<Instant> = None;
     while !shared.shutdown.load(Ordering::SeqCst) {
         std::thread::sleep(shared.config.poll_interval);
-        since_tick += shared.config.poll_interval;
-        if since_tick < shared.config.compact_interval {
+        if !shared.degraded.flag.load(Ordering::SeqCst) {
+            degraded_since = None;
             continue;
         }
-        since_tick = Duration::ZERO;
-        if shared.degraded.flag.load(Ordering::SeqCst) {
-            // Automatic reopen: same probe ingest uses, same cooldown
-            // (try_recover enforces it), no upload required to trigger it.
-            let mut store = lock_writer(&shared.writer);
-            let _ = try_recover(&shared, &mut store);
+        let since = *degraded_since.get_or_insert_with(Instant::now);
+        if since.elapsed() < shared.config.degraded_cooldown {
             continue;
         }
         let mut store = lock_writer(&shared.writer);
-        match store.compact() {
-            Ok(report) if report.new_segment.is_some() => {
-                ptm_obs::debug!("rpc.server", "background compaction ran";
-                    merged = report.merged_segments as u64);
-            }
-            Ok(_) => {}
-            // compact() already counted and logged the failure; the old
-            // segment set is intact, so just try again next interval.
-            Err(_) => {}
+        if !try_recover(&shared, &mut store) {
+            degraded_since = Some(Instant::now());
         }
     }
 }
@@ -1545,12 +1509,10 @@ fn stats_json(shared: &Shared) -> String {
     };
     match store_guard {
         Some(store) => out.push_str(&format!(
-            "{{\"segments\":{},\"sealed\":{},\"active_bytes\":{},\"compactions\":{},\
-             \"wedged\":{}}}",
+            "{{\"segments\":{},\"sealed\":{},\"active_bytes\":{},\"wedged\":{}}}",
             store.segment_count(),
             store.sealed_count(),
             store.active_bytes(),
-            store.compaction_count(),
             store.is_wedged(),
         )),
         None => out.push_str("null"),
@@ -1740,9 +1702,9 @@ fn ingest_frames(shared: &Shared, frames: Vec<DecodedFrame>) -> Vec<Reply> {
         }
     }
     // Degraded (read-only) mode: the archive backend kept failing. Shed
-    // uploads fast — or, if the cooldown has passed, probe a reopen and
-    // resume ingest on success. Queries never reach this path.
-    if shared.degraded.flag.load(Ordering::SeqCst) && !try_recover(shared, &mut store) {
+    // uploads at once; the maintenance thread probes the reopen. Queries
+    // never reach this path.
+    if shared.degraded.flag.load(Ordering::SeqCst) {
         return traces
             .iter()
             .map(|trace| {
@@ -1933,14 +1895,6 @@ fn ingest_frames(shared: &Shared, frames: Vec<DecodedFrame>) -> Vec<Reply> {
 /// Flips ingest into degraded (read-only) mode. Idempotent.
 fn enter_degraded(shared: &Shared) {
     if !shared.degraded.flag.swap(true, Ordering::SeqCst) {
-        // Stamp the probe clock on entry so the first reopen attempt
-        // waits out a full cooldown instead of firing immediately into
-        // the same failing backend.
-        *shared
-            .degraded
-            .last_probe
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = Some(Instant::now());
         ptm_obs::counter!("store.recovery.degraded_entries").inc();
         ptm_obs::gauge!("rpc.server.degraded").set(1);
         ptm_obs::error!("rpc.server", "entering degraded mode: uploads shed, queries served";
@@ -1984,22 +1938,11 @@ fn flush_observability(config: &ServerConfig, why: &str) {
     dump_recorder(config, why);
 }
 
-/// Degraded-mode reopen probe, called under the writer lock. At most one
-/// probe per cooldown: reopen the segment store from disk, reconcile its
-/// records with the query engine, and swap it in. Returns whether ingest
-/// may resume.
+/// Degraded-mode reopen probe, called under the writer lock (the
+/// maintenance thread paces it): reopen the segment store from disk,
+/// reconcile its records with the query engine, and swap it in. Returns
+/// whether ingest may resume.
 fn try_recover(shared: &Shared, store: &mut MutexGuard<'_, SegmentStore>) -> bool {
-    {
-        let mut last = shared
-            .degraded
-            .last_probe
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        match *last {
-            Some(at) if at.elapsed() < shared.config.degraded_cooldown => return false,
-            _ => *last = Some(Instant::now()),
-        }
-    }
     // Reopen from disk through the same hooks, so chaos schedules carry
     // across the swap. Open re-runs torn-tail recovery, which is what
     // heals a wedged store whose rollback truncate failed.
@@ -2755,49 +2698,57 @@ mod tests {
     fn start_refuses_a_damaged_sealed_segment_and_leaves_it_untouched() {
         let records: Vec<TrafficRecord> = (0..10).map(|period| sample_record(14, period)).collect();
         let frame = 8 + ptm_store::codec::encode_record(&records[9]).len() as u64;
-        // Cut half the last frame, then exactly one whole frame: the first
-        // is a torn sealed frame, the second reads as a clean nine-frame
-        // segment that only the manifest's count of ten catches.
-        for cut in [frame / 2, frame] {
-            let path = temp_archive(&format!("damaged-sealed-{cut}"));
-            {
-                let mut store = SegmentStore::open(&path, StoreOptions::default())
-                    .expect("open")
-                    .store;
-                store.append_all(&records).expect("append");
-                store.checkpoint().expect("seal");
-            }
-            let segment = path.join("seg-00000000.ptms");
-            let len = std::fs::metadata(&segment).expect("meta").len();
-            let file = std::fs::OpenOptions::new()
-                .write(true)
-                .open(&segment)
-                .expect("open rw");
-            file.set_len(len - cut).expect("cut");
-            drop(file);
-            let before = std::fs::read(&segment).expect("read");
-            match RpcServer::start("127.0.0.1:0", &path, test_config()) {
-                Err(DaemonError::Store(StoreError::CorruptFrame { offset })) => {
-                    assert_eq!(offset, len - frame, "cut {cut}");
+        // The ten frames are promised by the manifest either as the active
+        // segment's checkpointed count (default threshold) or as a sealed
+        // segment (a 1-byte threshold rotates after the commit). Cut half
+        // the last frame, then exactly one whole frame: the first is a torn
+        // promised frame, the second reads as a clean nine-frame segment
+        // that only the manifest's count of ten catches.
+        for rotate_bytes in [StoreOptions::default().rotate_bytes, 1] {
+            for cut in [frame / 2, frame] {
+                let path = temp_archive(&format!("damaged-sealed-{rotate_bytes}-{cut}"));
+                {
+                    let opts = StoreOptions {
+                        rotate_bytes,
+                        ..StoreOptions::default()
+                    };
+                    let mut store = SegmentStore::open(&path, opts).expect("open").store;
+                    store.append_all(&records).expect("append");
+                    store.checkpoint().expect("checkpoint");
                 }
-                Err(other) => panic!("cut {cut}: expected CorruptFrame, got {other:?}"),
-                Ok(_) => panic!("cut {cut}: a damaged sealed segment must fail the start"),
+                let segment = path.join("seg-00000000.ptms");
+                let len = std::fs::metadata(&segment).expect("meta").len();
+                let file = std::fs::OpenOptions::new()
+                    .write(true)
+                    .open(&segment)
+                    .expect("open rw");
+                file.set_len(len - cut).expect("cut");
+                drop(file);
+                let before = std::fs::read(&segment).expect("read");
+                match RpcServer::start("127.0.0.1:0", &path, test_config()) {
+                    Err(DaemonError::Store(StoreError::CorruptFrame { offset })) => {
+                        assert_eq!(offset, len - frame, "cut {cut}, rotate {rotate_bytes}");
+                    }
+                    Err(other) => panic!("cut {cut}: expected CorruptFrame, got {other:?}"),
+                    Ok(_) => panic!("cut {cut}: a damaged promised frame must fail the start"),
+                }
+                assert_eq!(
+                    std::fs::read(&segment).expect("reread"),
+                    before,
+                    "a promised frame is never truncated"
+                );
+                cleanup_archive(&path);
             }
-            assert_eq!(
-                std::fs::read(&segment).expect("reread"),
-                before,
-                "a sealed segment is never truncated"
-            );
-            cleanup_archive(&path);
         }
     }
 
     #[test]
     fn recovery_from_a_store_that_contradicts_the_engine_stays_degraded() {
         let path = temp_archive("recover-conflict");
+        // A cooldown the test never reaches: the maintenance thread stays
+        // out of it, and the probe runs once, here.
         let config = ServerConfig {
-            degraded_cooldown: Duration::ZERO,
-            compact_interval: Duration::ZERO,
+            degraded_cooldown: Duration::from_secs(600),
             ..test_config()
         };
         let server = RpcServer::start("127.0.0.1:0", &path, config).expect("start");

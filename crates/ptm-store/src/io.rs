@@ -1,11 +1,11 @@
 //! Pluggable storage backends for the segment store.
 //!
-//! The active segment ([`crate::SegmentStore`]) and compaction's merged
-//! segment write through a boxed [`StorageIo`] rather than a raw [`File`],
-//! so tests (and `ptm serve --faults`) can interpose [`HookedIo`] — a
-//! backend that consults [`ptm_fault`] fault sites before every write,
-//! flush, fsync, and truncate. With no plan configured the store talks to
-//! a plain [`FileIo`] and the hooks cost nothing.
+//! The active segment ([`crate::SegmentStore`]) writes through a boxed
+//! [`StorageIo`] rather than a raw [`File`], so tests (and `ptm serve
+//! --faults`) can interpose [`HookedIo`] — a backend that consults
+//! [`ptm_fault`] fault sites before every write, flush, fsync, and
+//! truncate. With no plan configured the store talks to a plain
+//! [`FileIo`] and the hooks cost nothing.
 
 use ptm_fault::{sites, FaultAction, FaultPlan, SiteHandle};
 use std::fmt::Debug;
@@ -93,7 +93,7 @@ pub struct StoreHooks {
     /// Fires on every segment-store manifest commit.
     pub manifest: SiteHandle,
     /// Fires on every segment seal — the outgoing segment's fsync at
-    /// rotation, and the merged file's at compaction.
+    /// rotation.
     pub seal: SiteHandle,
 }
 

@@ -9,20 +9,21 @@
 //! * [`codec`] — a compact, versioned binary encoding of
 //!   [`ptm_core::record::TrafficRecord`];
 //! * [`crc32`] — a from-scratch CRC-32 (IEEE) for frame integrity;
-//! * [`segment`] — the [`segment::SegmentStore`], a log: writes go to one
-//!   active segment as per-frame-checksummed, transactional commits (a
-//!   failed append rolls the file back to the last good frame, so an acked
-//!   batch is never ahead of durable state) and rotate through size-bounded
-//!   segment files of CRC frames and nothing else; `open()` reads every
-//!   segment once through one frame reader, recovers a torn active tail,
-//!   refuses a damaged sealed segment, and hands over every record it read
-//!   (the store keeps no decoded record resident; the daemon's query engine
-//!   holds the only in-memory copy);
+//! * [`segment`] — the [`segment::SegmentStore`], a log that is never
+//!   rewritten: writes go to one active segment as per-frame-checksummed,
+//!   transactional commits (a failed append rolls the file back to the last
+//!   good frame, so an acked batch is never ahead of durable state) and
+//!   rotate through size-bounded segment files of CRC frames and nothing
+//!   else; a clean shutdown checkpoints the active segment instead of
+//!   sealing it; `open()` reads every segment once through one frame
+//!   reader, recovers a torn active tail past the checkpointed frames,
+//!   refuses a damaged sealed segment or checkpointed frame, and hands over
+//!   every record it read (the store keeps no decoded record resident; the
+//!   daemon's query engine holds the only in-memory copy);
 //! * [`manifest`] — the CRC-checked [`manifest::Manifest`] naming the live
 //!   segment set and which segments are sealed, with each sealed segment's
-//!   exact frame count, committed atomically (temp file + rename);
-//! * [`compact`] — crash-safe background compaction: small sealed segments
-//!   merge into one, published by a single manifest swap;
+//!   exact frame count and the active segment's checkpointed count,
+//!   committed atomically (temp file + rename);
 //! * [`io`] — the pluggable [`io::StorageIo`] backend segments are written
 //!   through, with a fault-injecting decorator ([`io::HookedIo`]) wired to
 //!   [`ptm_fault`] for chaos testing (see `docs/FAULTS.md`), and the
@@ -36,14 +37,12 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod codec;
-pub mod compact;
 pub mod crc32;
 pub mod io;
 pub mod manifest;
 pub mod segment;
 
 pub use codec::StoreError;
-pub use compact::CompactionReport;
 pub use io::{StorageIo, StoreHooks, SyncPolicy};
 pub use manifest::Manifest;
 pub use segment::{OpenedStore, SegmentStore, StoreOptions};

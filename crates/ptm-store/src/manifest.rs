@@ -12,14 +12,16 @@
 //!
 //! The manifest is the only record of which segment is sealed: a segment
 //! file carries no footer. A sealed segment's record count is exact, and
-//! `open` refuses a sealed file holding any other number of frames.
+//! `open` refuses a sealed file holding any other number of frames. The
+//! active segment's count is the frames its last checkpoint fsynced;
+//! `open` refuses an active file holding fewer.
 //!
 //! Commits are atomic: the new manifest is written to a sibling temp file,
 //! fsynced, then renamed over `MANIFEST`. A crash (or injected
 //! `store.manifest` fault) anywhere before the rename leaves the previous
 //! manifest untouched — which is what makes segment rotation and
-//! compaction crash-safe: the old segment set stays live until the single
-//! rename publishes the new one.
+//! checkpoints crash-safe: the old segment set and counts stay live until
+//! the single rename publishes the new ones.
 
 use crate::codec::StoreError;
 use crate::crc32::crc32;
@@ -47,8 +49,9 @@ pub struct SegmentMeta {
     /// Whether the segment is sealed (no further appends). Exactly one
     /// unsealed (active) segment exists once a store has opened.
     pub sealed: bool,
-    /// Frames in a sealed segment, exact; 0 for the active segment, whose
-    /// frames `open` counts.
+    /// Frames in a sealed segment, exact. For the active segment, the
+    /// frames its last checkpoint made durable (0 before any): `open` holds
+    /// them to the sealed standard and counts the frames past them.
     pub records: u64,
 }
 

@@ -13,23 +13,27 @@
 //! Writes go to the single *active* segment (transactional commits through
 //! the [`StorageIo`] fault boundary) and rotate to a fresh segment once the
 //! active one reaches `rotate_bytes`. Rotation fsyncs the outgoing segment
-//! and commits a manifest that marks it sealed with its exact frame count.
+//! and commits a manifest that marks it sealed with its exact frame count,
+//! so every sealed segment is one rotation. A clean shutdown
+//! ([`SegmentStore::checkpoint`]) seals nothing: it fsyncs the active
+//! segment and records its frame count in the manifest.
 //!
 //! The archive is a log: a second frame for a `(location, period)` key is
-//! kept, not superseded. Key uniqueness is the daemon's invariant, checked
-//! against its query engine before anything is appended.
+//! kept, not superseded, and nothing is ever rewritten. Key uniqueness is
+//! the daemon's invariant, checked against its query engine before
+//! anything is appended.
 //!
 //! [`SegmentStore::open`] reads every segment front to back, once, through
 //! one frame reader (`read_segment`, which also serves
-//! [`SegmentStore::records_for_location`] and compaction): every frame's
-//! length word is bounded before anything is allocated, its CRC checked and
-//! its payload decoded. Damage is judged by the manifest. Its active segment
-//! gets torn-tail recovery: a final frame cut short, or failing its CRC
-//! with nothing after it, is discarded and the file truncated back to the
-//! last complete frame. A sealed segment with a short or bad frame, or with
-//! a frame count other than the manifest's, is
-//! [`StoreError::CorruptFrame`] and is never truncated. Background merging
-//! lives in [`crate::compact`].
+//! [`SegmentStore::records_for_location`]): every frame's length word is
+//! bounded before anything is allocated, its CRC checked and its payload
+//! decoded. Damage is judged by the manifest. A sealed segment with a short
+//! or bad frame, or with a frame count other than the manifest's, is
+//! [`StoreError::CorruptFrame`] and is never truncated; so is an active
+//! segment missing any of the frames its last checkpoint recorded. Only
+//! the frames past those get torn-tail recovery: a final frame cut short,
+//! or failing its CRC with nothing after it, is discarded and the file
+//! truncated back to the last complete frame.
 
 use crate::codec::{decode_record, encode_record, peek_key, StoreError};
 use crate::crc32::crc32;
@@ -45,7 +49,7 @@ use std::sync::Arc;
 
 const MAGIC: [u8; 4] = *b"PTMS";
 const VERSION: u16 = 3;
-pub(crate) const HEADER_LEN: u64 = 8;
+const HEADER_LEN: u64 = 8;
 /// A frame's `len u32 | crc32 u32` prefix.
 const FRAME_HEADER_LEN: usize = 8;
 const MAX_PAYLOAD: u32 = 32 * 1024 * 1024;
@@ -67,12 +71,12 @@ fn le_u32(bytes: &[u8]) -> u32 {
 }
 
 /// `seg-<id>.ptms`, zero-padded so lexicographic order is id order.
-pub(crate) fn segment_file_name(id: u64) -> String {
+fn segment_file_name(id: u64) -> String {
     format!("seg-{id:08}.ptms")
 }
 
 /// Inverse of [`segment_file_name`].
-pub(crate) fn parse_segment_file_name(name: &str) -> Option<u64> {
+fn parse_segment_file_name(name: &str) -> Option<u64> {
     name.strip_prefix("seg-")?
         .strip_suffix(".ptms")?
         .parse()
@@ -80,7 +84,7 @@ pub(crate) fn parse_segment_file_name(name: &str) -> Option<u64> {
 }
 
 /// The header every segment file starts with.
-pub(crate) fn segment_header() -> [u8; HEADER_LEN as usize] {
+fn segment_header() -> [u8; HEADER_LEN as usize] {
     let mut header = [0u8; HEADER_LEN as usize];
     header[0..4].copy_from_slice(&MAGIC);
     header[4..6].copy_from_slice(&VERSION.to_le_bytes());
@@ -112,20 +116,21 @@ impl Default for StoreOptions {
 /// The write head: one unsealed segment with buffered, transactional
 /// commits.
 #[derive(Debug)]
-pub(crate) struct ActiveSegment {
-    pub(crate) id: u64,
+struct ActiveSegment {
+    id: u64,
     io: Box<dyn StorageIo>,
-    pub(crate) committed_len: u64,
-    pub(crate) committed_records: u64,
+    committed_len: u64,
+    committed_records: u64,
     pending: Vec<u8>,
     /// The location of each pending frame, in append order.
     pending_locations: Vec<LocationId>,
-    pub(crate) wedged: bool,
+    wedged: bool,
 }
 
 impl ActiveSegment {
-    /// Creates a fresh segment file (header via plain I/O, appends through
-    /// the hooks — fault schedules start at the first record write).
+    /// Creates a fresh segment file, or rewrites one that lost its header
+    /// (header via plain I/O, appends through the hooks — fault schedules
+    /// start at the first record write).
     fn create(dir: &Path, id: u64, hooks: &StoreHooks) -> Result<Self, StoreError> {
         let path = dir.join(segment_file_name(id));
         {
@@ -276,21 +281,32 @@ fn read_exact_or_eof<R: Read>(reader: &mut R, buf: &mut [u8]) -> Result<ReadOutc
 
 /// What one [`read_segment`] pass found.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Pass {
+struct Pass {
     /// Complete, CRC-checked frames read.
-    pub(crate) frames: u64,
-    /// The offset just past the last of them.
-    pub(crate) end: u64,
+    frames: u64,
+    /// The offset just past the last of them; 0 when the file is shorter
+    /// than its header.
+    end: u64,
     /// Bytes after `end`: a final frame cut short, or failing its CRC with
     /// nothing after it. 0 when the segment ends on a frame boundary.
-    pub(crate) torn_bytes: u64,
+    torn_bytes: u64,
 }
 
 impl Pass {
     /// Requires exactly `records` frames and a clean end, as the manifest
     /// promises for a sealed segment.
-    pub(crate) fn check_count(self, records: u64) -> Result<(), StoreError> {
+    fn check_count(self, records: u64) -> Result<(), StoreError> {
         if self.torn_bytes > 0 || self.frames != records {
+            return Err(StoreError::CorruptFrame { offset: self.end });
+        }
+        Ok(())
+    }
+
+    /// Requires at least the `records` frames the manifest promises for
+    /// the active segment (those its last checkpoint made durable); only
+    /// frames past them may be missing or torn.
+    fn check_prefix(self, records: u64) -> Result<(), StoreError> {
+        if self.frames < records {
             return Err(StoreError::CorruptFrame { offset: self.end });
         }
         Ok(())
@@ -299,14 +315,15 @@ impl Pass {
 
 /// The one frame reader: reads the segment file at `path` front to back,
 /// up to `limit` bytes, through one buffered reader and one frame buffer
-/// reused across frames. A header with the wrong magic or version is
+/// reused across frames. A file shorter than its header holds no frame
+/// (its bytes are torn); a header with the wrong magic or version is
 /// [`StoreError::BadHeader`]. Each frame's length word is bounded by
 /// `MAX_PAYLOAD` before the buffer grows, its CRC is checked, and `visit`
-/// gets the whole frame, `len | crc` prefix included. A final frame cut
-/// short, or failing its CRC with nothing after it, ends the pass as torn
-/// (the caller decides what that means); a CRC failure with bytes after it
-/// is media damage, [`StoreError::CorruptFrame`] at that frame's offset.
-pub(crate) fn read_segment(
+/// gets its payload. A final frame cut short, or failing its CRC with
+/// nothing after it, ends the pass as torn (the caller decides what that
+/// means); a CRC failure with bytes after it is media damage,
+/// [`StoreError::CorruptFrame`] at that frame's offset.
+fn read_segment(
     path: &Path,
     limit: u64,
     mut visit: impl FnMut(&[u8]) -> Result<(), StoreError>,
@@ -315,9 +332,16 @@ pub(crate) fn read_segment(
     let len = file.metadata()?.len().min(limit);
     let mut reader = BufReader::with_capacity(READ_BUFFER, file.take(len));
     let mut header = [0u8; HEADER_LEN as usize];
-    reader
-        .read_exact(&mut header)
-        .map_err(|_| StoreError::BadHeader)?;
+    if !matches!(
+        read_exact_or_eof(&mut reader, &mut header)?,
+        ReadOutcome::Full
+    ) {
+        return Ok(Pass {
+            frames: 0,
+            end: 0,
+            torn_bytes: len,
+        });
+    }
     if header[0..4] != MAGIC || le_u16(&header[4..6]) != VERSION {
         return Err(StoreError::BadHeader);
     }
@@ -350,7 +374,7 @@ pub(crate) fn read_segment(
             }
             break;
         }
-        visit(&frame)?;
+        visit(&frame[FRAME_HEADER_LEN..])?;
         pass.frames += 1;
         pass.end = frame_end;
     }
@@ -367,37 +391,39 @@ pub struct OpenedStore {
     /// nothing else holds, so a caller can keep that `Arc` as the record's
     /// only copy. A key written twice comes back twice.
     pub records: Vec<Arc<TrafficRecord>>,
-    /// Bytes discarded from the active segment's torn tail (0 after a
-    /// clean shutdown).
+    /// Bytes discarded from the active segment's torn tail, or from a
+    /// header a crash cut short (0 after a clean shutdown).
     pub torn_bytes: u64,
 }
 
 /// The segmented archive. See the module docs for the on-disk format.
 #[derive(Debug)]
 pub struct SegmentStore {
-    pub(crate) dir: PathBuf,
-    pub(crate) opts: StoreOptions,
-    pub(crate) manifest: Manifest,
-    pub(crate) active: ActiveSegment,
+    dir: PathBuf,
+    opts: StoreOptions,
+    manifest: Manifest,
+    active: ActiveSegment,
     location_set: BTreeSet<u64>,
-    pub(crate) compactions: u64,
 }
 
 impl SegmentStore {
     /// Opens (or creates) a segment store at directory `dir`, reading
     /// every record in it.
     ///
-    /// One pass: orphan files from interrupted rotations or compactions
-    /// are removed, then every segment the manifest names is read front to
-    /// back once (a `store.replay.scan` span each) and every record
-    /// decoded. Only the active segment gets torn-tail truncation.
+    /// One pass: orphan files from interrupted rotations are removed, then
+    /// every segment the manifest names is read front to back once (a
+    /// `store.replay.scan` span each) and every record decoded. Only the
+    /// active segment's frames past its checkpointed count get torn-tail
+    /// truncation; an active segment that lost its header with nothing
+    /// checkpointed is rewritten empty, its bytes counted as torn.
     ///
     /// # Errors
     ///
     /// [`StoreError::BadHeader`] for a manifest or segment of another
     /// format version (left untouched); [`StoreError::CorruptFrame`] for a
-    /// damaged frame, or a sealed segment whose frame count differs from
-    /// the manifest's (never truncated); I/O failures — including
+    /// damaged frame, a sealed segment whose frame count differs from the
+    /// manifest's, or an active segment missing a checkpointed frame, a
+    /// header cut short included (never truncated); I/O failures — including
     /// [`StoreError::Io`] when `dir` names a regular file, which is left
     /// untouched.
     pub fn open(dir: impl AsRef<Path>, opts: StoreOptions) -> Result<OpenedStore, StoreError> {
@@ -408,7 +434,7 @@ impl SegmentStore {
         let mut manifest = Manifest::load(&dir)?.unwrap_or_default();
 
         // Drop segment files the manifest does not own: leftovers of a
-        // rotation or compaction that died before its manifest commit.
+        // rotation that died before its manifest commit.
         // Nothing acked ever lives in them (appends begin only after the
         // owning manifest commit), so deletion is safe.
         for entry in std::fs::read_dir(&dir)? {
@@ -429,8 +455,8 @@ impl SegmentStore {
         let mut active_pass = None;
         for meta in &manifest.segments {
             let _scan = ptm_obs::tspan!("store.replay.scan");
-            let pass = read_segment(&dir.join(segment_file_name(meta.id)), u64::MAX, |frame| {
-                let record = decode_record(&frame[FRAME_HEADER_LEN..])?;
+            let pass = read_segment(&dir.join(segment_file_name(meta.id)), u64::MAX, |payload| {
+                let record = decode_record(payload)?;
                 location_set.insert(record.location().get());
                 records.push(Arc::new(record));
                 if (records.len() as u64).is_multiple_of(REPLAY_PROGRESS_EVERY) {
@@ -443,6 +469,7 @@ impl SegmentStore {
             if meta.sealed {
                 pass.check_count(meta.records)?;
             } else {
+                pass.check_prefix(meta.records)?;
                 active_pass = Some((meta.id, pass));
             }
         }
@@ -452,14 +479,24 @@ impl SegmentStore {
         let active = match active_pass {
             Some((id, pass)) => {
                 if pass.torn_bytes > 0 {
-                    let file = OpenOptions::new()
-                        .write(true)
-                        .open(dir.join(segment_file_name(id)))?;
-                    file.set_len(pass.end)?;
                     ptm_obs::counter!("store.replay.torn_bytes").add(pass.torn_bytes);
                     torn_bytes = pass.torn_bytes;
                 }
-                ActiveSegment::reopen(&dir, id, &opts.hooks, pass.frames, pass.end)?
+                if pass.end < HEADER_LEN {
+                    // Shorter than its header with nothing checkpointed: a
+                    // crash before the file's first fsync. It holds nothing.
+                    ptm_obs::warn!("store.archive", "active segment had no header; rewritten empty";
+                        segment = id, torn_bytes = torn_bytes);
+                    ActiveSegment::create(&dir, id, &opts.hooks)?
+                } else {
+                    if pass.torn_bytes > 0 {
+                        let file = OpenOptions::new()
+                            .write(true)
+                            .open(dir.join(segment_file_name(id)))?;
+                        file.set_len(pass.end)?;
+                    }
+                    ActiveSegment::reopen(&dir, id, &opts.hooks, pass.frames, pass.end)?
+                }
             }
             None => {
                 let id = manifest.next_segment_id;
@@ -481,7 +518,6 @@ impl SegmentStore {
             manifest,
             active,
             location_set,
-            compactions: 0,
         };
         ptm_obs::gauge!("store.archive.wedged").set(0);
         store.publish_gauges();
@@ -537,11 +573,6 @@ impl SegmentStore {
     /// Committed bytes in the active segment.
     pub fn active_bytes(&self) -> u64 {
         self.active.committed_len
-    }
-
-    /// Compactions completed by this store instance.
-    pub fn compaction_count(&self) -> u64 {
-        self.compactions
     }
 
     /// The configured durability policy.
@@ -610,20 +641,41 @@ impl SegmentStore {
         Ok(())
     }
 
-    /// Commits, then seals the active segment (regardless of size) and
-    /// starts a fresh one — the clean-shutdown path. Every acked frame then
-    /// sits in a sealed segment whose frame count the next open checks.
+    /// Commits and fsyncs the active segment, then commits a manifest that
+    /// records its frame count — the clean-shutdown path. Nothing is sealed
+    /// and no file is created; the next open holds those frames to the
+    /// sealed-segment standard. A store with no frames since the last
+    /// checkpoint commits no manifest.
     ///
     /// # Errors
     ///
-    /// Commit failures. Seal/rotation failures are logged and deferred
-    /// (the active segment's torn-tail recovery covers an unsealed tail).
+    /// Commit and fsync failures. A failed manifest commit is logged and
+    /// leaves the old count: the frames are already fsynced, so they reopen
+    /// as an unpromised tail.
     pub fn checkpoint(&mut self) -> Result<(), StoreError> {
         self.sync()?;
-        if self.active.committed_records > 0 {
-            self.rotate();
+        let (id, records) = (self.active.id, self.active.committed_records);
+        if self
+            .manifest
+            .segment(id)
+            .is_some_and(|s| s.records >= records)
+        {
+            return Ok(());
         }
-        self.publish_gauges();
+        let mut manifest = self.manifest.clone();
+        for slot in &mut manifest.segments {
+            if slot.id == id {
+                slot.records = records;
+            }
+        }
+        match manifest.commit(&self.dir, &self.opts.hooks.manifest) {
+            Ok(()) => self.manifest = manifest,
+            Err(err) => {
+                ptm_obs::warn!("store.archive",
+                    "checkpoint manifest commit failed; frames stay an unpromised tail";
+                    segment = id, error = err.to_string());
+            }
+        }
         Ok(())
     }
 
@@ -711,8 +763,7 @@ impl SegmentStore {
                 (self.active.committed_len, self.active.committed_records)
             };
             let path = self.dir.join(segment_file_name(meta.id));
-            read_segment(&path, limit, |frame| {
-                let payload = &frame[FRAME_HEADER_LEN..];
+            read_segment(&path, limit, |payload| {
                 if peek_key(payload)?.0 == location {
                     records.push(decode_record(payload)?);
                 }
@@ -724,7 +775,7 @@ impl SegmentStore {
         Ok(records.into_iter().map(Arc::new).collect())
     }
 
-    pub(crate) fn publish_gauges(&self) {
+    fn publish_gauges(&self) {
         if ptm_obs::metrics_enabled() {
             ptm_obs::gauge!("store.segments").set(self.segment_count() as i64);
             ptm_obs::gauge!("store.segments.sealed").set(self.sealed_count() as i64);
@@ -882,8 +933,6 @@ mod tests {
         }
         assert!(store.sealed_count() >= 3, "setup must fragment the store");
         check(&mut store, &model);
-        assert!(store.compact().expect("compact").new_segment.is_some());
-        check(&mut store, &model);
 
         // Later periods out of period order, so file order and period
         // order disagree.
@@ -956,42 +1005,150 @@ mod tests {
         let dir = temp_dir("rotate");
         let records = sample_records(3, 12);
         {
-            let mut store = SegmentStore::open(&dir, small_rotate_opts(600))
+            // Five frames per segment: two rotations, then a two-frame tail.
+            let mut store = SegmentStore::open(&dir, small_rotate_opts(700))
                 .expect("open")
                 .store;
             for record in &records {
                 store.append_all([record]).expect("append");
             }
             assert!(store.sealed_count() >= 2, "tiny threshold forces rotations");
+            let sealed = store.sealed_count();
             store.checkpoint().expect("checkpoint");
+            assert_eq!(store.sealed_count(), sealed, "a checkpoint seals nothing");
         }
-        // The manifest's sealed counts cover every record; the reopen reads
-        // each segment once and hands every record over.
-        let opened = SegmentStore::open(&dir, small_rotate_opts(600)).expect("reopen");
+        // The manifest's counts cover every record; the reopen reads each
+        // segment once and hands every record over.
+        let opened = SegmentStore::open(&dir, small_rotate_opts(700)).expect("reopen");
         assert_eq!(opened.torn_bytes, 0);
         assert_eq!(owned(&opened.records), records);
         let mut store = opened.store;
         assert_eq!(store.record_count(), 12);
+        let active = store
+            .manifest
+            .segment(store.active.id)
+            .expect("active entry");
         assert_eq!(
-            store.active_bytes(),
-            HEADER_LEN,
-            "checkpoint sealed the tail"
+            (active.sealed, active.records),
+            (false, 2),
+            "checkpoint recorded the tail's frames"
         );
+        assert_eq!(store.active.committed_records, 2);
         assert_eq!(read_back(&mut store), records);
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Ten records in one sealed segment (`checkpoint`), the segment file's
-    /// length, and the length of each frame.
-    fn sealed_ten(name: &str) -> (PathBuf, u64, u64) {
-        let dir = temp_dir(name);
-        let records = sample_records(6, 10);
-        let mut store = SegmentStore::open(&dir, StoreOptions::default())
-            .expect("open")
-            .store;
-        store.append_all(&records).expect("batch");
+    #[test]
+    fn clean_restarts_checkpoint_one_active_segment() {
+        let dir = temp_dir("restarts");
+        // A manifest-site rule that never fires: its op count is the
+        // number of manifest commits.
+        let plan = FaultPlan::builder(41)
+            .rule(
+                sites::STORE_MANIFEST,
+                Rule::nth(1_000, FaultAction::Error(ErrorKind::Other)),
+            )
+            .build()
+            .expect("plan");
+        let opts = StoreOptions {
+            hooks: StoreHooks::from_plan(&plan),
+            ..StoreOptions::default()
+        };
+        let records = sample_records(2, 15);
+        for cycle in records.chunks(3) {
+            let mut store = SegmentStore::open(&dir, opts.clone()).expect("open").store;
+            store.append_all(cycle).expect("append");
+            store.checkpoint().expect("checkpoint");
+        }
+        // The store's creation, then one checkpoint per cycle.
+        assert_eq!(opts.hooks.manifest.ops(), 6);
+        let files: Vec<String> = snapshot(&dir)
+            .into_keys()
+            .filter(|name| name.starts_with("seg-"))
+            .collect();
+        assert_eq!(
+            files,
+            [segment_file_name(0)],
+            "no clean restart made a segment"
+        );
+        let opened = SegmentStore::open(&dir, opts.clone()).expect("reopen");
+        assert_eq!(opened.torn_bytes, 0);
+        assert_eq!(owned(&opened.records), records);
+        let mut store = opened.store;
+        assert_eq!(store.sealed_count(), 0);
+        assert_eq!(
+            store.manifest.segments,
+            [SegmentMeta {
+                id: 0,
+                sealed: false,
+                records: 15
+            }]
+        );
+        // A shutdown with no writes commits nothing.
         store.checkpoint().expect("checkpoint");
-        assert_eq!(store.sealed_count(), 1);
+        assert_eq!(opts.hooks.manifest.ops(), 6);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn failed_checkpoint_manifest_commit_keeps_the_old_count() {
+        let dir = temp_dir("checkpoint-fault");
+        // Manifest commit #1 creates the store; #2 is the checkpoint's.
+        let plan = FaultPlan::builder(43)
+            .rule(
+                sites::STORE_MANIFEST,
+                Rule::nth(2, FaultAction::Error(ErrorKind::Other)),
+            )
+            .build()
+            .expect("plan");
+        let opts = StoreOptions {
+            hooks: StoreHooks::from_plan(&plan),
+            ..StoreOptions::default()
+        };
+        let records = sample_records(5, 3);
+        let mut store = SegmentStore::open(&dir, opts).expect("open").store;
+        store.append_all(&records).expect("append");
+        store
+            .checkpoint()
+            .expect("a failed manifest commit is not an error");
+        assert_eq!(store.manifest.segments[0].records, 0, "the old count stays");
+        drop(store);
+        // The fsynced frames reopen as an unpromised tail.
+        let opened = SegmentStore::open(&dir, StoreOptions::default()).expect("reopen");
+        assert_eq!(opened.torn_bytes, 0);
+        assert_eq!(owned(&opened.records), records);
+        assert_eq!(opened.store.manifest.segments[0].records, 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// How the frames of [`promised_ten`] were made durable.
+    #[derive(Debug, Clone, Copy)]
+    enum Promise {
+        /// `checkpoint`: the active segment, its count in the manifest.
+        Checkpoint,
+        /// Rotation: a sealed segment.
+        Rotation,
+    }
+
+    /// Ten records in segment 0, promised by the manifest as `how` says,
+    /// the segment file's length, and the length of each frame.
+    fn promised_ten(name: &str, how: Promise) -> (PathBuf, u64, u64) {
+        let dir = temp_dir(&format!("{name}-{how:?}"));
+        let records = sample_records(6, 10);
+        let opts = match how {
+            Promise::Checkpoint => StoreOptions::default(),
+            Promise::Rotation => small_rotate_opts(1),
+        };
+        let mut store = SegmentStore::open(&dir, opts).expect("open").store;
+        store.append_all(&records).expect("batch");
+        match how {
+            Promise::Checkpoint => {
+                store.checkpoint().expect("checkpoint");
+                assert_eq!(store.sealed_count(), 0);
+            }
+            Promise::Rotation => assert_eq!(store.sealed_count(), 1),
+        }
+        assert_eq!(store.manifest.segments[0].records, 10);
         drop(store);
         let len = std::fs::metadata(dir.join(segment_file_name(0)))
             .expect("meta")
@@ -1000,9 +1157,9 @@ mod tests {
         (dir, len, frame)
     }
 
-    /// Cuts the sealed segment to `cut` bytes and requires `open` to
-    /// refuse it at `offset` while leaving every file byte-identical.
-    fn assert_cut_sealed_is_refused(dir: &Path, cut: u64, offset: u64) {
+    /// Cuts segment 0 to `cut` bytes and requires `open` to refuse it at
+    /// `offset` while leaving every file byte-identical.
+    fn assert_cut_promised_is_refused(dir: &Path, cut: u64, offset: u64) {
         let segment = dir.join(segment_file_name(0));
         let file = OpenOptions::new()
             .write(true)
@@ -1015,25 +1172,79 @@ mod tests {
             Err(StoreError::CorruptFrame { offset: at }) => assert_eq!(at, offset),
             other => panic!("expected CorruptFrame, got {other:?}"),
         }
-        assert_eq!(snapshot(dir), before, "a sealed segment is never truncated");
+        assert_eq!(snapshot(dir), before, "a promised frame is never truncated");
     }
 
     #[test]
     fn sealed_segment_cut_mid_frame_is_refused_untouched() {
-        let (dir, len, frame) = sealed_ten("sealed-torn");
-        // 100 bytes into the last frame: torn-tail recovery would drop an
-        // acked record from a segment the manifest says holds ten.
-        assert_cut_sealed_is_refused(&dir, len - 100, len - frame);
-        std::fs::remove_dir_all(&dir).ok();
+        for how in [Promise::Checkpoint, Promise::Rotation] {
+            let (dir, len, frame) = promised_ten("sealed-torn", how);
+            // 100 bytes into the last frame: torn-tail recovery would drop
+            // an acked record from a segment the manifest says holds ten.
+            assert_cut_promised_is_refused(&dir, len - 100, len - frame);
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]
     fn sealed_segment_missing_a_whole_frame_is_refused_untouched() {
-        let (dir, len, frame) = sealed_ten("sealed-short");
-        // A cut on a frame boundary reads as a clean nine-frame segment;
-        // only the manifest's count of ten catches it.
-        assert_cut_sealed_is_refused(&dir, len - frame, len - frame);
-        std::fs::remove_dir_all(&dir).ok();
+        for how in [Promise::Checkpoint, Promise::Rotation] {
+            let (dir, len, frame) = promised_ten("sealed-short", how);
+            // A cut on a frame boundary reads as a clean nine-frame
+            // segment; only the manifest's count of ten catches it.
+            assert_cut_promised_is_refused(&dir, len - frame, len - frame);
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn an_active_segment_that_lost_its_header_reopens_empty() {
+        let records = sample_records(4, 6);
+        let more = sample_records(5, 2);
+        for cut in [0u64, 4] {
+            let dir = temp_dir(&format!("headerless-{cut}"));
+            {
+                // One commit, then rotation: segment 0 sealed, segment 1
+                // the fresh active one.
+                let mut store = SegmentStore::open(&dir, small_rotate_opts(1))
+                    .expect("open")
+                    .store;
+                store.append_all(&records).expect("append");
+                assert_eq!(store.sealed_count(), 1);
+            }
+            // A crash before the new file's first fsync can leave it
+            // shorter than its header.
+            let active = dir.join(segment_file_name(1));
+            let file = OpenOptions::new().write(true).open(&active).expect("rw");
+            file.set_len(cut).expect("cut");
+            drop(file);
+            let opened = SegmentStore::open(&dir, StoreOptions::default()).expect("opens");
+            assert_eq!(opened.torn_bytes, cut);
+            assert_eq!(owned(&opened.records), records);
+            let mut store = opened.store;
+            store.append_all(&more).expect("append");
+            drop(store);
+            let opened = SegmentStore::open(&dir, StoreOptions::default()).expect("clean");
+            assert_eq!(opened.torn_bytes, 0);
+            assert_eq!(
+                owned(&opened.records),
+                [records.clone(), more.clone()].concat()
+            );
+            drop(opened);
+
+            // A sealed segment that short is still refused, untouched.
+            let sealed = dir.join(segment_file_name(0));
+            let file = OpenOptions::new().write(true).open(&sealed).expect("rw");
+            file.set_len(cut).expect("cut");
+            drop(file);
+            let before = snapshot(&dir);
+            assert!(matches!(
+                SegmentStore::open(&dir, StoreOptions::default()),
+                Err(StoreError::CorruptFrame { offset: 0 })
+            ));
+            assert_eq!(snapshot(&dir), before);
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]
@@ -1234,8 +1445,8 @@ mod tests {
                 .store;
             store.append_all(&sample_records(1, 2)).expect("batch");
         }
-        // A rotation/compaction that died after creating its file but
-        // before the manifest commit leaves an unowned segment file.
+        // A rotation that died after creating its file but before the
+        // manifest commit leaves an unowned segment file.
         std::fs::write(dir.join(segment_file_name(77)), b"garbage").expect("orphan");
         let opened = SegmentStore::open(&dir, StoreOptions::default()).expect("reopen");
         assert!(!dir.join(segment_file_name(77)).exists());
@@ -1441,6 +1652,84 @@ mod tests {
             record.set_reported_index(idx % 64);
         }
         record
+    }
+
+    /// Every cut of the active segment, each on a fresh copy: 4 frames
+    /// checkpointed (then none), then frames committed one `append_all`
+    /// each but never checkpointed. A cut inside the checkpointed frames
+    /// (or their header) is `CorruptFrame` at the last complete frame's end
+    /// (0 inside the header), every file byte-identical; any other cut
+    /// opens with every complete frame before it and reports the partial
+    /// frame (or header) as torn, and a second open reads clean.
+    #[test]
+    fn every_cut_of_the_active_segment_recovers_or_is_refused() {
+        let records: Vec<TrafficRecord> = (0..7u32)
+            .map(|period| tiny_record(3, period, &[period as usize, 11, 40]))
+            .collect();
+        let mut ends = vec![HEADER_LEN];
+        for record in &records {
+            let end =
+                ends[ends.len() - 1] + (FRAME_HEADER_LEN + encode_record(record).len()) as u64;
+            ends.push(end);
+        }
+        for checkpointed in [4usize, 0] {
+            let dir = temp_dir(&format!("cut-sweep-{checkpointed}"));
+            {
+                let mut store = SegmentStore::open(&dir, StoreOptions::default())
+                    .expect("open")
+                    .store;
+                if checkpointed > 0 {
+                    store.append_all(&records[..checkpointed]).expect("append");
+                    store.checkpoint().expect("checkpoint");
+                }
+                for record in &records[checkpointed..] {
+                    store.append_all([record]).expect("append");
+                }
+            }
+            let len = std::fs::metadata(dir.join(segment_file_name(0)))
+                .expect("meta")
+                .len();
+            assert_eq!(len, ends[records.len()]);
+            assert!(len < 2048, "the sweep stays small");
+            for cut in 0..len {
+                let copy = copy_store(&dir, &format!("cut-sweep-{checkpointed}-copy"));
+                let file = OpenOptions::new()
+                    .write(true)
+                    .open(copy.join(segment_file_name(0)))
+                    .expect("rw");
+                file.set_len(cut).expect("cut");
+                drop(file);
+                // Complete frames before the cut, and where they end (0
+                // when the header itself is cut).
+                let frames = ends
+                    .iter()
+                    .filter(|end| **end <= cut)
+                    .count()
+                    .saturating_sub(1);
+                let kept = if cut < HEADER_LEN { 0 } else { ends[frames] };
+                if frames < checkpointed {
+                    let before = snapshot(&copy);
+                    match SegmentStore::open(&copy, StoreOptions::default()) {
+                        Err(StoreError::CorruptFrame { offset }) => {
+                            assert_eq!(offset, kept, "cut {cut}")
+                        }
+                        other => panic!("cut {cut}: expected CorruptFrame, got {other:?}"),
+                    }
+                    assert_eq!(snapshot(&copy), before, "cut {cut}: left untouched");
+                } else {
+                    let opened = SegmentStore::open(&copy, StoreOptions::default())
+                        .unwrap_or_else(|err| panic!("cut {cut}: {err}"));
+                    assert_eq!(owned(&opened.records), records[..frames], "cut {cut}");
+                    assert_eq!(opened.torn_bytes, cut - kept, "cut {cut}");
+                    drop(opened);
+                    let again = SegmentStore::open(&copy, StoreOptions::default()).expect("reopen");
+                    assert_eq!(again.torn_bytes, 0, "cut {cut}");
+                    assert_eq!(owned(&again.records), records[..frames], "cut {cut}");
+                }
+                std::fs::remove_dir_all(&copy).ok();
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     proptest! {

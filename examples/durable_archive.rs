@@ -92,8 +92,8 @@ fn main() {
             .append(&make_record(PeriodId::new(day), &mut rng2))
             .expect("append");
     }
-    // Clean shutdown: commit, fsync and seal the segment; the manifest now
-    // records its exact frame count, which the next open checks.
+    // Clean shutdown: commit and fsync the active segment and record its
+    // frame count in the manifest; the next open checks every one of them.
     store.checkpoint().expect("checkpoint");
     drop(store);
 

@@ -77,10 +77,14 @@ echo "==> chaos suite (bounded, fixed seeds)"
 timeout 300 cargo test --quiet -p ptm-integration-tests --test chaos
 
 # Segment-lifecycle kill storms, called out separately so a storage-engine
-# regression fails with its own banner: kills landing inside rotation and
-# compaction must lose no acked record and answer bit-exactly after reopen.
+# regression fails with its own banner: kills landing inside rotation must
+# lose no acked record and answer bit-exactly after reopen, and every cut of
+# the active segment must either reopen with each complete frame before it
+# or, inside the checkpointed frames, be refused with every file untouched.
 echo "==> storage-engine kill storms (bounded, fixed seeds)"
 timeout 300 cargo test --quiet -p ptm-integration-tests --test chaos kill_during
+timeout 300 cargo test --quiet -p ptm-store --lib \
+    every_cut_of_the_active_segment_recovers_or_is_refused
 
 # Connection-scale storms against the reactor: hundreds of slow-loris
 # dribblers must not starve healthy clients, a thousand concurrent

@@ -67,8 +67,8 @@ fn segment_files(dir: &PathBuf) -> Vec<PathBuf> {
 }
 
 /// The unsealed (active) segment's file, per the durable manifest. Not
-/// simply the highest-numbered file: a compacted segment's id exceeds the
-/// active segment's, so after a merge the write head is mid-list.
+/// simply the highest-numbered file: a kill mid-rotation can leave an
+/// orphan with a higher id.
 fn active_segment_file(dir: &Path) -> PathBuf {
     let manifest = ptm_store::Manifest::load(dir)
         .expect("manifest readable")
@@ -634,7 +634,7 @@ fn degraded_mode_sheds_uploads_serves_queries_then_recovers() {
     );
     assert!(server.degraded());
 
-    // After the cooldown the next upload triggers the reopen probe; the
+    // After the cooldown the maintenance thread probes the reopen; the
     // fault budget is exhausted, so ingest resumes and the record lands.
     std::thread::sleep(Duration::from_millis(250));
     let summary = client.upload(&records[1]).expect("upload after recovery");
@@ -678,51 +678,52 @@ fn degraded_mode_sheds_uploads_serves_queries_then_recovers() {
 }
 
 // ---------------------------------------------------------------------------
-// 4. Segment-lifecycle storms: kills landing inside rotation (seal) and
-//    compaction (manifest swap) must never lose an acked record.
+// 4. Segment-lifecycle storm: kills landing inside rotation (seal and
+//    manifest commit) must never lose an acked record.
 // ---------------------------------------------------------------------------
 
-/// Server config for the segment-lifecycle storms: a tiny rotation
-/// threshold (frames are ~150 bytes, so every third commit rotates) and,
-/// when `compact_ms` is set, an aggressive maintenance cadence.
-fn lifecycle_server_config(
-    plan: Option<&FaultPlan>,
-    rotate_bytes: u64,
-    compact_ms: u64,
-) -> ServerConfig {
+/// Server config for the segment-lifecycle storm: a tiny rotation
+/// threshold (frames are ~150 bytes, so every third commit rotates).
+fn lifecycle_server_config(plan: Option<&FaultPlan>) -> ServerConfig {
     ServerConfig {
-        rotate_bytes,
-        compact_interval: Duration::from_millis(compact_ms),
+        rotate_bytes: 400,
         ..storm_server_config(plan, false)
     }
 }
 
 fn run_rotation_storm(seed: u64) {
+    // Enough single-record commits for two rotations after the four
+    // failed attempts.
+    const PERIODS: u32 = 6;
     let path = temp_archive("chaos", &format!("rotate-{seed}"));
-    // The first two seal attempts fail: those rotations defer (the commit
-    // that triggered them still acks) and retry on a later commit.
+    // The first two seal attempts fail, then the first two manifest
+    // commits that would publish a rotation (commit 1 creates the store):
+    // each of those rotations defers (the commit that triggered it still
+    // acks, and a failed manifest commit removes the new file, so the old
+    // segment stays the write head) and retries on a later commit.
     let plan = FaultPlan::builder(seed)
         .rule(
             sites::STORE_SEAL,
             Rule::every(1, 1, FaultAction::Error(io::ErrorKind::Other)).times(2),
+        )
+        .rule(
+            sites::STORE_MANIFEST,
+            Rule::every(2, 1, FaultAction::Error(io::ErrorKind::Other)).times(2),
         )
         .build()
         .expect("rotation plan");
     let locations: Vec<u64> = vec![41, 42];
     let all: Vec<TrafficRecord> = locations
         .iter()
-        .flat_map(|&loc| small_campaign(loc, 4, seed.wrapping_mul(77) + loc))
+        .flat_map(|&loc| small_campaign(loc, PERIODS, seed.wrapping_mul(77) + loc))
         .collect();
 
     // Phase 1: upload one record at a time so every commit is a rotation
-    // candidate; every upload must end acked despite the failing seals.
+    // candidate; every upload must end acked despite the failing seals and
+    // manifest commits.
     {
-        let server = RpcServer::start(
-            "127.0.0.1:0",
-            &path,
-            lifecycle_server_config(Some(&plan), 400, 0),
-        )
-        .expect("start");
+        let server = RpcServer::start("127.0.0.1:0", &path, lifecycle_server_config(Some(&plan)))
+            .expect("start");
         let mut client =
             RpcClient::connect(server.local_addr(), storm_client_config(seed)).expect("client");
         for record in &all {
@@ -732,6 +733,9 @@ fn run_rotation_storm(seed: u64) {
             !server.degraded(),
             "deferred rotations must not trip degraded mode (seed {seed})"
         );
+        for site in [sites::STORE_SEAL, sites::STORE_MANIFEST] {
+            assert_eq!(plan.site(site).fired(), 2, "{site} (seed {seed})");
+        }
         server.shutdown().expect("shutdown");
     }
 
@@ -768,8 +772,8 @@ fn run_rotation_storm(seed: u64) {
     // swept and the torn tail discarded; no acked record may be missing and
     // every estimate must match the in-process reference bit for bit.
     {
-        let server = RpcServer::start("127.0.0.1:0", &path, lifecycle_server_config(None, 400, 0))
-            .expect("restart");
+        let server =
+            RpcServer::start("127.0.0.1:0", &path, lifecycle_server_config(None)).expect("restart");
         assert!(
             !orphan.exists(),
             "the open sweeps the orphan segment (seed {seed})"
@@ -791,7 +795,7 @@ fn run_rotation_storm(seed: u64) {
             &mut client,
             &reference,
             &locations,
-            4,
+            PERIODS,
             &format!("rotation seed {seed} post-recovery"),
         );
         server.shutdown().expect("shutdown");
@@ -804,115 +808,6 @@ fn kill_during_rotation_storm_loses_no_acked_record() {
     let _guard = lock();
     for seed in [5, 71] {
         run_rotation_storm(seed);
-    }
-}
-
-fn run_compaction_storm(seed: u64) {
-    let path = temp_archive("chaos", &format!("compact-{seed}"));
-    // Two manifest commits fail mid-storm: a rotation's commit failure
-    // defers the rotation (the new file is removed and the old segment
-    // stays the write head) and a compaction's rolls the whole merge back. The budget then runs dry, so a later compaction pass
-    // succeeds.
-    let plan = FaultPlan::builder(seed)
-        .rule(
-            sites::STORE_MANIFEST,
-            Rule::every(2, 2, FaultAction::Error(io::ErrorKind::Other)).times(2),
-        )
-        .build()
-        .expect("compaction plan");
-    let locations: Vec<u64> = vec![51, 52];
-    let all: Vec<TrafficRecord> = locations
-        .iter()
-        .flat_map(|&loc| small_campaign(loc, 4, seed.wrapping_mul(131) + loc))
-        .collect();
-    let reference = reference_for(&all);
-
-    ptm_obs::enable_metrics();
-    let runs_before = ptm_obs::registry().counter("store.compact.runs").get();
-
-    // Phase 1: per-record commits against a 400-byte rotation threshold
-    // fragment the archive while the maintenance thread compacts every
-    // 40 ms under manifest fire.
-    {
-        let server = RpcServer::start(
-            "127.0.0.1:0",
-            &path,
-            lifecycle_server_config(Some(&plan), 400, 40),
-        )
-        .expect("start");
-        let mut client =
-            RpcClient::connect(server.local_addr(), storm_client_config(seed)).expect("client");
-        for record in &all {
-            upload_acked(&mut client, record, &format!("compaction seed {seed}"));
-        }
-        // Give the maintenance thread a few intervals: at least one
-        // compaction must land once the injected faults are spent.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while ptm_obs::registry().counter("store.compact.runs").get() == runs_before {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "compaction never succeeded (seed {seed})"
-            );
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        assert!(!server.degraded(), "compaction faults stay internal");
-        // Reads through the compacted layout stay bit-exact while the
-        // daemon is live.
-        assert_estimates_exact(
-            &mut client,
-            &reference,
-            &locations,
-            4,
-            &format!("compaction seed {seed} live"),
-        );
-        server.shutdown().expect("shutdown");
-    }
-    ptm_obs::set_metrics_enabled(false);
-
-    // Crash simulation: a kill right after compaction, mid-append — the
-    // active segment gets a torn frame tail.
-    {
-        use std::io::Write as _;
-        let active = active_segment_file(&path);
-        let mut file = std::fs::OpenOptions::new()
-            .append(true)
-            .open(active)
-            .expect("open for tearing");
-        file.write_all(&[0x40, 0x00, 0x00, 0x00, 0xAB, 0xCD])
-            .expect("torn tail");
-    }
-
-    // Phase 2: clean reopen. The merged layout plus torn tail must still
-    // hold every acked record and answer exactly.
-    {
-        let server = RpcServer::start("127.0.0.1:0", &path, lifecycle_server_config(None, 400, 0))
-            .expect("restart");
-        let replay = server.replay_report();
-        assert_eq!(
-            replay.records,
-            all.len(),
-            "zero acked-record loss across the compaction kill (seed {seed})"
-        );
-        assert!(replay.torn_bytes > 0, "torn tail detected (seed {seed})");
-        let mut client =
-            RpcClient::connect(server.local_addr(), storm_client_config(seed)).expect("client");
-        assert_estimates_exact(
-            &mut client,
-            &reference,
-            &locations,
-            4,
-            &format!("compaction seed {seed} post-recovery"),
-        );
-        server.shutdown().expect("shutdown");
-    }
-    cleanup_archive(&path);
-}
-
-#[test]
-fn kill_during_compaction_storm_loses_no_acked_record() {
-    let _guard = lock();
-    for seed in [13, 902] {
-        run_compaction_storm(seed);
     }
 }
 

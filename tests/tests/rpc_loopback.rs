@@ -227,11 +227,7 @@ fn corrupt_and_oversized_frames_close_the_connection_not_the_daemon() {
     let _guard = lock();
     use std::io::{Read, Write};
     let path = temp_archive("rpc-it", "faults");
-    let config = ServerConfig {
-        max_frame_len: 64 * 1024,
-        ..server_config()
-    };
-    let server = RpcServer::start("127.0.0.1:0", &path, config).expect("start");
+    let server = RpcServer::start("127.0.0.1:0", &path, server_config()).expect("start");
     let addr = server.local_addr();
 
     ptm_obs::enable_metrics();
@@ -254,7 +250,7 @@ fn corrupt_and_oversized_frames_close_the_connection_not_the_daemon() {
         stream.read_to_end(&mut rest).expect("read until close");
     }
 
-    // Fault 2: a header advertising a frame far over the limit.
+    // Fault 2: a header advertising a frame far over the 32 MiB limit.
     {
         let mut stream = std::net::TcpStream::connect(addr).expect("connect");
         stream
@@ -333,34 +329,44 @@ fn conflicting_record_is_fatal_not_retried() {
 #[test]
 fn corrupt_sealed_frame_fails_the_start() {
     let _guard = lock();
-    let path = temp_archive("rpc-it", "corrupt-sealed");
-    {
-        let server = RpcServer::start("127.0.0.1:0", &path, server_config()).expect("start");
-        let mut client = RpcClient::connect(server.local_addr(), client_config()).expect("client");
-        client.upload_batch(&campaign(6, 2, 60)).expect("upload");
-        // The clean shutdown seals the segment; the next open still reads
-        // and checks every one of its frames.
-        server.shutdown().expect("shutdown");
-    }
-
-    // One flipped payload byte in the first record frame, which follows
-    // the 8-byte segment header and the frame's own 8-byte header.
-    let segment = path.join("seg-00000000.ptms");
-    let mut bytes = std::fs::read(&segment).expect("read segment");
-    bytes[8 + 8 + 30] ^= 0x01;
-    std::fs::write(&segment, &bytes).expect("write segment");
-    match RpcServer::start("127.0.0.1:0", &path, server_config()) {
-        Err(DaemonError::Store(StoreError::CorruptFrame { .. })) => {}
-        Err(other) => panic!("expected a corrupt frame, got {other:?}"),
-        Ok(server) => {
+    // The first segment's frames are promised by the clean shutdown's
+    // checkpoint (default threshold) or sealed by a rotation (a 1-byte
+    // threshold rotates after the upload's commit).
+    for rotate_bytes in [ServerConfig::default().rotate_bytes, 1] {
+        let path = temp_archive("rpc-it", &format!("corrupt-sealed-{rotate_bytes}"));
+        let config = ServerConfig {
+            rotate_bytes,
+            ..server_config()
+        };
+        {
+            let server = RpcServer::start("127.0.0.1:0", &path, config.clone()).expect("start");
+            let mut client =
+                RpcClient::connect(server.local_addr(), client_config()).expect("client");
+            client.upload_batch(&campaign(6, 2, 60)).expect("upload");
+            // The next open still reads and checks every one of the
+            // segment's frames.
             server.shutdown().expect("shutdown");
-            panic!("a daemon started on an archive with a corrupt frame");
         }
+
+        // One flipped payload byte in the first record frame, which follows
+        // the 8-byte segment header and the frame's own 8-byte header.
+        let segment = path.join("seg-00000000.ptms");
+        let mut bytes = std::fs::read(&segment).expect("read segment");
+        bytes[8 + 8 + 30] ^= 0x01;
+        std::fs::write(&segment, &bytes).expect("write segment");
+        match RpcServer::start("127.0.0.1:0", &path, config) {
+            Err(DaemonError::Store(StoreError::CorruptFrame { .. })) => {}
+            Err(other) => panic!("expected a corrupt frame, got {other:?}"),
+            Ok(server) => {
+                server.shutdown().expect("shutdown");
+                panic!("a daemon started on an archive with a corrupt frame");
+            }
+        }
+        assert_eq!(
+            std::fs::read(&segment).expect("reread segment"),
+            bytes,
+            "a promised frame is never truncated"
+        );
+        cleanup_archive(&path);
     }
-    assert_eq!(
-        std::fs::read(&segment).expect("reread segment"),
-        bytes,
-        "a sealed segment is never truncated"
-    );
-    cleanup_archive(&path);
 }
