@@ -189,14 +189,27 @@ impl Bitmap {
     /// Packs the bitmap into `ceil(len/8)` little-endian bytes (bit `i` is
     /// bit `i % 8` of byte `i / 8`) — the stable on-disk / wire layout.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = vec![0u8; self.len.div_ceil(8)];
-        for (wi, word) in self.words.iter().enumerate() {
-            let bytes = word.to_le_bytes();
-            let start = wi * 8;
-            let take = bytes.len().min(out.len().saturating_sub(start));
-            out[start..start + take].copy_from_slice(&bytes[..take]);
-        }
+        let mut out = Vec::with_capacity(self.len.div_ceil(8));
+        self.write_bytes(&mut out);
         out
+    }
+
+    /// Appends [`Bitmap::to_bytes`]'s layout to `out`, one 64-bit word per
+    /// 8 bytes, then the leading bytes of the last word when the size is
+    /// not a whole number of words — so an encoder can pack the bitmap
+    /// straight into the buffer that ships it.
+    pub fn write_bytes(&self, out: &mut Vec<u8>) {
+        let bytes = self.len.div_ceil(8);
+        let start = out.len();
+        out.resize(start + bytes, 0);
+        let (chunks, tail) = out[start..].as_chunks_mut::<8>();
+        for (chunk, word) in chunks.iter_mut().zip(&self.words) {
+            *chunk = word.to_le_bytes();
+        }
+        if !tail.is_empty() {
+            let last = self.words[self.words.len() - 1].to_le_bytes();
+            tail.copy_from_slice(&last[..tail.len()]);
+        }
     }
 
     /// Rebuilds a bitmap from [`Bitmap::to_bytes`] output, one 64-bit word

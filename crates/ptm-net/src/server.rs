@@ -309,11 +309,12 @@ impl CentralServer {
         out
     }
 
-    /// Fetches one record (cloned out of its shard).
-    pub fn record(&self, location: LocationId, period: PeriodId) -> Option<TrafficRecord> {
+    /// Fetches one record: a shared handle to the stored copy, not a
+    /// clone of its bitmap.
+    pub fn record(&self, location: LocationId, period: PeriodId) -> Option<Arc<TrafficRecord>> {
         let shard = self.shard(location)?;
         let inner = shard_read(&shard.inner);
-        inner.records.get(&period).map(|record| (**record).clone())
+        inner.records.get(&period).map(Arc::clone)
     }
 
     /// Shared handles to this location's records for `periods`, taken
@@ -493,7 +494,7 @@ mod tests {
         // and the store is unchanged.
         server.submit(rec.clone()).expect("identical resend");
         assert_eq!(server.record_count(), 1);
-        assert_eq!(server.record(loc, PeriodId::new(0)), Some(rec));
+        assert_eq!(server.record(loc, PeriodId::new(0)).as_deref(), Some(&rec));
     }
 
     #[test]
@@ -549,7 +550,7 @@ mod tests {
             })
         );
         // The original record survives the rejected conflict untouched.
-        assert_eq!(server.record(loc, PeriodId::new(0)), Some(rec));
+        assert_eq!(server.record(loc, PeriodId::new(0)).as_deref(), Some(&rec));
     }
 
     #[test]
@@ -668,7 +669,7 @@ mod tests {
 
         // Every path still works: the store recovers the guard instead of
         // cascading the panic into every later request.
-        assert_eq!(server.record(loc, PeriodId::new(0)), Some(rec));
+        assert_eq!(server.record(loc, PeriodId::new(0)).as_deref(), Some(&rec));
         let mut next =
             TrafficRecord::new(loc, PeriodId::new(1), BitmapSize::new(64).expect("pow2"));
         next.set_reported_index(4);

@@ -34,8 +34,8 @@ use crate::frame::{
     DEFAULT_MAX_FRAME_LEN,
 };
 use crate::proto::{
-    decode_response, encode_request_with, ErrorCode, ProtoError, Request, Response, WireTrace,
-    MAX_BATCH_RECORDS,
+    decode_response, encode_request_with, encode_upload_into, ErrorCode, ProtoError, Request,
+    Response, WireTrace, MAX_BATCH_RECORDS,
 };
 use ptm_core::record::TrafficRecord;
 use ptm_core::{LocationId, PeriodId};
@@ -469,19 +469,16 @@ impl RpcClient {
             trace_id: ctx.trace_id,
             parent_span: ctx.span_id,
         });
-        // Each record is encoded once; retries re-send the same bytes, so
-        // the daemon's duplicate detection sees bit-identical payloads.
-        // The deadline stamp is the full budget (not re-computed per
-        // retry) for the same reason — and because a backlog drain cares
-        // about not losing records, not per-record latency.
+        // Each record is encoded straight into the wave buffer that ships
+        // it. A retry encodes it again to the same bytes, so the daemon's
+        // duplicate detection sees bit-identical payloads. The deadline
+        // stamp is the full budget (not re-computed per retry) for the same
+        // reason — and because a backlog drain cares about not losing
+        // records, not per-record latency.
         let stamp = remaining_budget_ms(Instant::now(), self.config.deadline);
-        let payloads: Vec<Vec<u8>> = records
-            .iter()
-            .map(|record| encode_request_with(&Request::Upload(record.clone()), wire, stamp))
-            .collect();
         let mut acked = vec![false; records.len()];
         self.with_retries(|client, _| {
-            client.pipeline_attempt(&payloads, &mut acked, window, &mut summary)
+            client.pipeline_attempt(records, wire, stamp, &mut acked, window, &mut summary)
         })?;
         Ok(summary)
     }
@@ -494,20 +491,22 @@ impl RpcClient {
     /// unacked tail.
     fn pipeline_attempt(
         &mut self,
-        payloads: &[Vec<u8>],
+        records: &[TrafficRecord],
+        trace: Option<WireTrace>,
+        deadline_ms: Option<u32>,
         acked: &mut [bool],
         window: usize,
         summary: &mut UploadSummary,
     ) -> Result<(), AttemptError> {
         let io_timeout = self.config.io_timeout;
         let stream = self.ensure_stream()?;
-        let pending: Vec<usize> = (0..payloads.len()).filter(|&i| !acked[i]).collect();
+        let pending: Vec<usize> = (0..records.len()).filter(|&i| !acked[i]).collect();
         let mut wave_buf = Vec::new();
         for wave in pending.chunks(window) {
             wave_buf.clear();
             for &index in wave {
                 append_frame_with(&mut wave_buf, |out| {
-                    out.extend_from_slice(&payloads[index]);
+                    encode_upload_into(&records[index], trace, deadline_ms, out);
                 });
             }
             stream

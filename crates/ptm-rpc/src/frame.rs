@@ -792,6 +792,59 @@ mod tests {
         assert!(decoder.has_partial());
     }
 
+    /// Feeds `wire` to a fresh decoder `chunk` bytes per read, asking for a
+    /// frame after each read, and returns the first frame or error, or
+    /// `Ok(None)` once every byte is in. After every read the buffer must
+    /// hold no more than a header, `max_len` and one read chunk.
+    fn feed(wire: &[u8], max_len: u32, chunk: usize) -> Result<Option<Vec<u8>>, FrameError> {
+        let bound = FRAME_HEADER_LEN + max_len as usize + READ_CHUNK;
+        let mut decoder = FrameDecoder::new(max_len);
+        for piece in wire.chunks(chunk) {
+            let mut reader = io::Cursor::new(piece);
+            while decoder.read_from(&mut reader).expect("read") > 0 {}
+            assert!(decoder.buf.len() <= bound, "buffer {}", decoder.buf.len());
+            if let Some(frame) = decoder.next_frame()? {
+                return Ok(Some(frame.to_vec()));
+            }
+        }
+        Ok(None)
+    }
+
+    /// Every truncation and every single-bit flip of a valid frame around
+    /// each corpus payload, fed a byte at a time and all at once, at the
+    /// daemon's limit and at the largest corpus payload: a cut frame is
+    /// incomplete; a flip in the length word is too large, incomplete or a
+    /// CRC mismatch; any other flip is a CRC mismatch.
+    #[test]
+    fn every_cut_and_bit_flip_of_a_valid_frame_is_caught() {
+        let corpus = crate::proto::tests::request_corpus();
+        let largest = corpus.iter().map(Vec::len).max().expect("corpus") as u32;
+        for max_len in [DEFAULT_MAX_FRAME_LEN, largest] {
+            for payload in &corpus {
+                let wire = frame_bytes(payload);
+                for chunk in [1, wire.len()] {
+                    let whole = feed(&wire, max_len, chunk).expect("valid frame");
+                    assert_eq!(whole.as_deref(), Some(payload.as_slice()));
+                    for cut in 0..wire.len() {
+                        let got = feed(&wire[..cut], max_len, chunk);
+                        assert!(matches!(got, Ok(None)), "cut {cut} of {wire:?}: {got:?}");
+                    }
+                    for bit in 0..wire.len() * 8 {
+                        let mut flipped = wire.clone();
+                        flipped[bit / 8] ^= 1 << (bit % 8);
+                        let got = feed(&flipped, max_len, chunk);
+                        let caught = match got {
+                            Err(FrameError::BadCrc { .. }) => true,
+                            Err(FrameError::TooLarge { .. }) | Ok(None) => bit < 32,
+                            _ => false,
+                        };
+                        assert!(caught, "bit {bit} of {wire:?}, max {max_len}: {got:?}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn append_frame_with_matches_write_frame_bytes() {
         let mut out = Vec::new();

@@ -48,7 +48,7 @@
 
 use ptm_core::encoding::LocationId;
 use ptm_core::record::{PeriodId, TrafficRecord};
-use ptm_store::codec::{decode_record, encode_record};
+use ptm_store::codec::{decode_record, encode_record_into};
 
 /// The protocol version this build speaks, the only one it decodes.
 pub const PROTOCOL_VERSION: u8 = 3;
@@ -371,15 +371,9 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Builds a payload header: `version | tag | flags`, then the 16-byte
-/// trace header and the 4-byte remaining-deadline field when present.
-fn header_for(tag: u8, trace: Option<WireTrace>, deadline_ms: Option<u32>) -> Vec<u8> {
-    let mut out = Vec::new();
-    header_into(tag, trace, deadline_ms, &mut out);
-    out
-}
-
-/// Appends the header to `out` — the buffer-reuse form of [`header_for`].
+/// Appends a payload header to `out`: `version | tag | flags`, then the
+/// 16-byte trace header and the 4-byte remaining-deadline field when
+/// present.
 fn header_into(tag: u8, trace: Option<WireTrace>, deadline_ms: Option<u32>, out: &mut Vec<u8>) {
     let mut flags = 0u8;
     if trace.is_some() {
@@ -464,54 +458,68 @@ pub fn encode_request_traced(request: &Request, trace: Option<WireTrace>) -> Vec
 
 /// Encodes a request payload with optional trace context and remaining
 /// deadline budget in the header (framing not included).
+///
+/// Records are encoded straight into the payload buffer: a batch entry's
+/// length word is reserved, the record written after it, and the word
+/// backfilled.
 pub fn encode_request_with(
     request: &Request,
     trace: Option<WireTrace>,
     deadline_ms: Option<u32>,
 ) -> Vec<u8> {
-    let header = |tag| header_for(tag, trace, deadline_ms);
+    let mut out = Vec::new();
+    let mut header = |tag| header_into(tag, trace, deadline_ms, &mut out);
     match request {
         Request::Ping => header(TAG_PING),
-        Request::Upload(record) => {
-            let mut out = header(TAG_UPLOAD);
-            out.extend_from_slice(&encode_record(record));
-            out
-        }
+        Request::Upload(record) => encode_upload_into(record, trace, deadline_ms, &mut out),
         Request::UploadBatch(records) => {
-            let mut out = header(TAG_UPLOAD_BATCH);
+            header(TAG_UPLOAD_BATCH);
             out.extend_from_slice(&(records.len() as u32).to_le_bytes());
             for record in records {
-                let payload = encode_record(record);
-                out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-                out.extend_from_slice(&payload);
+                let len_at = out.len();
+                out.extend_from_slice(&[0u8; 4]);
+                encode_record_into(record, &mut out);
+                let len = (out.len() - len_at - 4) as u32;
+                out[len_at..len_at + 4].copy_from_slice(&len.to_le_bytes());
             }
-            out
         }
         Request::QueryVolume { location, period } => {
-            let mut out = header(TAG_QUERY_VOLUME);
+            header(TAG_QUERY_VOLUME);
             out.extend_from_slice(&location.get().to_le_bytes());
             out.extend_from_slice(&period.get().to_le_bytes());
-            out
         }
         Request::QueryPoint { location, periods } => {
-            let mut out = header(TAG_QUERY_POINT);
+            header(TAG_QUERY_POINT);
             out.extend_from_slice(&location.get().to_le_bytes());
             push_periods(&mut out, periods);
-            out
         }
         Request::QueryP2p {
             location_a,
             location_b,
             periods,
         } => {
-            let mut out = header(TAG_QUERY_P2P);
+            header(TAG_QUERY_P2P);
             out.extend_from_slice(&location_a.get().to_le_bytes());
             out.extend_from_slice(&location_b.get().to_le_bytes());
             push_periods(&mut out, periods);
-            out
         }
         Request::Stats => header(TAG_STATS),
     }
+    out
+}
+
+/// Appends the [`Request::Upload`] payload for a borrowed record to `out`:
+/// the bytes [`encode_request_with`] gives for `Request::Upload`, without
+/// copying the record into a request first. A client encodes each upload
+/// with it straight into the frame that ships it.
+pub(crate) fn encode_upload_into(
+    record: &TrafficRecord,
+    trace: Option<WireTrace>,
+    deadline_ms: Option<u32>,
+    out: &mut Vec<u8>,
+) {
+    header_into(TAG_UPLOAD, trace, deadline_ms, out);
+    encode_record_into(record, out);
 }
 
 /// Decodes a request payload together with its header metadata (optional
@@ -670,12 +678,77 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, ProtoError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::frame::append_frame_with;
     use ptm_core::encoding::{EncodingScheme, VehicleSecrets};
     use ptm_core::params::BitmapSize;
+    use ptm_store::codec::encode_record;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    /// A payload header alone.
+    fn header_for(tag: u8, trace: Option<WireTrace>, deadline_ms: Option<u32>) -> Vec<u8> {
+        let mut out = Vec::new();
+        header_into(tag, trace, deadline_ms, &mut out);
+        out
+    }
+
+    /// A record whose bit `i` of `m` is set when `(37 i + 11) mod 7 < 2`.
+    fn fixed_record(location: u64, period: u32, m: usize) -> TrafficRecord {
+        let mut record = TrafficRecord::new(
+            LocationId::new(location),
+            PeriodId::new(period),
+            BitmapSize::new(m).expect("pow2"),
+        );
+        for i in (0..m).filter(|i| (i * 37 + 11) % 7 < 2) {
+            record.set_reported_index(i);
+        }
+        record
+    }
+
+    /// Valid request payloads: every request kind (uploads of tiny
+    /// records, a batch of two), each with no header extension, with a
+    /// trace context, with a deadline, and with both.
+    pub(crate) fn request_corpus() -> Vec<Vec<u8>> {
+        let requests = [
+            Request::Ping,
+            Request::Upload(fixed_record(3, 0, 16)),
+            Request::UploadBatch(vec![fixed_record(3, 1, 8), fixed_record(4, 1, 64)]),
+            Request::QueryVolume {
+                location: LocationId::new(3),
+                period: PeriodId::new(1),
+            },
+            Request::QueryPoint {
+                location: LocationId::new(3),
+                periods: periods(3),
+            },
+            Request::QueryP2p {
+                location_a: LocationId::new(3),
+                location_b: LocationId::new(4),
+                periods: periods(2),
+            },
+            Request::Stats,
+        ];
+        let trace = WireTrace {
+            trace_id: 0x0123_4567_89AB_CDEF,
+            parent_span: 42,
+        };
+        let headers = [
+            (None, None),
+            (Some(trace), None),
+            (None, Some(250)),
+            (Some(trace), Some(250)),
+        ];
+        requests
+            .iter()
+            .flat_map(|request| {
+                headers
+                    .iter()
+                    .map(move |&(trace, deadline)| encode_request_with(request, trace, deadline))
+            })
+            .collect()
+    }
 
     fn sample_record(seed: u64, period: u32) -> TrafficRecord {
         let scheme = EncodingScheme::new(seed, 3);
@@ -863,6 +936,15 @@ mod tests {
         for cut in 0..payload.len() {
             assert!(decode_request(&payload[..cut]).is_err(), "cut {cut}");
         }
+        for payload in request_corpus() {
+            assert!(decode_request(&payload).is_ok(), "{payload:?}");
+            for cut in 0..payload.len() {
+                assert!(
+                    decode_request(&payload[..cut]).is_err(),
+                    "cut {cut} of {payload:?}"
+                );
+            }
+        }
         let payload = encode_response(&Response::Error {
             code: ErrorCode::Internal,
             message: "details".into(),
@@ -936,5 +1018,54 @@ mod tests {
         let record = sample_record(5, 3);
         let payload = encode_request(&Request::Upload(record.clone()));
         assert_eq!(&payload[3..], encode_record(&record).as_slice());
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|byte| format!("{byte:02x}")).collect()
+    }
+
+    /// `Upload` and `UploadBatch` wire frames of two fixed records (a
+    /// 256-bit and a 16-bit bitmap), byte for byte as protocol v3 has
+    /// always framed them: encoding in place changes no byte on the wire.
+    #[test]
+    fn upload_frames_keep_their_golden_bytes() {
+        const UPLOAD: &str = "37000000aabbee1803020008070605040302010d0c0b0a0001000000000000\
+            2412894422914824128944229148241289442291482412894422914824128944";
+        const UPLOAD_TRACED: &str = "4b0000007fac3f1e030203887766554433221100ffeeddccbbaa99dc05\
+            000008070605040302010d0c0b0a00010000000000002412894422914824128944\
+            229148241289442291482412894422914824128944";
+        const BATCH_TRACED: &str = "6d000000a805908f030303887766554433221100ffeeddccbbaa99dc050000\
+            020000003400000008070605040302010d0c0b0a00010000000000002412894422\
+            9148241289442291482412894422914824128944229148241289441600000009000000\
+            000000000200000010000000000000002412";
+        let a = fixed_record(0x0102_0304_0506_0708, 0x0A0B_0C0D, 256);
+        let b = fixed_record(9, 2, 16);
+        let trace = Some(WireTrace {
+            trace_id: 0x1122_3344_5566_7788,
+            parent_span: 0x99AA_BBCC_DDEE_FF00,
+        });
+        let frame = |build: &dyn Fn(&mut Vec<u8>)| {
+            let mut wire = Vec::new();
+            append_frame_with(&mut wire, build);
+            hex(&wire)
+        };
+        assert_eq!(
+            frame(&|out| encode_upload_into(&a, None, None, out)),
+            UPLOAD
+        );
+        let request = Request::Upload(a.clone());
+        assert_eq!(
+            frame(&|out| out.extend_from_slice(&encode_request(&request))),
+            UPLOAD
+        );
+        assert_eq!(
+            frame(&|out| encode_upload_into(&a, trace, Some(1500), out)),
+            UPLOAD_TRACED
+        );
+        let request = Request::UploadBatch(vec![a.clone(), b.clone()]);
+        assert_eq!(
+            frame(&|out| out.extend_from_slice(&encode_request_with(&request, trace, Some(1500)))),
+            BATCH_TRACED
+        );
     }
 }

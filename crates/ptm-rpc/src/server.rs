@@ -1718,7 +1718,7 @@ fn ingest_frames(shared: &Shared, frames: Vec<DecodedFrame>) -> Vec<Reply> {
     // `batch_index` spans the whole staged set so cross-frame duplicates
     // resolve exactly as sequential commits would: identical re-send →
     // idempotent duplicate, different contents → that frame rejected.
-    let mut staged: Vec<TrafficRecord> = Vec::new();
+    let mut staged: Vec<Arc<TrafficRecord>> = Vec::new();
     let mut batch_index: HashMap<(LocationId, PeriodId), usize> = HashMap::new();
     let mut verdicts: Vec<FrameVerdict> = Vec::with_capacity(requests.len());
     for request in requests {
@@ -1735,7 +1735,7 @@ fn ingest_frames(shared: &Shared, frames: Vec<DecodedFrame>) -> Vec<Reply> {
         for record in records {
             let key = (record.location(), record.period());
             match shared.central.record(key.0, key.1) {
-                Some(existing) if existing == record => {
+                Some(existing) if *existing == record => {
                     duplicates += 1;
                     continue;
                 }
@@ -1754,7 +1754,7 @@ fn ingest_frames(shared: &Shared, frames: Vec<DecodedFrame>) -> Vec<Reply> {
                 None => {}
             }
             match batch_index.get(&key) {
-                Some(&index) if staged[index] == record => duplicates += 1,
+                Some(&index) if *staged[index] == record => duplicates += 1,
                 Some(&index) => {
                     ptm_obs::counter!("rpc.server.ingest.conflicts").inc();
                     let message = if index >= staged_start {
@@ -1783,7 +1783,7 @@ fn ingest_frames(shared: &Shared, frames: Vec<DecodedFrame>) -> Vec<Reply> {
                 None => {
                     batch_index.insert(key, staged.len());
                     added_keys.push(key);
-                    staged.push(record);
+                    staged.push(Arc::new(record));
                 }
             }
         }
@@ -1810,7 +1810,7 @@ fn ingest_frames(shared: &Shared, frames: Vec<DecodedFrame>) -> Vec<Reply> {
     // committed frame (ptm-store's transactional commit), so nothing from
     // any frame is durable and no validated frame is acked.
     let commit_span = ptm_obs::tspan!("rpc.server.commit");
-    let commit_result = store.append_all(staged.iter());
+    let commit_result = store.append_all(staged.iter().map(Arc::as_ref));
     drop(commit_span);
     if let Err(err) = commit_result {
         let failures = shared.degraded.failures.fetch_add(1, Ordering::SeqCst) + 1;
@@ -1854,7 +1854,7 @@ fn ingest_frames(shared: &Shared, frames: Vec<DecodedFrame>) -> Vec<Reply> {
                     let accepted = range.len() as u32;
                     let mut failed = None;
                     for record in &staged[range] {
-                        if let Err(err) = shared.central.submit(record.clone()) {
+                        if let Err(err) = shared.central.submit(Arc::clone(record)) {
                             ptm_obs::error!("rpc.server", "publish after archive failed";
                                 error = err.to_string());
                             failed = Some(Response::Error {
@@ -2740,6 +2740,28 @@ mod tests {
                 cleanup_archive(&path);
             }
         }
+    }
+
+    #[test]
+    fn start_refuses_an_archive_that_lost_its_manifest() {
+        let path = temp_archive("no-manifest");
+        {
+            let mut store = SegmentStore::open(&path, StoreOptions::default())
+                .expect("open")
+                .store;
+            store.append_all([&sample_record(15, 0)]).expect("append");
+            store.checkpoint().expect("checkpoint");
+        }
+        std::fs::remove_file(path.join("MANIFEST")).expect("lose the manifest");
+        let segment = path.join("seg-00000000.ptms");
+        let before = std::fs::read(&segment).expect("read");
+        match RpcServer::start("127.0.0.1:0", &path, test_config()) {
+            Err(DaemonError::Store(StoreError::MissingManifest { segment: 0 })) => {}
+            Err(other) => panic!("expected MissingManifest, got {other:?}"),
+            Ok(_) => panic!("an archive without its manifest must fail the start"),
+        }
+        assert_eq!(std::fs::read(&segment).expect("reread"), before);
+        cleanup_archive(&path);
     }
 
     #[test]

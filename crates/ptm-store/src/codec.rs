@@ -5,7 +5,10 @@
 //! ```
 //!
 //! All integers little-endian. The bitmap bytes use
-//! [`ptm_core::Bitmap::to_bytes`]'s stable layout.
+//! [`ptm_core::Bitmap::to_bytes`]'s stable layout, which
+//! [`encode_record_into`] writes word by word straight into the caller's
+//! buffer (the wire frame on the client, the segment frame on the daemon);
+//! [`encode_record`] wraps it for callers that want the payload alone.
 //!
 //! [`decode_record`] checks the length prefix, the power-of-two size, the
 //! byte count and that no bit beyond the size is set, then wraps the
@@ -35,6 +38,13 @@ pub enum StoreError {
     },
     /// The file does not start with the archive magic/version.
     BadHeader,
+    /// The store directory has no manifest, yet a segment file in it holds
+    /// a complete frame: the manifest was lost, and opening would sweep
+    /// acked records as orphans. Nothing is changed.
+    MissingManifest {
+        /// A segment file (`seg-<id>.ptms`) that holds a frame.
+        segment: u64,
+    },
     /// A record size in the payload is not a power of two.
     BadBitmapSize(usize),
     /// A failed commit could not be rolled back; the store refuses
@@ -50,6 +60,10 @@ impl std::fmt::Display for StoreError {
             Self::CorruptFrame { offset } => write!(f, "corrupt frame at offset {offset}"),
             Self::MalformedRecord { reason } => write!(f, "malformed record: {reason}"),
             Self::BadHeader => write!(f, "not a ptm archive (bad magic or version)"),
+            Self::MissingManifest { segment } => write!(
+                f,
+                "store has no MANIFEST but segment {segment} holds frames; refusing to open"
+            ),
             Self::BadBitmapSize(size) => write!(f, "bitmap size {size} is not a power of two"),
             Self::Wedged => write!(f, "archive wedged after failed rollback; reopen required"),
         }
@@ -83,15 +97,23 @@ fn le_u64(bytes: &[u8]) -> u64 {
     u64::from_le_bytes(raw)
 }
 
-/// Encodes a record payload (no framing).
+/// Encodes a record payload (no framing) into a new buffer.
 pub fn encode_record(record: &TrafficRecord) -> Vec<u8> {
-    let bitmap_bytes = record.bitmap().to_bytes();
-    let mut out = Vec::with_capacity(20 + bitmap_bytes.len());
+    let mut out = Vec::new();
+    encode_record_into(record, &mut out);
+    out
+}
+
+/// Appends a record payload (no framing) to `out`: the key and length,
+/// then the bitmap written straight from its words. The wire encoder and
+/// the segment append call this on the buffer that ships the bytes, so a
+/// record is packed once per hop.
+pub fn encode_record_into(record: &TrafficRecord, out: &mut Vec<u8>) {
+    out.reserve(20 + record.len().div_ceil(8));
     out.extend_from_slice(&record.location().get().to_le_bytes());
     out.extend_from_slice(&record.period().get().to_le_bytes());
     out.extend_from_slice(&(record.len() as u64).to_le_bytes());
-    out.extend_from_slice(&bitmap_bytes);
-    out
+    record.bitmap().write_bytes(out);
 }
 
 /// Reads just the `(location, period)` key from an encoded payload without
@@ -180,6 +202,29 @@ mod tests {
             assert_eq!(bytes.len(), 20 + m.div_ceil(8), "m {m}");
             let back = decode_record(&bytes).expect("roundtrip");
             assert_eq!(back, record, "m {m}");
+        }
+    }
+
+    /// Appended after bytes already in the buffer, the payload is the key,
+    /// then bit `i` as bit `i % 8` of byte `i / 8`, packed here one bit at
+    /// a time, for every size from one bit to 2^15.
+    #[test]
+    fn encode_record_into_matches_a_per_bit_packing() {
+        for k in 0..=15u32 {
+            let m = 1usize << k;
+            let record = sample_record(u64::from(k) + 40, m, m.div_ceil(3));
+            let mut want = vec![0xA5u8; 3];
+            want.extend_from_slice(&12u64.to_le_bytes());
+            want.extend_from_slice(&3u32.to_le_bytes());
+            want.extend_from_slice(&(m as u64).to_le_bytes());
+            let mut bits = vec![0u8; m.div_ceil(8)];
+            for i in (0..m).filter(|&i| record.bitmap().get(i)) {
+                bits[i / 8] |= 1 << (i % 8);
+            }
+            want.extend_from_slice(&bits);
+            let mut out = vec![0xA5u8; 3];
+            encode_record_into(&record, &mut out);
+            assert_eq!(out, want, "m {m}");
         }
     }
 

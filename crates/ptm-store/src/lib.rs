@@ -8,7 +8,8 @@
 //!
 //! * [`codec`] — a compact, versioned binary encoding of
 //!   [`ptm_core::record::TrafficRecord`];
-//! * [`crc32`] — a from-scratch CRC-32 (IEEE) for frame integrity;
+//! * [`crc32`] — a from-scratch slicing-by-16 CRC-32 (IEEE) for frame
+//!   integrity;
 //! * [`segment`] — the [`segment::SegmentStore`], a log that is never
 //!   rewritten: writes go to one active segment as per-frame-checksummed,
 //!   transactional commits (a failed append rolls the file back to the last
@@ -17,7 +18,8 @@
 //!   else; a clean shutdown checkpoints the active segment instead of
 //!   sealing it; `open()` reads every segment once through one frame
 //!   reader, recovers a torn active tail past the checkpointed frames,
-//!   refuses a damaged sealed segment or checkpointed frame, and hands over
+//!   refuses a damaged sealed segment or checkpointed frame (or segment
+//!   frames with no manifest to own them), and hands over
 //!   every record it read (the store keeps no decoded record resident; the
 //!   daemon's query engine holds the only in-memory copy);
 //! * [`manifest`] — the CRC-checked [`manifest::Manifest`] naming the live

@@ -12,11 +12,13 @@
 //!
 //! Writes go to the single *active* segment (transactional commits through
 //! the [`StorageIo`] fault boundary) and rotate to a fresh segment once the
-//! active one reaches `rotate_bytes`. Rotation fsyncs the outgoing segment
-//! and commits a manifest that marks it sealed with its exact frame count,
-//! so every sealed segment is one rotation. A clean shutdown
-//! ([`SegmentStore::checkpoint`]) seals nothing: it fsyncs the active
-//! segment and records its frame count in the manifest.
+//! active one reaches `rotate_bytes`. An append builds its frame in place
+//! in the pending buffer: header reserved, record encoded after it, the
+//! payload slice checksummed and the header backfilled. Rotation fsyncs
+//! the outgoing segment and commits a manifest that marks it sealed with
+//! its exact frame count, so every sealed segment is one rotation. A clean
+//! shutdown ([`SegmentStore::checkpoint`]) seals nothing: it fsyncs the
+//! active segment and records its frame count in the manifest.
 //!
 //! The archive is a log: a second frame for a `(location, period)` key is
 //! kept, not superseded, and nothing is ever rewritten. Key uniqueness is
@@ -33,9 +35,12 @@
 //! segment missing any of the frames its last checkpoint recorded. Only
 //! the frames past those get torn-tail recovery: a final frame cut short,
 //! or failing its CRC with nothing after it, is discarded and the file
-//! truncated back to the last complete frame.
+//! truncated back to the last complete frame. A directory without a
+//! manifest owns no segment: it is refused with
+//! [`StoreError::MissingManifest`] when any segment file in it holds a
+//! complete frame, and otherwise its frameless segment files are swept.
 
-use crate::codec::{decode_record, encode_record, peek_key, StoreError};
+use crate::codec::{decode_record, encode_record_into, peek_key, StoreError};
 use crate::crc32::crc32;
 use crate::io::{build_io, check_site, StorageIo, StoreHooks, SyncPolicy};
 use crate::manifest::{Manifest, SegmentMeta, MANIFEST_TEMP};
@@ -168,13 +173,14 @@ impl ActiveSegment {
         if self.wedged {
             return Err(StoreError::Wedged);
         }
-        let payload = encode_record(record);
-        self.pending.reserve(FRAME_HEADER_LEN + payload.len());
-        self.pending
-            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.pending
-            .extend_from_slice(&crc32(&payload).to_le_bytes());
-        self.pending.extend_from_slice(&payload);
+        let header_at = self.pending.len();
+        self.pending.extend_from_slice(&[0u8; FRAME_HEADER_LEN]);
+        encode_record_into(record, &mut self.pending);
+        let payload = &self.pending[header_at + FRAME_HEADER_LEN..];
+        let len = (payload.len() as u32).to_le_bytes();
+        let crc = crc32(payload).to_le_bytes();
+        self.pending[header_at..header_at + 4].copy_from_slice(&len);
+        self.pending[header_at + 4..header_at + FRAME_HEADER_LEN].copy_from_slice(&crc);
         self.pending_locations.push(record.location());
         Ok(())
     }
@@ -382,6 +388,26 @@ fn read_segment(
     Ok(pass)
 }
 
+/// Refuses a store directory that has no manifest but holds a segment file
+/// with a complete frame. Without a manifest every segment file is unowned,
+/// and `open`'s orphan sweep would delete acked records. A first open
+/// creates its segment before its first manifest commit, so a crash there
+/// leaves a segment with no frame, which the sweep may still remove. Reads
+/// only; every file is left as it was.
+fn refuse_unowned_frames(dir: &Path) -> Result<(), StoreError> {
+    for entry in std::fs::read_dir(dir)? {
+        let entry = entry?;
+        let name = entry.file_name();
+        let Some(id) = name.to_str().and_then(parse_segment_file_name) else {
+            continue;
+        };
+        if read_segment(&entry.path(), u64::MAX, |_| Ok(()))?.frames > 0 {
+            return Err(StoreError::MissingManifest { segment: id });
+        }
+    }
+    Ok(())
+}
+
 /// An open [`SegmentStore`] plus what the open read and recovered.
 #[derive(Debug)]
 pub struct OpenedStore {
@@ -410,7 +436,9 @@ impl SegmentStore {
     /// Opens (or creates) a segment store at directory `dir`, reading
     /// every record in it.
     ///
-    /// One pass: orphan files from interrupted rotations are removed, then
+    /// One pass: orphan files from interrupted rotations are removed (a
+    /// directory without a manifest is refused instead when any segment
+    /// file in it holds a complete frame), then
     /// every segment the manifest names is read front to back once (a
     /// `store.replay.scan` span each) and every record decoded. Only the
     /// active segment's frames past its checkpointed count get torn-tail
@@ -419,6 +447,8 @@ impl SegmentStore {
     ///
     /// # Errors
     ///
+    /// [`StoreError::MissingManifest`] when there is no `MANIFEST` but a
+    /// segment file holds a complete frame (every file left untouched);
     /// [`StoreError::BadHeader`] for a manifest or segment of another
     /// format version (left untouched); [`StoreError::CorruptFrame`] for a
     /// damaged frame, a sealed segment whose frame count differs from the
@@ -431,10 +461,17 @@ impl SegmentStore {
         std::fs::create_dir_all(&dir)?;
         let _ = std::fs::remove_file(dir.join(MANIFEST_TEMP));
 
-        let mut manifest = Manifest::load(&dir)?.unwrap_or_default();
+        let mut manifest = match Manifest::load(&dir)? {
+            Some(manifest) => manifest,
+            None => {
+                refuse_unowned_frames(&dir)?;
+                Manifest::default()
+            }
+        };
 
         // Drop segment files the manifest does not own: leftovers of a
-        // rotation that died before its manifest commit.
+        // rotation that died before its manifest commit, or of a first open
+        // that died before its first one.
         // Nothing acked ever lives in them (appends begin only after the
         // owning manifest commit), so deletion is safe.
         for entry in std::fs::read_dir(&dir)? {
@@ -787,6 +824,8 @@ impl SegmentStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::encode_record;
+    use crate::manifest::MANIFEST_FILE;
     use ptm_core::encoding::{EncodingScheme, VehicleSecrets};
     use ptm_core::params::BitmapSize;
     use ptm_core::record::PeriodId;
@@ -1451,6 +1490,94 @@ mod tests {
         let opened = SegmentStore::open(&dir, StoreOptions::default()).expect("reopen");
         assert!(!dir.join(segment_file_name(77)).exists());
         assert_eq!(opened.store.record_count(), 2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_store_without_its_manifest_is_refused_untouched() {
+        let dir = temp_dir("no-manifest");
+        {
+            // Every commit rotates: three sealed segments and the active
+            // one, checkpointed.
+            let mut store = SegmentStore::open(&dir, small_rotate_opts(100))
+                .expect("open")
+                .store;
+            for batch in sample_records(3, 10).chunks(4) {
+                store.append_all(batch).expect("append");
+            }
+            store.checkpoint().expect("checkpoint");
+        }
+        std::fs::remove_file(dir.join(MANIFEST_FILE)).expect("lose the manifest");
+        let before = snapshot(&dir);
+        assert_eq!(before.len(), 4, "four segment files");
+        match SegmentStore::open(&dir, StoreOptions::default()) {
+            Err(StoreError::MissingManifest { .. }) => {}
+            other => panic!("expected MissingManifest, got {other:?}"),
+        }
+        assert_eq!(snapshot(&dir), before, "every segment left as it was");
+        std::fs::remove_dir_all(&dir).ok();
+
+        // A first open that died before its manifest commit leaves a
+        // segment with no frame (a header, or less): swept, and the store
+        // opens empty.
+        for cut in [HEADER_LEN, 3, 0] {
+            let dir = temp_dir(&format!("no-manifest-{cut}"));
+            drop(SegmentStore::open(&dir, StoreOptions::default()).expect("create"));
+            std::fs::remove_file(dir.join(MANIFEST_FILE)).expect("lose the manifest");
+            let segment = dir.join(segment_file_name(0));
+            let file = OpenOptions::new().write(true).open(&segment).expect("rw");
+            file.set_len(cut).expect("cut");
+            drop(file);
+            let opened = SegmentStore::open(&dir, StoreOptions::default()).expect("opens");
+            assert!(opened.records.is_empty(), "cut {cut}");
+            assert_eq!(opened.store.segment_count(), 1, "cut {cut}");
+            assert_eq!(
+                std::fs::read(&segment).expect("read"),
+                segment_header(),
+                "cut {cut}"
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    /// A fixed record: bit `i` of an `m`-bit map is set when
+    /// `(37 i + 11) mod 7 < 2`.
+    fn fixed_record(location: u64, period: u32, m: usize) -> TrafficRecord {
+        let mut record = TrafficRecord::new(
+            LocationId::new(location),
+            PeriodId::new(period),
+            BitmapSize::new(m).expect("pow2"),
+        );
+        for i in (0..m).filter(|i| (i * 37 + 11) % 7 < 2) {
+            record.set_reported_index(i);
+        }
+        record
+    }
+
+    /// The frames of a 256-bit and a 16-bit record, byte for byte as the
+    /// v3 segment format has always written them: the in-place frame
+    /// builder changes no byte on disk.
+    #[test]
+    fn segment_frames_keep_their_golden_bytes() {
+        const GOLDEN: &str = "3400000007f0b1a008070605040302010d0c0b0a000100000000000024128944\
+            2291482412894422914824128944229148241289442291482412894416000000\
+            8b26d3c209000000000000000200000010000000000000002412";
+        let dir = temp_dir("golden");
+        let mut store = SegmentStore::open(&dir, StoreOptions::default())
+            .expect("open")
+            .store;
+        let records = [
+            fixed_record(0x0102_0304_0506_0708, 0x0A0B_0C0D, 256),
+            fixed_record(9, 2, 16),
+        ];
+        store.append_all(&records).expect("append");
+        drop(store);
+        let bytes = std::fs::read(dir.join(segment_file_name(0))).expect("read");
+        let hex: String = bytes[HEADER_LEN as usize..]
+            .iter()
+            .map(|byte| format!("{byte:02x}"))
+            .collect();
+        assert_eq!(hex, GOLDEN);
         std::fs::remove_dir_all(&dir).ok();
     }
 

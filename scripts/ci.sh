@@ -49,10 +49,18 @@ echo "==> ptm-core tests in release (bounded)"
 cargo test --release --quiet -p ptm-core --no-run
 timeout 300 cargo test --release --quiet -p ptm-core
 
+# The store again under release codegen: the slicing-by-16 CRC-32 kernel
+# and the in-place record and frame encoders ship at opt-level 3, so their
+# byte-wise reference, per-bit packing and golden-bytes tests run there too.
+echo "==> ptm-store tests in release (bounded)"
+cargo test --release --quiet -p ptm-store --no-run
+timeout 300 cargo test --release --quiet -p ptm-store
+
 # The rpc crate again under release codegen: the worker pool's spin and
 # claim races (a submit claiming a spinner as its window ends, shutdown
 # during a spin) depend on timing, and the daemon ships at opt-level 3,
-# not at the test profile's opt-level 1.
+# not at the test profile's opt-level 1. The exhaustive frame-decoder
+# check (every cut and bit flip of a corpus of valid frames) runs here too.
 echo "==> ptm-rpc tests in release (bounded)"
 cargo test --release --quiet -p ptm-rpc --no-run
 timeout 300 cargo test --release --quiet -p ptm-rpc
