@@ -258,8 +258,9 @@ fn bench_rpc(c: &mut Criterion) {
         })
     });
 
-    // Protocol codec round trip: a 64-record batch.
-    let batch: Vec<ptm_core::record::TrafficRecord> = (0..64)
+    // Protocol codec round trip: a 64-frame wave of single-record `Upload`
+    // payloads, what a pipelined upload sends.
+    let wave: Vec<ptm_rpc::Request> = (0..64)
         .map(|p| {
             let mut r = ptm_core::record::TrafficRecord::new(
                 record.location(),
@@ -269,16 +270,24 @@ fn bench_rpc(c: &mut Criterion) {
             for idx in record.bitmap().iter_ones() {
                 r.set_reported_index(idx);
             }
-            r
+            ptm_rpc::Request::Upload(r)
         })
         .collect();
-    let batch_request = ptm_rpc::Request::UploadBatch(batch);
-    group.bench_function("proto_encode_batch_64", |b| {
-        b.iter(|| ptm_rpc::proto::encode_request(&batch_request))
+    group.bench_function("proto_encode_upload_wave_64", |b| {
+        b.iter(|| {
+            wave.iter()
+                .map(ptm_rpc::proto::encode_request)
+                .collect::<Vec<_>>()
+        })
     });
-    let batch_payload = ptm_rpc::proto::encode_request(&batch_request);
-    group.bench_function("proto_decode_batch_64", |b| {
-        b.iter(|| ptm_rpc::proto::decode_request(&batch_payload).expect("valid"))
+    let payloads: Vec<Vec<u8>> = wave.iter().map(ptm_rpc::proto::encode_request).collect();
+    group.bench_function("proto_decode_upload_wave_64", |b| {
+        b.iter(|| {
+            payloads
+                .iter()
+                .map(|payload| ptm_rpc::proto::decode_request(payload).expect("valid"))
+                .collect::<Vec<_>>()
+        })
     });
     group.finish();
 }

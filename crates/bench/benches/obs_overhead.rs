@@ -149,7 +149,9 @@ fn bench_traced_ingest(c: &mut Criterion) {
             ptm_obs::set_tracing_enabled(traced);
             b.iter(|| {
                 let record = next_record(&mut rng);
-                client.upload(&record).expect("loopback upload")
+                client
+                    .upload_pipelined(std::slice::from_ref(&record), 1)
+                    .expect("loopback upload")
             });
             ptm_obs::set_tracing_enabled(false);
             ptm_obs::set_trace_writer(None);

@@ -102,9 +102,8 @@ COMMANDS:
                 it answers and is not degraded)
     upload      Synthesise a campaign and upload it to a daemon
                 (--location L [--addr A] [--periods T] [--vehicles N]
-                 [--persistent N] [--seed S]
-                 [--pipeline W: pipeline W single-record frames per wave
-                  instead of one batch frame; max 256])
+                 [--persistent N] [--seed S]; one pipelined frame per
+                 record, up to 256 per wave)
     query       Query a daemon (--kind volume|point|p2p --location L
                 [--location-b B] [--periods T] [--period P] [--addr A])
     top         Live daemon introspection: records, per-shard depths,
@@ -175,7 +174,6 @@ fn command_flags(command: &str) -> Option<&'static [&'static str]> {
             "vehicles",
             "persistent",
             "seed",
-            "pipeline",
         ],
         "query" => &[
             "addr",
@@ -812,8 +810,12 @@ mod tests {
     fn each_command_refuses_flags_it_does_not_read() {
         let options = check("serve --archive a --workers 2 --metrics m.json").expect("known flags");
         assert_eq!(options.get("workers").map(String::as_str), Some("2"));
-        for retired in ["cache", "inflight"] {
-            let err = check(&format!("serve --archive a --{retired} 8")).expect_err(retired);
+        for (command, retired) in [
+            ("serve --archive a", "cache"),
+            ("serve --archive a", "inflight"),
+            ("upload --location 7", "pipeline"),
+        ] {
+            let err = check(&format!("{command} --{retired} 8")).expect_err(retired);
             assert!(err.contains(&format!("--{retired}")), "{err}");
         }
         // A flag one command reads is still refused by another.

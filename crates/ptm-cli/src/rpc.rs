@@ -18,7 +18,7 @@
 use ptm_core::encoding::{EncodingScheme, LocationId, VehicleSecrets};
 use ptm_core::params::{BitmapSize, SystemParams};
 use ptm_core::record::{PeriodId, TrafficRecord};
-use ptm_rpc::{ClientConfig, RpcClient, RpcServer, ServerConfig};
+use ptm_rpc::{ClientConfig, RpcClient, RpcServer, ServerConfig, MAX_PIPELINE_WINDOW};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -235,7 +235,8 @@ fn client(options: &Options) -> Result<RpcClient, String> {
     RpcClient::connect(addr, ClientConfig::default()).map_err(|e| e.to_string())
 }
 
-/// `ptm upload`: synthesise a campaign and batch-upload it.
+/// `ptm upload`: synthesise a campaign and upload it, one pipelined
+/// `Upload` frame per record.
 pub fn cmd_upload(options: &Options) -> Result<(), String> {
     let location = LocationId::new(opt_u64(options, "location")?.unwrap_or(1));
     let periods = opt_u64(options, "periods")?.unwrap_or(5) as u32;
@@ -252,14 +253,9 @@ pub fn cmd_upload(options: &Options) -> Result<(), String> {
         info.version,
         info.s
     );
-    let summary = match opt_usize(options, "pipeline")? {
-        // Pipelined single-record frames: the reactor coalesces the wave
-        // into one commit and batches the acks into one write.
-        Some(window) => client
-            .upload_pipelined(&records, window)
-            .map_err(|e| e.to_string())?,
-        None => client.upload_batch(&records).map_err(|e| e.to_string())?,
-    };
+    let summary = client
+        .upload_pipelined(&records, MAX_PIPELINE_WINDOW)
+        .map_err(|e| e.to_string())?;
     println!(
         "uploaded {} records for location {} ({} accepted, {} idempotent duplicates); \
          true persistent count is {persistent}",

@@ -35,7 +35,7 @@ use crate::frame::{
 };
 use crate::proto::{
     decode_response, encode_request_with, encode_upload_into, ErrorCode, ProtoError, Request,
-    Response, WireTrace, MAX_BATCH_RECORDS,
+    Response, WireTrace,
 };
 use ptm_core::record::TrafficRecord;
 use ptm_core::{LocationId, PeriodId};
@@ -107,7 +107,8 @@ pub enum ClientError {
         /// The final failure.
         last: String,
     },
-    /// A request that can never be sent (e.g. an oversized batch).
+    /// A request that can never be sent: the daemon address does not
+    /// resolve.
     InvalidRequest(String),
     /// The deadline budget ran out before any attempt succeeded.
     DeadlineExceeded {
@@ -378,78 +379,23 @@ impl RpcClient {
         }
     }
 
-    /// Uploads one record (retried until acked or attempts are exhausted).
+    /// Uploads `records`, one `Upload` frame each: up to `window` frames
+    /// (clamped to 1..=[`MAX_PIPELINE_WINDOW`]) are written in one wave
+    /// before the matching acks are drained in order. The reactor daemon
+    /// coalesces consecutive pipelined uploads into a single commit and
+    /// batches their acks into one write.
+    ///
+    /// Acks are counted per record. An `Overloaded` shed or a
+    /// `DeadlineExceeded` drop pauses the pipeline and retries only the
+    /// unacked records after the backoff (floored by the server's hint),
+    /// and a transport failure or a `GoingAway` hand-off reconnects and
+    /// re-sends every unacked record (safe because ingest is idempotent).
     ///
     /// # Errors
     ///
     /// Any [`ClientError`]; `Server { code: DuplicateConflict, .. }` means a
-    /// different record already occupies this `(location, period)`.
-    pub fn upload(&mut self, record: &TrafficRecord) -> Result<UploadSummary, ClientError> {
-        match self.call(&Request::Upload(record.clone()))? {
-            Response::UploadOk {
-                accepted,
-                duplicates,
-            } => Ok(UploadSummary {
-                accepted,
-                duplicates,
-            }),
-            other => Err(unexpected("UploadOk", &other)),
-        }
-    }
-
-    /// Uploads a batch in one frame. The daemon applies it atomically: a
-    /// conflict anywhere rejects the whole batch.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError::InvalidRequest`] for batches over
-    /// [`MAX_BATCH_RECORDS`]; otherwise any [`ClientError`].
-    pub fn upload_batch(
-        &mut self,
-        records: &[TrafficRecord],
-    ) -> Result<UploadSummary, ClientError> {
-        if records.len() > MAX_BATCH_RECORDS {
-            return Err(ClientError::InvalidRequest(format!(
-                "batch of {} exceeds the {MAX_BATCH_RECORDS}-record limit",
-                records.len()
-            )));
-        }
-        if records.is_empty() {
-            return Ok(UploadSummary {
-                accepted: 0,
-                duplicates: 0,
-            });
-        }
-        match self.call(&Request::UploadBatch(records.to_vec()))? {
-            Response::UploadOk {
-                accepted,
-                duplicates,
-            } => Ok(UploadSummary {
-                accepted,
-                duplicates,
-            }),
-            other => Err(unexpected("UploadOk", &other)),
-        }
-    }
-
-    /// Uploads `records` as pipelined single-record frames: up to `window`
-    /// frames (clamped to 1..=[`MAX_PIPELINE_WINDOW`]) are written in one
-    /// batched wave before the matching acks are drained in order. The
-    /// reactor daemon coalesces consecutive pipelined uploads into a single
-    /// commit and batches their acks into one write, so this is the
-    /// high-throughput ingest path for an RSU draining a backlog.
-    ///
-    /// Outcome semantics match issuing [`RpcClient::upload`] per record:
-    /// acks are counted per record, an `Overloaded` shed pauses the
-    /// pipeline and retries only the unacked records after the server's
-    /// hint, and a transport failure or a `GoingAway` hand-off reconnects
-    /// and re-sends every unacked record (safe because ingest is
-    /// idempotent).
-    ///
-    /// # Errors
-    ///
-    /// Any [`ClientError`]; the first server `Error` frame (e.g. a
-    /// conflicting duplicate) fails the call, with already-acked records
+    /// different record already occupies a `(location, period)`. The first
+    /// server `Error` frame fails the call, with already-acked records
     /// staying persisted.
     pub fn upload_pipelined(
         &mut self,
@@ -469,26 +415,25 @@ impl RpcClient {
             trace_id: ctx.trace_id,
             parent_span: ctx.span_id,
         });
-        // Each record is encoded straight into the wave buffer that ships
-        // it. A retry encodes it again to the same bytes, so the daemon's
-        // duplicate detection sees bit-identical payloads. The deadline
-        // stamp is the full budget (not re-computed per retry) for the same
-        // reason — and because a backlog drain cares about not losing
-        // records, not per-record latency.
-        let stamp = remaining_budget_ms(Instant::now(), self.config.deadline);
         let mut acked = vec![false; records.len()];
-        self.with_retries(|client, _| {
+        let outcome = self.with_retries(|client, stamp| {
             client.pipeline_attempt(records, wire, stamp, &mut acked, window, &mut summary)
-        })?;
-        Ok(summary)
+        });
+        if outcome.is_err() {
+            // The last wave's later replies may still be unread: drop the
+            // connection so the next call cannot take one for its answer.
+            self.stream = None;
+        }
+        outcome.map(|()| summary)
     }
 
     /// One pipelined pass over every record not yet acked: frames are
-    /// written in `window`-sized waves (one batched vectored write per
-    /// wave), then the wave's acks are drained in order. Succeeds when
-    /// every record is acked; a shed or doomed record ends the pass after
-    /// its wave, so the retry loop backs off before re-sending the
-    /// unacked tail.
+    /// written in `window`-sized waves (one write per wave), each record
+    /// encoded straight into the wave buffer with this attempt's remaining
+    /// budget in its header, then the wave's acks are drained in order.
+    /// Succeeds when every record is acked; a shed or doomed record ends
+    /// the pass after its wave, so the retry loop backs off before
+    /// re-sending the unacked tail.
     fn pipeline_attempt(
         &mut self,
         records: &[TrafficRecord],
@@ -785,34 +730,6 @@ mod tests {
     }
 
     #[test]
-    fn oversized_batch_rejected_locally() {
-        let mut client = RpcClient::connect("127.0.0.1:1", test_config()).expect("client");
-        let record = ptm_core::record::TrafficRecord::new(
-            LocationId::new(1),
-            PeriodId::new(0),
-            ptm_core::params::BitmapSize::new(64).expect("pow2"),
-        );
-        let batch = vec![record; MAX_BATCH_RECORDS + 1];
-        match client.upload_batch(&batch) {
-            Err(ClientError::InvalidRequest(_)) => {}
-            other => panic!("expected InvalidRequest, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn empty_batch_is_a_local_no_op() {
-        let mut client = RpcClient::connect("127.0.0.1:1", test_config()).expect("client");
-        let summary = client.upload_batch(&[]).expect("empty batch");
-        assert_eq!(
-            summary,
-            UploadSummary {
-                accepted: 0,
-                duplicates: 0
-            }
-        );
-    }
-
-    #[test]
     fn same_seed_yields_identical_backoff_sequences() {
         // Deterministic jitter: two clients with the same seed sleep the
         // same sequence; a different seed diverges.
@@ -995,6 +912,59 @@ mod tests {
     }
 
     #[test]
+    fn a_refused_pipelined_upload_leaves_the_client_in_step() {
+        use crate::frame::{read_frame, write_frame, ReadOutcome};
+        use crate::proto::{decode_request, encode_response, PROTOCOL_VERSION};
+
+        // The responder refuses every upload frame and answers a ping with
+        // a pong, then stops. A two-record wave fails at its first refusal
+        // while the second is still in flight; the next call must not read
+        // that refusal as its own answer.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let responder = std::thread::spawn(move || {
+            for connection in 1.. {
+                let (mut stream, _) = listener.accept().expect("accept");
+                while let Ok(ReadOutcome::Frame(bytes)) =
+                    read_frame(&mut stream, DEFAULT_MAX_FRAME_LEN)
+                {
+                    let ping = decode_request(&bytes).expect("decode").request == Request::Ping;
+                    let response = if ping {
+                        Response::Pong {
+                            version: PROTOCOL_VERSION,
+                            s: 3,
+                            records: 0,
+                            degraded: false,
+                        }
+                    } else {
+                        Response::Error {
+                            code: ErrorCode::DuplicateConflict,
+                            message: String::new(),
+                        }
+                    };
+                    let _ = write_frame(&mut stream, &encode_response(&response));
+                    if ping {
+                        return connection;
+                    }
+                }
+            }
+            unreachable!("the accept loop only ends at a ping")
+        });
+        let mut client = RpcClient::connect(addr, test_config()).expect("client");
+        let records: Vec<TrafficRecord> = (0..2).map(test_record).collect();
+        match client.upload_pipelined(&records, 2) {
+            Err(ClientError::Server {
+                code: ErrorCode::DuplicateConflict,
+                ..
+            }) => {}
+            other => panic!("expected DuplicateConflict, got {other:?}"),
+        }
+        client.ping().expect("the next call gets its own answer");
+        drop(client);
+        assert_eq!(responder.join().expect("responder"), 2, "reconnected");
+    }
+
+    #[test]
     fn pipelined_going_away_waits_out_the_hint_then_resends_the_tail() {
         use crate::frame::{read_frame, write_frame, ReadOutcome};
         use crate::proto::encode_response;
@@ -1147,30 +1117,31 @@ mod tests {
         use crate::frame::{read_frame, write_frame, ReadOutcome};
         use crate::proto::{decode_request, encode_response, PROTOCOL_VERSION};
 
-        // The server dooms the first attempt; the second succeeds. Both
-        // attempts must carry a deadline stamp, and the second's must not
-        // exceed the first's (the budget only shrinks).
+        // The server dooms the first attempt of each call, a ping and then
+        // a pipelined upload, and answers the second. Every attempt must
+        // carry a deadline stamp, and a retry's, sent one backoff (at least
+        // 20 ms) later, must be smaller by at least that backoff.
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
         let responder = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().expect("accept");
             let mut stamps = Vec::new();
-            for turn in 0..2 {
-                let Ok(ReadOutcome::Frame(bytes)) = read_frame(&mut stream, DEFAULT_MAX_FRAME_LEN)
-                else {
-                    break;
-                };
+            while let Ok(ReadOutcome::Frame(bytes)) = read_frame(&mut stream, DEFAULT_MAX_FRAME_LEN)
+            {
                 let decoded = decode_request(&bytes).expect("decode request");
                 stamps.push(decoded.deadline_ms.expect("deadline stamped"));
-                let response = if turn == 0 {
-                    Response::DeadlineExceeded
-                } else {
-                    Response::Pong {
+                let response = match decoded.request {
+                    _ if stamps.len() % 2 == 1 => Response::DeadlineExceeded,
+                    Request::Ping => Response::Pong {
                         version: PROTOCOL_VERSION,
                         s: 3,
                         records: 0,
                         degraded: false,
-                    }
+                    },
+                    _ => Response::UploadOk {
+                        accepted: 1,
+                        duplicates: 0,
+                    },
                 };
                 if write_frame(&mut stream, &encode_response(&response)).is_err() {
                     break;
@@ -1179,18 +1150,32 @@ mod tests {
             stamps
         });
         let config = ClientConfig {
+            backoff_base: Duration::from_millis(20),
+            backoff_cap: Duration::from_millis(20),
             deadline: Some(Duration::from_secs(30)),
             ..test_config()
         };
         let mut client = RpcClient::connect(addr, config).expect("client");
         client.ping().expect("retry after doomed reply succeeds");
+        let summary = client
+            .upload_pipelined(&[test_record(0)], 4)
+            .expect("retry after doomed reply succeeds");
+        assert_eq!(
+            summary,
+            UploadSummary {
+                accepted: 1,
+                duplicates: 0
+            }
+        );
         drop(client);
         let stamps = responder.join().expect("responder");
-        assert_eq!(stamps.len(), 2, "both attempts stamped");
-        assert!(
-            stamps[1] <= stamps[0],
-            "remaining budget grew across attempts: {stamps:?}"
-        );
+        assert_eq!(stamps.len(), 4, "every attempt stamped: {stamps:?}");
+        for retry in stamps.chunks(2) {
+            assert!(
+                retry[0] >= retry[1] + 20,
+                "a retry must stamp the budget still remaining: {stamps:?}"
+            );
+        }
     }
 
     #[test]

@@ -25,8 +25,8 @@ use std::time::{Duration, Instant};
 /// Bytes in the fixed frame header (length + checksum).
 pub const FRAME_HEADER_LEN: usize = 8;
 
-/// Default upper bound on a payload: a shade over `ptm-store`'s largest
-/// sane archived record (an 8 MiB bitmap), leaving room for small batches.
+/// Default upper bound on a payload: `ptm-store`'s largest sane archived
+/// record (an 8 MiB bitmap) with room to spare.
 pub const DEFAULT_MAX_FRAME_LEN: u32 = 32 * 1024 * 1024;
 
 /// Transport-level failures.

@@ -13,8 +13,8 @@
 //!   decoded in place with no per-frame allocation in steady state, and
 //!   [`frame::append_frame_with`] / [`frame::write_frame_vectored`] the
 //!   matching write-side buffer reuse.
-//! * [`proto`] — the messages: version-tagged requests (ping, upload,
-//!   batch upload, volume/point/point-to-point queries) and responses,
+//! * [`proto`] — the messages: version-tagged requests (ping, upload of
+//!   one record, volume/point/point-to-point queries) and responses,
 //!   embedding records as exact `ptm-store` codec payloads so the bytes a
 //!   daemon archives are the bytes the RSU sent.
 //! * [`server`] — [`RpcServer`]: a readiness-driven reactor daemon — one
@@ -33,7 +33,7 @@
 //! * [`client`] — [`RpcClient`]: one retry loop for every call, pipelined
 //!   uploads included, with capped exponential backoff and jitter floored
 //!   by the server's `retry_after_ms` hints, a retryable-versus-fatal
-//!   error split, batch upload, and a per-call deadline budget.
+//!   error split, pipelined upload, and a per-call deadline budget.
 //!
 //! The daemon protects itself under load and backend failure instead of
 //! queueing without bound: a connection cap and bounded per-class work

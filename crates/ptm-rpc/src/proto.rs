@@ -16,7 +16,7 @@
 //! requests:
 //!   1 ping          (empty body)
 //!   2 upload        record payload (ptm-store codec, runs to frame end)
-//!   3 upload batch  count u32 | (len u32 | record payload) * count
+//!   3               retired (multi-record upload); refused as an unknown tag
 //!   4 query volume  location u64 | period u32
 //!   5 query point   location u64 | count u16 | period u32 * count
 //!   6 query p2p     loc_a u64 | loc_b u64 | count u16 | period u32 * count
@@ -65,9 +65,6 @@ const KNOWN_FLAGS: u8 = FLAG_TRACE | FLAG_DEADLINE;
 
 /// Ceiling on periods per query (bounds decoder allocations).
 pub const MAX_QUERY_PERIODS: usize = 4096;
-
-/// Ceiling on records per batch upload.
-pub const MAX_BATCH_RECORDS: usize = 4096;
 
 /// Why a payload failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -141,8 +138,6 @@ pub enum ErrorCode {
     MissingRecord = 4,
     /// The estimator rejected the stored records (e.g. saturated bitmap).
     EstimateFailed = 5,
-    /// The daemon could not persist an accepted record.
-    Storage = 6,
     /// Unclassified server-side failure.
     Internal = 7,
 }
@@ -155,7 +150,6 @@ impl ErrorCode {
             3 => Self::DuplicateConflict,
             4 => Self::MissingRecord,
             5 => Self::EstimateFailed,
-            6 => Self::Storage,
             7 => Self::Internal,
             other => return Err(ProtoError::UnknownErrorCode(other)),
         })
@@ -170,7 +164,6 @@ impl std::fmt::Display for ErrorCode {
             Self::DuplicateConflict => "duplicate-conflict",
             Self::MissingRecord => "missing-record",
             Self::EstimateFailed => "estimate-failed",
-            Self::Storage => "storage",
             Self::Internal => "internal",
         };
         f.write_str(name)
@@ -184,8 +177,6 @@ pub enum Request {
     Ping,
     /// Upload one traffic record.
     Upload(TrafficRecord),
-    /// Upload several records in one frame.
-    UploadBatch(Vec<TrafficRecord>),
     /// Plain traffic volume at one location in one period.
     QueryVolume {
         /// Location to query.
@@ -297,7 +288,6 @@ pub enum Response {
 
 const TAG_PING: u8 = 1;
 const TAG_UPLOAD: u8 = 2;
-const TAG_UPLOAD_BATCH: u8 = 3;
 const TAG_QUERY_VOLUME: u8 = 4;
 const TAG_QUERY_POINT: u8 = 5;
 const TAG_QUERY_P2P: u8 = 6;
@@ -440,28 +430,14 @@ fn read_periods(reader: &mut Reader<'_>) -> Result<Vec<PeriodId>, ProtoError> {
         .collect()
 }
 
-fn read_embedded_record(bytes: &[u8]) -> Result<TrafficRecord, ProtoError> {
-    decode_record(bytes).map_err(|err| ProtoError::BadRecord(err.to_string()))
-}
-
 /// Encodes a request payload (framing not included), carrying no trace
 /// context or deadline.
 pub fn encode_request(request: &Request) -> Vec<u8> {
     encode_request_with(request, None, None)
 }
 
-/// Encodes a request payload with an optional trace context in the
-/// header (framing not included).
-pub fn encode_request_traced(request: &Request, trace: Option<WireTrace>) -> Vec<u8> {
-    encode_request_with(request, trace, None)
-}
-
 /// Encodes a request payload with optional trace context and remaining
 /// deadline budget in the header (framing not included).
-///
-/// Records are encoded straight into the payload buffer: a batch entry's
-/// length word is reserved, the record written after it, and the word
-/// backfilled.
 pub fn encode_request_with(
     request: &Request,
     trace: Option<WireTrace>,
@@ -472,17 +448,6 @@ pub fn encode_request_with(
     match request {
         Request::Ping => header(TAG_PING),
         Request::Upload(record) => encode_upload_into(record, trace, deadline_ms, &mut out),
-        Request::UploadBatch(records) => {
-            header(TAG_UPLOAD_BATCH);
-            out.extend_from_slice(&(records.len() as u32).to_le_bytes());
-            for record in records {
-                let len_at = out.len();
-                out.extend_from_slice(&[0u8; 4]);
-                encode_record_into(record, &mut out);
-                let len = (out.len() - len_at - 4) as u32;
-                out[len_at..len_at + 4].copy_from_slice(&len.to_le_bytes());
-            }
-        }
         Request::QueryVolume { location, period } => {
             header(TAG_QUERY_VOLUME);
             out.extend_from_slice(&location.get().to_le_bytes());
@@ -534,19 +499,9 @@ pub fn decode_request(payload: &[u8]) -> Result<DecodedRequest, ProtoError> {
     let (tag, trace, deadline_ms) = read_header(&mut r)?;
     let request = match tag {
         TAG_PING => Request::Ping,
-        TAG_UPLOAD => Request::Upload(read_embedded_record(r.rest())?),
-        TAG_UPLOAD_BATCH => {
-            let count = r.u32()? as usize;
-            if count > MAX_BATCH_RECORDS {
-                return Err(ProtoError::BadLength(count));
-            }
-            let mut records = Vec::with_capacity(count);
-            for _ in 0..count {
-                let len = r.u32()? as usize;
-                records.push(read_embedded_record(r.take(len)?)?);
-            }
-            Request::UploadBatch(records)
-        }
+        TAG_UPLOAD => Request::Upload(
+            decode_record(r.rest()).map_err(|err| ProtoError::BadRecord(err.to_string()))?,
+        ),
         TAG_QUERY_VOLUME => Request::QueryVolume {
             location: LocationId::new(r.u64()?),
             period: PeriodId::new(r.u32()?),
@@ -707,14 +662,13 @@ pub(crate) mod tests {
         record
     }
 
-    /// Valid request payloads: every request kind (uploads of tiny
-    /// records, a batch of two), each with no header extension, with a
-    /// trace context, with a deadline, and with both.
+    /// Valid request payloads: every request kind (an upload of a tiny
+    /// record), each with no header extension, with a trace context, with a
+    /// deadline, and with both.
     pub(crate) fn request_corpus() -> Vec<Vec<u8>> {
         let requests = [
             Request::Ping,
             Request::Upload(fixed_record(3, 0, 16)),
-            Request::UploadBatch(vec![fixed_record(3, 1, 8), fixed_record(4, 1, 64)]),
             Request::QueryVolume {
                 location: LocationId::new(3),
                 period: PeriodId::new(1),
@@ -774,8 +728,6 @@ pub(crate) mod tests {
         let requests = [
             Request::Ping,
             Request::Upload(sample_record(1, 0)),
-            Request::UploadBatch(vec![sample_record(2, 0), sample_record(2, 1)]),
-            Request::UploadBatch(Vec::new()),
             Request::QueryVolume {
                 location: LocationId::new(4),
                 period: PeriodId::new(7),
@@ -806,7 +758,7 @@ pub(crate) mod tests {
             trace_id: 0xDEAD_BEEF_CAFE_F00D,
             parent_span: 42,
         };
-        let payload = encode_request_traced(&Request::Ping, Some(trace));
+        let payload = encode_request_with(&Request::Ping, Some(trace), None);
         let decoded = decode_request(&payload).expect("decode");
         assert_eq!(decoded.request, Request::Ping);
         assert_eq!(decoded.trace, Some(trace));
@@ -855,7 +807,7 @@ pub(crate) mod tests {
 
     #[test]
     fn undeadlined_request_carries_no_deadline() {
-        let payload = encode_request_traced(&Request::Ping, None);
+        let payload = encode_request_with(&Request::Ping, None, None);
         let decoded = decode_request(&payload).expect("decode");
         assert_eq!(decoded.deadline_ms, None);
     }
@@ -963,34 +915,33 @@ pub(crate) mod tests {
 
     #[test]
     fn unknown_tags_and_codes_rejected() {
-        assert_eq!(
-            decode_request(&[PROTOCOL_VERSION, 42, 0]),
-            Err(ProtoError::UnknownTag(42))
-        );
+        // Tag 3 (the retired multi-record upload) and code 6 (the retired
+        // storage error) are refused like bytes never assigned.
+        for tag in [3, 42] {
+            assert_eq!(
+                decode_request(&[PROTOCOL_VERSION, tag, 0]),
+                Err(ProtoError::UnknownTag(tag))
+            );
+        }
         assert_eq!(
             decode_response(&[PROTOCOL_VERSION, 42, 0]),
             Err(ProtoError::UnknownTag(42))
         );
-        let mut payload = encode_response(&Response::Error {
-            code: ErrorCode::Internal,
-            message: String::new(),
-        });
-        payload[3] = 200;
-        assert_eq!(
-            decode_response(&payload),
-            Err(ProtoError::UnknownErrorCode(200))
-        );
+        for code in [6, 200] {
+            let mut payload = encode_response(&Response::Error {
+                code: ErrorCode::Internal,
+                message: String::new(),
+            });
+            payload[3] = code;
+            assert_eq!(
+                decode_response(&payload),
+                Err(ProtoError::UnknownErrorCode(code))
+            );
+        }
     }
 
     #[test]
     fn oversized_counts_rejected() {
-        // Batch count beyond the ceiling.
-        let mut payload = header_for(TAG_UPLOAD_BATCH, None, None);
-        payload.extend_from_slice(&(MAX_BATCH_RECORDS as u32 + 1).to_le_bytes());
-        assert_eq!(
-            decode_request(&payload),
-            Err(ProtoError::BadLength(MAX_BATCH_RECORDS + 1))
-        );
         // Period count beyond the ceiling.
         let mut payload = header_for(TAG_QUERY_POINT, None, None);
         payload.extend_from_slice(&7u64.to_le_bytes());
@@ -1024,9 +975,9 @@ pub(crate) mod tests {
         bytes.iter().map(|byte| format!("{byte:02x}")).collect()
     }
 
-    /// `Upload` and `UploadBatch` wire frames of two fixed records (a
-    /// 256-bit and a 16-bit bitmap), byte for byte as protocol v3 has
-    /// always framed them: encoding in place changes no byte on the wire.
+    /// `Upload` wire frames of a fixed 256-bit record, plain and with a
+    /// trace context and deadline, byte for byte as protocol v3 has always
+    /// framed them: encoding in place changes no byte on the wire.
     #[test]
     fn upload_frames_keep_their_golden_bytes() {
         const UPLOAD: &str = "37000000aabbee1803020008070605040302010d0c0b0a0001000000000000\
@@ -1034,12 +985,7 @@ pub(crate) mod tests {
         const UPLOAD_TRACED: &str = "4b0000007fac3f1e030203887766554433221100ffeeddccbbaa99dc05\
             000008070605040302010d0c0b0a00010000000000002412894422914824128944\
             229148241289442291482412894422914824128944";
-        const BATCH_TRACED: &str = "6d000000a805908f030303887766554433221100ffeeddccbbaa99dc050000\
-            020000003400000008070605040302010d0c0b0a00010000000000002412894422\
-            9148241289442291482412894422914824128944229148241289441600000009000000\
-            000000000200000010000000000000002412";
         let a = fixed_record(0x0102_0304_0506_0708, 0x0A0B_0C0D, 256);
-        let b = fixed_record(9, 2, 16);
         let trace = Some(WireTrace {
             trace_id: 0x1122_3344_5566_7788,
             parent_span: 0x99AA_BBCC_DDEE_FF00,
@@ -1061,11 +1007,6 @@ pub(crate) mod tests {
         assert_eq!(
             frame(&|out| encode_upload_into(&a, trace, Some(1500), out)),
             UPLOAD_TRACED
-        );
-        let request = Request::UploadBatch(vec![a.clone(), b.clone()]);
-        assert_eq!(
-            frame(&|out| out.extend_from_slice(&encode_request_with(&request, trace, Some(1500)))),
-            BATCH_TRACED
         );
     }
 }

@@ -58,7 +58,7 @@ use std::time::{Duration, Instant};
 pub(crate) enum JobClass {
     /// Estimate queries.
     Query = 0,
-    /// Upload / upload-batch ingest.
+    /// Upload ingest.
     Upload = 1,
 }
 

@@ -16,12 +16,12 @@
 //!    `(location, period)` fail the start with
 //!    [`DaemonError::ReplayConflict`] (identical ones load once); a damaged
 //!    archive fails it with [`DaemonError::Store`].
-//! 2. **Ingest** — each accepted batch is validated whole, appended to the
-//!    archive and flushed, *then* published to the query engine, and only
-//!    then acked (write-ahead). An identical re-send of an already-stored
-//!    record is acked as an idempotent duplicate without touching the
-//!    archive, which is what makes the client's at-least-once retry loop
-//!    safe.
+//! 2. **Ingest** — every upload frame carries one record; each is
+//!    validated, appended to the archive and flushed, *then* published to
+//!    the query engine, and only then acked (write-ahead). An identical
+//!    re-send of an already-stored record is acked as an idempotent
+//!    duplicate without touching the archive, which is what makes the
+//!    client's at-least-once retry loop safe.
 //! 3. **Shutdown** — [`RpcServer::shutdown`] stops the event loop, waits
 //!    for in-flight jobs to finish (bounded), flushes their replies, then
 //!    checkpoints the archive (commit, fsync, and the active segment's
@@ -50,9 +50,9 @@
 //! [`ServerConfig::workers`] pool threads. Uploads go through a dedicated
 //! **writer path**: one mutex guarding the segment store serializes
 //! ingest (appends go to a single active segment, so writes serialize
-//! anyway) and doubles as the batch-atomicity lock — a batch is
-//! validated and applied under it, so a conflict anywhere rejects the
-//! batch whole and a retry can never half-apply. Queries never take the
+//! anyway). A coalesced upload job checks each frame against the engine
+//! and commits under it, so no other job's record can land between a
+//! frame's check and its commit. Queries never take the
 //! writer lock: every record is in the engine from start, so archive I/O
 //! is out of the estimation path entirely. While ingest is degraded, a
 //! background maintenance thread retries the store reopen under the
@@ -586,6 +586,13 @@ struct DecodedFrame {
     deadline: Option<Instant>,
 }
 
+impl DecodedFrame {
+    /// Whether the frame's wire deadline had passed at `now`.
+    fn doomed_at(&self, now: Instant) -> bool {
+        self.deadline.is_some_and(|deadline| now > deadline)
+    }
+}
+
 /// Work handed to the pool: everything needed to compute replies for one
 /// connection's next frame (or run of coalesced upload frames).
 struct Job {
@@ -971,8 +978,7 @@ fn maybe_dispatch(conn: &mut Conn, shared: &Shared, pool: &WorkerPool<Job, Compl
     if conn.job_inflight || conn.close_after_flush || conn.shed {
         return;
     }
-    let is_upload =
-        |request: &Request| matches!(request, Request::Upload(_) | Request::UploadBatch(_));
+    let is_upload = |request: &Request| matches!(request, Request::Upload(_));
     loop {
         let Some(front) = conn.pending.front() else {
             return;
@@ -1323,54 +1329,15 @@ fn doomed_reply() -> Reply {
     }
 }
 
-/// Executes a job's frames, dropping doomed work first (checked once at
-/// job start against each frame's wire deadline). For a coalesced ingest
-/// job only the live frames commit; reply order still matches request
-/// order because live replies are stitched back around the doomed slots.
+/// Executes a job's frames. Doomed work is dropped at job start, checked
+/// against each frame's wire deadline: here for a query, per frame in
+/// [`ingest_frames`] for a coalesced upload job.
 fn execute_job(shared: &Shared, kind: JobKind) -> Vec<Reply> {
     let now = Instant::now();
-    let doomed = |frame: &DecodedFrame| frame.deadline.is_some_and(|d| now > d);
     match kind {
-        JobKind::Single(frame) => {
-            if doomed(&frame) {
-                vec![doomed_reply()]
-            } else {
-                vec![run_single(shared, frame)]
-            }
-        }
-        JobKind::Ingest(frames) => {
-            if !frames.iter().any(doomed) {
-                return ingest_frames(shared, frames);
-            }
-            let mut slots: Vec<Option<Reply>> = Vec::with_capacity(frames.len());
-            let mut live = Vec::new();
-            for frame in frames {
-                if doomed(&frame) {
-                    slots.push(Some(doomed_reply()));
-                } else {
-                    slots.push(None);
-                    live.push(frame);
-                }
-            }
-            let mut live_replies = if live.is_empty() {
-                Vec::new()
-            } else {
-                ingest_frames(shared, live)
-            }
-            .into_iter();
-            slots
-                .into_iter()
-                .map(|slot| {
-                    slot.or_else(|| live_replies.next()).unwrap_or(Reply {
-                        response: Response::Error {
-                            code: ErrorCode::Internal,
-                            message: "ingest produced no reply".into(),
-                        },
-                        trace: None,
-                    })
-                })
-                .collect()
-        }
+        JobKind::Single(frame) if frame.doomed_at(now) => vec![doomed_reply()],
+        JobKind::Single(frame) => vec![run_single(shared, frame)],
+        JobKind::Ingest(frames) => ingest_frames(shared, frames, now),
     }
 }
 
@@ -1451,12 +1418,10 @@ fn run_single(shared: &Shared, frame: DecodedFrame) -> Reply {
         }
         // Unreachable: `maybe_dispatch` answers ping and stats inline and
         // sends uploads to ingest jobs.
-        Request::Ping | Request::Stats | Request::Upload(_) | Request::UploadBatch(_) => {
-            Response::Error {
-                code: ErrorCode::Internal,
-                message: "non-query frame routed to a query job".into(),
-            }
-        }
+        Request::Ping | Request::Stats | Request::Upload(_) => Response::Error {
+            code: ErrorCode::Internal,
+            message: "non-query frame routed to a query job".into(),
+        },
     };
     Reply { response, trace }
 }
@@ -1622,58 +1587,123 @@ fn load_archive(
     Ok(())
 }
 
-/// How one coalesced upload frame fared through validation.
+/// How one live frame of a coalesced upload job fared in validation.
 enum FrameVerdict {
-    /// Validated clean: `range` indexes its fresh records in the staged
-    /// vector, `duplicates` its idempotent re-sends.
-    Staged {
-        range: std::ops::Range<usize>,
-        duplicates: u32,
-    },
-    /// Rejected (conflicting duplicate); carries the error reply. Its
-    /// records were un-staged — other frames commit.
+    /// A record that neither the engine nor an earlier frame of the job
+    /// holds: staged for the job's one commit.
+    Fresh(Arc<TrafficRecord>),
+    /// An identical re-send of a record the engine or an earlier frame of
+    /// the job holds: acked without touching the archive.
+    Duplicate,
+    /// Refused with this error reply (different contents for a held key).
     Rejected(Response),
 }
 
-/// The write-ahead ingest path for a run of coalesced upload frames from
-/// one connection, under the exclusive writer lock: validate each frame's
-/// batch whole (against the store, against itself, and against the frames
-/// staged ahead of it — exactly what committing them one at a time would
-/// have seen), persist every fresh record with a **single** append+flush,
-/// publish, then ack each frame individually. A conflicting duplicate
-/// anywhere in a frame rejects that frame whole and un-stages its records
-/// — frames before and after it still commit, matching sequential
-/// semantics. Because the archive is appended *before* the records become
-/// queryable, a storage failure leaves the engine untouched: every
-/// validated frame is answered `Overloaded` (retry genuinely helps once
-/// the backend recovers) and nothing is acked.
-fn ingest_frames(shared: &Shared, frames: Vec<DecodedFrame>) -> Vec<Reply> {
-    let _t = ptm_obs::span!("rpc.server.ingest");
-    if frames.len() > 1 {
-        ptm_obs::counter!("rpc.server.frames.coalesced").add(frames.len() as u64);
-    }
-    // Open every frame's dispatch span up front. The first frame's span
-    // stays open across the whole commit so lock-wait and commit spans
-    // (which parent off the thread-local current span) land inside it;
-    // later frames get their queue wait recorded and their trace context
-    // captured for the encode-reply stage.
-    let mut traces: Vec<Option<ptm_obs::TraceContext>> = Vec::with_capacity(frames.len());
-    let mut requests: Vec<Request> = Vec::with_capacity(frames.len());
-    let mut root0: Option<ptm_obs::trace::SpanGuard> = None;
-    for (i, frame) in frames.into_iter().enumerate() {
-        let root = open_dispatch(frame.trace, frame.arrived);
-        traces.push(root.context());
-        requests.push(frame.request);
-        if i == 0 {
-            root0 = Some(root);
+/// Checks one upload frame against the engine and against the records
+/// `staged` by earlier frames of its job, staging it when fresh: exactly
+/// what committing the frames one at a time would have seen. Runs under
+/// the writer lock.
+fn validate_upload(
+    central: &CentralServer,
+    staged: &mut HashMap<(LocationId, PeriodId), Arc<TrafficRecord>>,
+    request: Request,
+) -> FrameVerdict {
+    let Request::Upload(record) = request else {
+        // Unreachable: `maybe_dispatch` coalesces only upload frames.
+        return FrameVerdict::Rejected(Response::Error {
+            code: ErrorCode::Internal,
+            message: "non-upload frame routed to an ingest job".into(),
+        });
+    };
+    let (location, period) = (record.location(), record.period());
+    let held = central
+        .record(location, period)
+        .or_else(|| staged.get(&(location, period)).cloned());
+    match held {
+        Some(existing) if *existing == record => FrameVerdict::Duplicate,
+        Some(_) => {
+            ptm_obs::counter!("rpc.server.ingest.conflicts").inc();
+            FrameVerdict::Rejected(Response::Error {
+                code: ErrorCode::DuplicateConflict,
+                message: format!(
+                    "location {} period {} already holds different contents",
+                    location.get(),
+                    period.get()
+                ),
+            })
+        }
+        None => {
+            let record = Arc::new(record);
+            staged.insert((location, period), Arc::clone(&record));
+            FrameVerdict::Fresh(record)
         }
     }
+}
+
+/// One reply per frame of a coalesced job, in arrival order: a doomed
+/// frame (`None`) is answered `DeadlineExceeded`, every other frame by
+/// `answer`.
+fn frame_replies<T>(
+    frames: Vec<Option<T>>,
+    traces: &[Option<ptm_obs::TraceContext>],
+    mut answer: impl FnMut(T) -> Response,
+) -> Vec<Reply> {
+    frames
+        .into_iter()
+        .zip(traces)
+        .map(|(frame, trace)| match frame {
+            None => doomed_reply(),
+            Some(frame) => Reply {
+                response: answer(frame),
+                trace: *trace,
+            },
+        })
+        .collect()
+}
+
+/// The write-ahead ingest path for a run of coalesced upload frames from
+/// one connection. Each frame carries one record and gets one verdict: a
+/// frame whose wire deadline passed before the job started is doomed, and
+/// every other frame is checked under the exclusive writer lock
+/// ([`validate_upload`]) as fresh, an identical re-send or a conflicting
+/// re-send. Every fresh record is persisted with a **single**
+/// append+flush, then published, then each frame is answered on its own.
+/// Because the archive is appended *before* the records become queryable,
+/// a storage failure leaves the engine untouched: every fresh and
+/// duplicate frame is answered `Overloaded` (retry genuinely helps once
+/// the backend recovers) and nothing is acked. A job of doomed frames only
+/// takes no writer lock.
+fn ingest_frames(shared: &Shared, frames: Vec<DecodedFrame>, now: Instant) -> Vec<Reply> {
+    if frames.iter().all(|frame| frame.doomed_at(now)) {
+        return frames.iter().map(|_| doomed_reply()).collect();
+    }
+    let _t = ptm_obs::span!("rpc.server.ingest");
+    // Open every live frame's dispatch span up front. The first one stays
+    // open across the whole commit so lock-wait and commit spans (which
+    // parent off the thread-local current span) land inside it; later
+    // frames get their queue wait recorded and their trace context
+    // captured for the encode-reply stage.
+    let mut traces: Vec<Option<ptm_obs::TraceContext>> = Vec::with_capacity(frames.len());
+    let mut requests: Vec<Option<Request>> = Vec::with_capacity(frames.len());
+    let mut root0: Option<ptm_obs::trace::SpanGuard> = None;
+    for frame in frames {
+        if frame.doomed_at(now) {
+            traces.push(None);
+            requests.push(None);
+            continue;
+        }
+        let root = open_dispatch(frame.trace, frame.arrived);
+        traces.push(root.context());
+        requests.push(Some(frame.request));
+        root0.get_or_insert(root);
+    }
     let _root0 = root0;
-    let shed_reply = |trace: &Option<ptm_obs::TraceContext>| Reply {
-        response: Response::Overloaded {
-            retry_after_ms: shared.config.retry_after_ms,
-        },
-        trace: *trace,
+    let live = requests.iter().flatten().count();
+    if live > 1 {
+        ptm_obs::counter!("rpc.server.frames.coalesced").add(live as u64);
+    }
+    let shed = || Response::Overloaded {
+        retry_after_ms: shared.config.retry_after_ms,
     };
 
     let mut store = lock_writer(&shared.writer);
@@ -1681,23 +1711,17 @@ fn ingest_frames(shared: &Shared, frames: Vec<DecodedFrame>) -> Vec<Reply> {
     // job, just after the writer lock is taken. A scheduled `panic`
     // exercises the daemon's catch-unwind and poisoned-lock recovery; a
     // `delay` holds the lock to back the upload queue up; any other
-    // action fails the whole job's frames.
+    // action fails the job's live frames.
     if let Some(action) = shared.ingest_site.check() {
         match action {
             // ptm-analyze: allow(no-unwrap): deliberate fault-injection site; fires only under a scheduled FaultPlan rule
             FaultAction::Panic => panic!("injected ingest fault"),
             FaultAction::Delay(pause) => std::thread::sleep(pause),
             _ => {
-                return traces
-                    .iter()
-                    .map(|trace| Reply {
-                        response: Response::Error {
-                            code: ErrorCode::Internal,
-                            message: "injected ingest fault".into(),
-                        },
-                        trace: *trace,
-                    })
-                    .collect();
+                return frame_replies(requests, &traces, |_| Response::Error {
+                    code: ErrorCode::Internal,
+                    message: "injected ingest fault".into(),
+                });
             }
         }
     }
@@ -1705,190 +1729,92 @@ fn ingest_frames(shared: &Shared, frames: Vec<DecodedFrame>) -> Vec<Reply> {
     // uploads at once; the maintenance thread probes the reopen. Queries
     // never reach this path.
     if shared.degraded.flag.load(Ordering::SeqCst) {
-        return traces
-            .iter()
-            .map(|trace| {
-                ptm_obs::counter!("rpc.shed.uploads").inc();
-                shed_reply(trace)
-            })
-            .collect();
+        return frame_replies(requests, &traces, |_| {
+            ptm_obs::counter!("rpc.shed.uploads").inc();
+            shed()
+        });
     }
 
-    // Validate frame by frame, staging fresh records into one commit.
-    // `batch_index` spans the whole staged set so cross-frame duplicates
-    // resolve exactly as sequential commits would: identical re-send →
-    // idempotent duplicate, different contents → that frame rejected.
-    let mut staged: Vec<Arc<TrafficRecord>> = Vec::new();
-    let mut batch_index: HashMap<(LocationId, PeriodId), usize> = HashMap::new();
-    let mut verdicts: Vec<FrameVerdict> = Vec::with_capacity(requests.len());
-    for request in requests {
-        let records = match request {
-            Request::Upload(record) => vec![record],
-            Request::UploadBatch(records) => records,
-            // maybe_dispatch only coalesces upload frames.
-            _ => Vec::new(),
-        };
-        let staged_start = staged.len();
-        let mut added_keys: Vec<(LocationId, PeriodId)> = Vec::new();
-        let mut duplicates = 0u32;
-        let mut rejection: Option<Response> = None;
-        for record in records {
-            let key = (record.location(), record.period());
-            match shared.central.record(key.0, key.1) {
-                Some(existing) if *existing == record => {
-                    duplicates += 1;
-                    continue;
-                }
-                Some(_) => {
-                    ptm_obs::counter!("rpc.server.ingest.conflicts").inc();
-                    rejection = Some(Response::Error {
-                        code: ErrorCode::DuplicateConflict,
-                        message: format!(
-                            "location {} period {} already holds different contents",
-                            key.0.get(),
-                            key.1.get()
-                        ),
-                    });
-                    break;
-                }
-                None => {}
-            }
-            match batch_index.get(&key) {
-                Some(&index) if *staged[index] == record => duplicates += 1,
-                Some(&index) => {
-                    ptm_obs::counter!("rpc.server.ingest.conflicts").inc();
-                    let message = if index >= staged_start {
-                        format!(
-                            "location {} period {} repeated within one batch with different \
-                             contents",
-                            key.0.get(),
-                            key.1.get()
-                        )
-                    } else {
-                        // Staged by an earlier pipelined frame: to this
-                        // frame it is indistinguishable from an already
-                        // committed record.
-                        format!(
-                            "location {} period {} already holds different contents",
-                            key.0.get(),
-                            key.1.get()
-                        )
-                    };
-                    rejection = Some(Response::Error {
-                        code: ErrorCode::DuplicateConflict,
-                        message,
-                    });
-                    break;
-                }
-                None => {
-                    batch_index.insert(key, staged.len());
-                    added_keys.push(key);
-                    staged.push(Arc::new(record));
-                }
-            }
-        }
-        match rejection {
-            Some(response) => {
-                // Un-stage only this frame's records; earlier frames'
-                // staging is untouched.
-                staged.truncate(staged_start);
-                for key in added_keys {
-                    batch_index.remove(&key);
-                }
-                verdicts.push(FrameVerdict::Rejected(response));
-            }
-            None => verdicts.push(FrameVerdict::Staged {
-                range: staged_start..staged.len(),
-                duplicates,
-            }),
-        }
-    }
+    let mut staged = HashMap::new();
+    let verdicts: Vec<Option<FrameVerdict>> = requests
+        .into_iter()
+        .map(|request| {
+            request.map(|request| validate_upload(&shared.central, &mut staged, request))
+        })
+        .collect();
 
     // Write-ahead: disk first, then the query engine, then the acks. One
-    // append+flush covers every staged frame — the batching win of the
-    // pipelined path. A failed append rolled the archive back to its last
-    // committed frame (ptm-store's transactional commit), so nothing from
-    // any frame is durable and no validated frame is acked.
+    // append+flush covers every fresh record of the job, in arrival order.
+    // A failed append rolled the archive back to its last committed frame
+    // (ptm-store's transactional commit), so no record of the job is
+    // durable and no frame is acked.
+    let fresh = verdicts
+        .iter()
+        .flatten()
+        .filter_map(|verdict| match verdict {
+            FrameVerdict::Fresh(record) => Some(record.as_ref()),
+            FrameVerdict::Duplicate | FrameVerdict::Rejected(_) => None,
+        });
     let commit_span = ptm_obs::tspan!("rpc.server.commit");
-    let commit_result = store.append_all(staged.iter().map(Arc::as_ref));
+    let commit_result = store.append_all(fresh);
     drop(commit_span);
     if let Err(err) = commit_result {
         let failures = shared.degraded.failures.fetch_add(1, Ordering::SeqCst) + 1;
         ptm_obs::counter!("store.fault.append_errors").inc();
-        ptm_obs::error!("rpc.server", "archive append failed; batch rolled back";
+        ptm_obs::error!("rpc.server", "archive append failed; job rolled back";
             error = err.to_string(), consecutive = failures);
         if store.is_wedged() || failures >= shared.config.degraded_after_failures {
             enter_degraded(shared);
         }
-        return verdicts
-            .iter()
-            .zip(&traces)
-            .map(|(verdict, trace)| match verdict {
-                FrameVerdict::Staged { .. } => {
-                    ptm_obs::counter!("rpc.shed.uploads").inc();
-                    shed_reply(trace)
-                }
-                FrameVerdict::Rejected(response) => Reply {
-                    response: response.clone(),
-                    trace: *trace,
-                },
-            })
-            .collect();
+        return frame_replies(verdicts, &traces, |verdict| match verdict {
+            FrameVerdict::Fresh(_) | FrameVerdict::Duplicate => {
+                ptm_obs::counter!("rpc.shed.uploads").inc();
+                shed()
+            }
+            FrameVerdict::Rejected(response) => response,
+        });
     }
     shared.degraded.failures.store(0, Ordering::SeqCst);
 
     // Publish and ack per frame. Validation plus the exclusive writer
     // lock make publish conflicts impossible; answer that frame
     // defensively rather than panic if the invariant is ever broken (its
-    // records are already durable, so the remaining frames still
-    // publish).
-    let mut accepted_total = 0u64;
-    let mut duplicates_total = 0u64;
-    let replies: Vec<Reply> = verdicts
-        .into_iter()
-        .zip(&traces)
-        .map(|(verdict, trace)| {
-            let response = match verdict {
-                FrameVerdict::Rejected(response) => response,
-                FrameVerdict::Staged { range, duplicates } => {
-                    let accepted = range.len() as u32;
-                    let mut failed = None;
-                    for record in &staged[range] {
-                        if let Err(err) = shared.central.submit(Arc::clone(record)) {
-                            ptm_obs::error!("rpc.server", "publish after archive failed";
-                                error = err.to_string());
-                            failed = Some(Response::Error {
-                                code: ErrorCode::Internal,
-                                message: err.to_string(),
-                            });
-                            break;
-                        }
-                    }
-                    match failed {
-                        Some(response) => response,
-                        None => {
-                            accepted_total += u64::from(accepted);
-                            duplicates_total += u64::from(duplicates);
-                            Response::UploadOk {
-                                accepted,
-                                duplicates,
-                            }
-                        }
-                    }
+    // record is already durable, so the remaining frames still publish).
+    let mut accepted = 0u64;
+    let mut duplicates = 0u64;
+    let replies = frame_replies(verdicts, &traces, |verdict| match verdict {
+        FrameVerdict::Fresh(record) => match shared.central.submit(record) {
+            Ok(()) => {
+                accepted += 1;
+                Response::UploadOk {
+                    accepted: 1,
+                    duplicates: 0,
                 }
-            };
-            Reply {
-                response,
-                trace: *trace,
             }
-        })
-        .collect();
+            Err(err) => {
+                ptm_obs::error!("rpc.server", "publish after archive failed";
+                    error = err.to_string());
+                Response::Error {
+                    code: ErrorCode::Internal,
+                    message: err.to_string(),
+                }
+            }
+        },
+        FrameVerdict::Duplicate => {
+            duplicates += 1;
+            Response::UploadOk {
+                accepted: 0,
+                duplicates: 1,
+            }
+        }
+        FrameVerdict::Rejected(response) => response,
+    });
 
     if ptm_obs::metrics_enabled() {
         ptm_obs::gauge!("rpc.shard.records").set(shared.central.record_count() as i64);
     }
-    ptm_obs::counter!("rpc.server.ingest.accepted").add(accepted_total);
-    ptm_obs::counter!("rpc.server.ingest.duplicates").add(duplicates_total);
+    ptm_obs::counter!("rpc.server.ingest.accepted").add(accepted);
+    ptm_obs::counter!("rpc.server.ingest.duplicates").add(duplicates);
     replies
 }
 
@@ -2130,32 +2056,51 @@ mod tests {
         let addr = server.local_addr();
 
         // A frame whose checksum cannot match.
-        let mut stream = connect(addr);
         let mut junk = Vec::new();
         junk.extend_from_slice(&4u32.to_le_bytes());
         junk.extend_from_slice(&0u32.to_le_bytes());
         junk.extend_from_slice(&[1, 2, 3, 4]);
-        stream.write_all(&junk).expect("write junk");
-        // The server answers with a malformed-error frame and closes.
-        match read_frame(&mut stream, DEFAULT_MAX_FRAME_LEN) {
-            Ok(ReadOutcome::Frame(bytes)) => {
-                let response = crate::proto::decode_response(&bytes).expect("decode");
-                assert!(
-                    matches!(
-                        response,
-                        Response::Error {
-                            code: ErrorCode::Malformed,
-                            ..
-                        }
-                    ),
-                    "{response:?}"
-                );
-            }
-            other => panic!("expected error frame, got {other:?}"),
-        }
-        drop(stream);
+        // A sound frame with the retired multi-record upload tag (3): a
+        // count of one, then a length-prefixed record.
+        let record = ptm_store::codec::encode_record(&sample_record(1, 0));
+        let mut retired = vec![PROTOCOL_VERSION, 3, 0];
+        retired.extend_from_slice(&1u32.to_le_bytes());
+        retired.extend_from_slice(&(record.len() as u32).to_le_bytes());
+        retired.extend_from_slice(&record);
+        let mut retired_frame = Vec::new();
+        write_frame(&mut retired_frame, &retired).expect("vec write");
 
-        // The daemon still serves a healthy client afterwards.
+        for bytes in [junk, retired_frame] {
+            let mut stream = connect(addr);
+            stream.write_all(&bytes).expect("write");
+            // The server answers with a malformed-error frame and closes.
+            match read_frame(&mut stream, DEFAULT_MAX_FRAME_LEN) {
+                Ok(ReadOutcome::Frame(bytes)) => {
+                    let response = crate::proto::decode_response(&bytes).expect("decode");
+                    assert!(
+                        matches!(
+                            response,
+                            Response::Error {
+                                code: ErrorCode::Malformed,
+                                ..
+                            }
+                        ),
+                        "{response:?}"
+                    );
+                }
+                other => panic!("expected error frame, got {other:?}"),
+            }
+            assert!(
+                matches!(
+                    read_frame(&mut stream, DEFAULT_MAX_FRAME_LEN),
+                    Ok(ReadOutcome::Closed)
+                ),
+                "connection must close after a malformed frame"
+            );
+        }
+
+        // The daemon still serves a healthy client afterwards, and stored
+        // nothing.
         let mut stream = connect(addr);
         let response = exchange(&mut stream, &Request::Ping);
         assert_eq!(
@@ -2550,6 +2495,101 @@ mod tests {
             }
             other => panic!("expected UploadOk, got {other:?}"),
         }
+        server.shutdown().expect("shutdown");
+        cleanup_archive(&path);
+    }
+
+    #[test]
+    fn every_frame_of_a_coalesced_job_gets_its_own_verdict() {
+        // The lone worker is parked on an injected ingest delay, so five
+        // upload frames written at once on a second connection queue up
+        // and coalesce: a fresh record, different contents for its key, an
+        // identical re-send of it, a frame stamped with a 1 ms budget
+        // (long gone when the job starts), and another fresh record.
+        let path = temp_archive("verdicts");
+        let config = ServerConfig {
+            workers: 1,
+            fault_plan: Some(FaultPlan::parse("rpc.ingest@1=delay:300", 7).expect("plan")),
+            ..test_config()
+        };
+        let server = RpcServer::start("127.0.0.1:0", &path, config).expect("start");
+        let addr = server.local_addr();
+        let parked = sample_record(1, 0);
+        let mut slow = connect(addr);
+        let payload = crate::proto::encode_request(&Request::Upload(parked.clone()));
+        write_frame(&mut slow, &payload).expect("write upload");
+        // Give the reactor a beat to dispatch the upload into the worker.
+        std::thread::sleep(Duration::from_millis(50));
+
+        let a = sample_record(2, 0);
+        let mut a_different = a.clone();
+        a_different.set_reported_index(0);
+        a_different.set_reported_index(1);
+        assert_ne!(a, a_different);
+        let (b, c) = (sample_record(2, 1), sample_record(2, 2));
+        let mut wave = Vec::new();
+        for (record, deadline_ms) in [
+            (&a, None),
+            (&a_different, None),
+            (&a, None),
+            (&b, Some(1)),
+            (&c, None),
+        ] {
+            let request = Request::Upload(record.clone());
+            let payload = crate::proto::encode_request_with(&request, None, deadline_ms);
+            write_frame(&mut wave, &payload).expect("vec write");
+        }
+        let mut stream = connect(addr);
+        stream.write_all(&wave).expect("write wave");
+        let upload_ok = |accepted, duplicates| Response::UploadOk {
+            accepted,
+            duplicates,
+        };
+        let mut replies = Vec::new();
+        for _ in 0..5 {
+            match read_frame(&mut stream, DEFAULT_MAX_FRAME_LEN).expect("read") {
+                ReadOutcome::Frame(bytes) => {
+                    replies.push(crate::proto::decode_response(&bytes).expect("decode"));
+                }
+                other => panic!("expected a reply, got {other:?}"),
+            }
+        }
+        assert_eq!(replies[0], upload_ok(1, 0), "{replies:?}");
+        assert!(
+            matches!(
+                replies[1],
+                Response::Error {
+                    code: ErrorCode::DuplicateConflict,
+                    ..
+                }
+            ),
+            "{replies:?}"
+        );
+        assert_eq!(replies[2], upload_ok(0, 1), "{replies:?}");
+        assert_eq!(replies[3], Response::DeadlineExceeded, "{replies:?}");
+        assert_eq!(replies[4], upload_ok(1, 0), "{replies:?}");
+        match read_frame(&mut slow, DEFAULT_MAX_FRAME_LEN).expect("read") {
+            ReadOutcome::Frame(bytes) => assert_eq!(
+                crate::proto::decode_response(&bytes).expect("decode"),
+                upload_ok(1, 0)
+            ),
+            other => panic!("expected the parked ack, got {other:?}"),
+        }
+        server.shutdown().expect("shutdown");
+
+        // The archive holds the parked record, A and C, and not B.
+        let server = RpcServer::start("127.0.0.1:0", &path, test_config()).expect("restart");
+        assert_eq!(server.replay_report().records, 3);
+        let held = |record: &TrafficRecord| {
+            server
+                .shared
+                .central
+                .record(record.location(), record.period())
+        };
+        for record in [&parked, &a, &c] {
+            assert_eq!(held(record).as_deref(), Some(record));
+        }
+        assert_eq!(held(&b), None);
         server.shutdown().expect("shutdown");
         cleanup_archive(&path);
     }

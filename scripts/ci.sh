@@ -97,7 +97,7 @@ timeout 300 cargo test --quiet -p ptm-store --lib \
 # Connection-scale storms against the reactor: hundreds of slow-loris
 # dribblers must not starve healthy clients, a thousand concurrent
 # connections must all be answered, and the pipelined upload path must be
-# bit-for-bit equivalent to the batch path.
+# bit-for-bit equivalent to an in-process engine.
 echo "==> reactor storms (bounded)"
 timeout 300 cargo test --quiet -p ptm-integration-tests --test reactor_storm
 

@@ -28,7 +28,7 @@ use ptm_net::CentralServer;
 use ptm_rpc::proto::{decode_response, encode_request};
 use ptm_rpc::{
     read_frame, write_frame, ClientConfig, ClientError, ErrorCode, ReadOutcome, Request, Response,
-    RpcClient, RpcServer, ServerConfig, DEFAULT_MAX_FRAME_LEN,
+    RpcClient, RpcServer, ServerConfig, UploadSummary, DEFAULT_MAX_FRAME_LEN, MAX_PIPELINE_WINDOW,
 };
 use ptm_store::SyncPolicy;
 use rand::SeedableRng;
@@ -156,19 +156,20 @@ fn assert_estimates_exact(
 
 /// An upload that tolerates the two application-level failure shapes chaos
 /// injects on the wire: a request chopped mid-frame earns a `Malformed`
-/// answer (the real client would resend), and everything transport-level is
-/// already retried inside [`RpcClient`].
-fn upload_acked(client: &mut RpcClient, record: &TrafficRecord, context: &str) {
+/// answer (the real client would resend every record), and everything
+/// transport-level is already retried inside [`RpcClient`]. Returns the
+/// summary of the call that got every record acked.
+fn upload_acked(client: &mut RpcClient, records: &[TrafficRecord], context: &str) -> UploadSummary {
     let mut resends = 5u32;
     loop {
-        match client.upload(record) {
+        match client.upload_pipelined(records, MAX_PIPELINE_WINDOW) {
             Ok(summary) => {
                 assert_eq!(
-                    summary.accepted + summary.duplicates,
-                    1,
-                    "one upload, one outcome ({context})"
+                    (summary.accepted + summary.duplicates) as usize,
+                    records.len(),
+                    "one outcome per record ({context})"
                 );
-                return;
+                return summary;
             }
             // The server read a truncated request and said so; resend.
             Err(ClientError::Server {
@@ -187,7 +188,7 @@ fn upload_acked(client: &mut RpcClient, record: &TrafficRecord, context: &str) {
 
 fn storm_plan(seed: u64, fsync: bool) -> FaultPlan {
     let mut builder = FaultPlan::builder(seed)
-        // The second committed batch hits a short write, then ENOSPC on the
+        // The second commit hits a short write, then ENOSPC on the
         // continuation: the commit fails mid-frame and must roll back.
         .rule(sites::STORE_WRITE, Rule::nth(2, FaultAction::Short(4)))
         .rule(
@@ -264,7 +265,7 @@ fn run_storm(seed: u64) {
         .expect("start");
         let mut client =
             RpcClient::connect(server.local_addr(), storm_client_config(seed)).expect("client");
-        for record in &all[..5] {
+        for record in all[..5].chunks(1) {
             upload_acked(&mut client, record, &format!("seed {seed} phase 1"));
             acked += 1;
         }
@@ -308,12 +309,12 @@ fn run_storm(seed: u64) {
         );
         let mut client =
             RpcClient::connect(server.local_addr(), storm_client_config(seed)).expect("client");
-        for record in &all[5..] {
+        for record in all[5..].chunks(1) {
             upload_acked(&mut client, record, &format!("seed {seed} phase 2"));
         }
         // An RSU that lost its ack log re-sends everything; the daemon must
         // absorb the full campaign as duplicates without re-archiving.
-        let summary = client.upload_batch(&all).expect("idempotent re-upload");
+        let summary = upload_acked(&mut client, &all, &format!("seed {seed} re-upload"));
         assert_eq!(summary.accepted, 0, "nothing new in the re-upload");
         assert_eq!(summary.duplicates as usize, all.len());
         server.shutdown().expect("shutdown");
@@ -412,7 +413,9 @@ fn overload_burst_sheds_explicitly_and_answers_the_rest_exactly() {
 
     let records = small_campaign(31, 2, 4242);
     let mut client = RpcClient::connect(addr, ClientConfig::default()).expect("client");
-    client.upload_batch(&records).expect("upload");
+    client
+        .upload_pipelined(&records, MAX_PIPELINE_WINDOW)
+        .expect("upload");
 
     let periods = vec![PeriodId::new(0), PeriodId::new(1)];
     let request = encode_request(&Request::QueryPoint {
@@ -597,9 +600,11 @@ fn degraded_mode_sheds_uploads_serves_queries_then_recovers() {
 
     // Commit 1 succeeds; commits 2 and 3 hit the injected backend failures
     // and cross the degraded threshold.
-    client.upload(&records[0]).expect("first upload");
+    client
+        .upload_pipelined(&records[..1], 1)
+        .expect("first upload");
     for round in 0..2 {
-        match one_shot.upload(&records[1]) {
+        match one_shot.upload_pipelined(&records[1..], 1) {
             Err(ClientError::Exhausted { last, .. }) => {
                 assert!(
                     last.contains("overloaded"),
@@ -629,7 +634,7 @@ fn degraded_mode_sheds_uploads_serves_queries_then_recovers() {
 
     // Inside the cooldown the daemon sheds without touching the backend.
     assert!(
-        one_shot.upload(&records[1]).is_err(),
+        one_shot.upload_pipelined(&records[1..], 1).is_err(),
         "uploads inside the cooldown are shed"
     );
     assert!(server.degraded());
@@ -637,7 +642,9 @@ fn degraded_mode_sheds_uploads_serves_queries_then_recovers() {
     // After the cooldown the maintenance thread probes the reopen; the
     // fault budget is exhausted, so ingest resumes and the record lands.
     std::thread::sleep(Duration::from_millis(250));
-    let summary = client.upload(&records[1]).expect("upload after recovery");
+    let summary = client
+        .upload_pipelined(&records[1..], 1)
+        .expect("upload after recovery");
     assert_eq!(summary.accepted, 1);
     assert!(!server.degraded(), "successful probe leaves degraded mode");
     let info = client.ping().expect("ping");
@@ -726,7 +733,7 @@ fn run_rotation_storm(seed: u64) {
             .expect("start");
         let mut client =
             RpcClient::connect(server.local_addr(), storm_client_config(seed)).expect("client");
-        for record in &all {
+        for record in all.chunks(1) {
             upload_acked(&mut client, record, &format!("rotation seed {seed}"));
         }
         assert!(
@@ -844,8 +851,8 @@ fn handler_panic_dumps_a_nonempty_flight_recorder() {
         RpcClient::connect(server.local_addr(), storm_client_config(77)).expect("client");
 
     let records = small_campaign(21, 2, 77);
-    upload_acked(&mut client, &records[0], "pre-panic upload");
-    match client.upload(&records[1]) {
+    upload_acked(&mut client, &records[..1], "pre-panic upload");
+    match client.upload_pipelined(&records[1..], 1) {
         Err(ClientError::Server {
             code: ErrorCode::Internal,
             ..

@@ -144,8 +144,8 @@ fn run_overload_storm(seed: u64) {
             std::thread::spawn(move || {
                 let mut client =
                     RpcClient::connect(addr, storm_client_config(seed)).expect("uploader connect");
-                for record in &records {
-                    let summary = client.upload(record).expect("storm upload");
+                for record in records.chunks(1) {
+                    let summary = client.upload_pipelined(record, 1).expect("storm upload");
                     assert_eq!(summary.accepted + summary.duplicates, 1);
                 }
             })

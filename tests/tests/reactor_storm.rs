@@ -1,7 +1,7 @@
 //! Connection-scale storms against the reactor daemon: slow-loris
 //! dribblers that never finish a frame, a thousand concurrent loopback
-//! connections, and bit-for-bit equivalence between the pipelined and
-//! batch upload paths.
+//! connections, and bit-for-bit equivalence between pipelined uploads and
+//! an in-process engine fed the same records.
 //!
 //! The old thread-per-connection daemon would have needed a thousand OS
 //! threads (and could be wedged by one byte-at-a-time writer holding the
@@ -15,9 +15,10 @@ use ptm_core::encoding::{EncodingScheme, LocationId};
 use ptm_core::params::BitmapSize;
 use ptm_core::record::{PeriodId, TrafficRecord};
 use ptm_integration_tests::{cleanup_archive, direct_record, fleet, temp_archive};
+use ptm_net::CentralServer;
 use ptm_rpc::{
     read_frame, write_frame, ClientConfig, ReadOutcome, RpcClient, RpcServer, ServerConfig,
-    DEFAULT_MAX_FRAME_LEN,
+    DEFAULT_MAX_FRAME_LEN, MAX_PIPELINE_WINDOW,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -127,7 +128,9 @@ fn slow_loris_dribblers_do_not_starve_healthy_clients() {
     let records = campaign(7, 3, 99);
     let started = Instant::now();
     let mut client = RpcClient::connect(addr, client_config()).expect("client");
-    let summary = client.upload_batch(&records).expect("upload under storm");
+    let summary = client
+        .upload_pipelined(&records, MAX_PIPELINE_WINDOW)
+        .expect("upload under storm");
     assert_eq!(summary.accepted as usize, records.len());
     let periods: Vec<PeriodId> = (0..3).map(PeriodId::new).collect();
     let estimate = client
@@ -230,63 +233,60 @@ fn one_thousand_concurrent_connections_all_get_answered() {
 }
 
 /// The pipelined upload path (coalesced commits, batched acks) must be
-/// observationally identical to per-record batch uploads: same ack
-/// totals, same record counts, bit-for-bit identical estimates.
+/// observationally identical to an in-process engine fed the same records:
+/// one ack per record, the same record count, bit-for-bit identical
+/// estimates.
 #[test]
-fn pipelined_uploads_are_bit_for_bit_equivalent_to_batched() {
+fn pipelined_uploads_are_bit_for_bit_equivalent_to_an_in_process_engine() {
     let _guard = lock();
-    let path_a = temp_archive("storm", "pipe-a");
-    let path_b = temp_archive("storm", "pipe-b");
-    let config = || ServerConfig {
+    let path = temp_archive("storm", "pipe");
+    let config = ServerConfig {
         s: 3,
         poll_interval: Duration::from_millis(2),
         ..ServerConfig::default()
     };
-    let server_a = RpcServer::start("127.0.0.1:0", &path_a, config()).expect("start a");
-    let server_b = RpcServer::start("127.0.0.1:0", &path_b, config()).expect("start b");
+    let server = RpcServer::start("127.0.0.1:0", &path, config).expect("start");
+    let reference = CentralServer::new(3);
 
     const PERIODS: u32 = 4;
     let locations: Vec<u64> = vec![3, 5, 9];
     for &location in &locations {
         let records = campaign(location, PERIODS, 500 + location);
-        let mut client_a =
-            RpcClient::connect(server_a.local_addr(), client_config()).expect("client a");
-        let pipelined = client_a
+        let mut client = RpcClient::connect(server.local_addr(), client_config()).expect("client");
+        let pipelined = client
             .upload_pipelined(&records, 8)
             .expect("pipelined upload");
-        let mut client_b =
-            RpcClient::connect(server_b.local_addr(), client_config()).expect("client b");
-        let batched = client_b.upload_batch(&records).expect("batch upload");
-        assert_eq!(pipelined.accepted, batched.accepted);
-        assert_eq!(pipelined.duplicates, batched.duplicates);
         assert_eq!(pipelined.accepted as usize, records.len());
+        assert_eq!(pipelined.duplicates, 0);
+        for record in records {
+            reference.submit(record).expect("reference submit");
+        }
     }
-    assert_eq!(server_a.record_count(), server_b.record_count());
+    assert_eq!(server.record_count(), reference.record_count());
 
     let periods: Vec<PeriodId> = (0..PERIODS).map(PeriodId::new).collect();
-    let mut client_a = RpcClient::connect(server_a.local_addr(), client_config()).expect("a");
-    let mut client_b = RpcClient::connect(server_b.local_addr(), client_config()).expect("b");
+    let mut client = RpcClient::connect(server.local_addr(), client_config()).expect("client");
     for &location in &locations {
         let loc = LocationId::new(location);
-        let point_a = client_a.query_point(loc, &periods).expect("point a");
-        let point_b = client_b.query_point(loc, &periods).expect("point b");
-        assert_eq!(point_a.to_bits(), point_b.to_bits(), "point @{location}");
-        let vol_a = client_a.query_volume(loc, periods[0]).expect("vol a");
-        let vol_b = client_b.query_volume(loc, periods[0]).expect("vol b");
-        assert_eq!(vol_a.to_bits(), vol_b.to_bits(), "volume @{location}");
+        let point = client.query_point(loc, &periods).expect("point");
+        let expected = reference
+            .estimate_point_persistent(loc, &periods)
+            .expect("reference point");
+        assert_eq!(point.to_bits(), expected.to_bits(), "point @{location}");
+        let volume = client.query_volume(loc, periods[0]).expect("volume");
+        let expected = reference
+            .estimate_volume(loc, periods[0])
+            .expect("reference volume");
+        assert_eq!(volume.to_bits(), expected.to_bits(), "volume @{location}");
     }
-    let p2p_a = client_a
-        .query_p2p(LocationId::new(3), LocationId::new(9), &periods)
-        .expect("p2p a");
-    let p2p_b = client_b
-        .query_p2p(LocationId::new(3), LocationId::new(9), &periods)
-        .expect("p2p b");
-    assert_eq!(p2p_a.to_bits(), p2p_b.to_bits());
+    let (a, b) = (LocationId::new(3), LocationId::new(9));
+    let p2p = client.query_p2p(a, b, &periods).expect("p2p");
+    let expected = reference
+        .estimate_p2p_persistent(a, b, &periods)
+        .expect("reference p2p");
+    assert_eq!(p2p.to_bits(), expected.to_bits());
 
-    assert_overload_gauges_settled(server_a.local_addr(), "pipelined server a");
-    assert_overload_gauges_settled(server_b.local_addr(), "pipelined server b");
-    server_a.shutdown().expect("shutdown a");
-    server_b.shutdown().expect("shutdown b");
-    cleanup_archive(&path_a);
-    cleanup_archive(&path_b);
+    assert_overload_gauges_settled(server.local_addr(), "pipelined server");
+    server.shutdown().expect("shutdown");
+    cleanup_archive(&path);
 }

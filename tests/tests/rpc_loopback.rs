@@ -14,7 +14,7 @@ use ptm_integration_tests::{cleanup_archive, direct_record, fleet, temp_archive}
 use ptm_net::CentralServer;
 use ptm_rpc::{
     ClientConfig, ClientError, DaemonError, ErrorCode, RpcClient, RpcServer, ServerConfig,
-    PROTOCOL_VERSION,
+    MAX_PIPELINE_WINDOW, PROTOCOL_VERSION,
 };
 use ptm_store::{SegmentStore, StoreError, StoreOptions};
 use rand::SeedableRng;
@@ -92,7 +92,9 @@ fn concurrent_uploads_match_in_process_estimates_bit_for_bit() {
         for records in &campaigns {
             scope.spawn(move || {
                 let mut client = RpcClient::connect(addr, client_config()).expect("client");
-                let summary = client.upload_batch(records).expect("upload");
+                let summary = client
+                    .upload_pipelined(records, MAX_PIPELINE_WINDOW)
+                    .expect("upload");
                 assert_eq!(summary.accepted as usize, records.len());
                 assert_eq!(summary.duplicates, 0);
             });
@@ -148,7 +150,9 @@ fn restart_replays_archive_and_answers_identically() {
     {
         let server = RpcServer::start("127.0.0.1:0", &path, server_config()).expect("start");
         let mut client = RpcClient::connect(server.local_addr(), client_config()).expect("client");
-        client.upload_batch(&records).expect("upload");
+        client
+            .upload_pipelined(&records, MAX_PIPELINE_WINDOW)
+            .expect("upload");
         first_answer = client.query_point(location, &periods).expect("query");
         server.shutdown().expect("shutdown");
     }
@@ -173,7 +177,9 @@ fn retry_after_server_killed_mid_campaign_leaves_no_duplicate_frames() {
     {
         let server = RpcServer::start("127.0.0.1:0", &path, server_config()).expect("start");
         let mut client = RpcClient::connect(server.local_addr(), client_config()).expect("client");
-        client.upload_batch(&records[..4]).expect("partial upload");
+        client
+            .upload_pipelined(&records[..4], MAX_PIPELINE_WINDOW)
+            .expect("partial upload");
         server.shutdown().expect("kill");
     }
 
@@ -181,7 +187,9 @@ fn retry_after_server_killed_mid_campaign_leaves_no_duplicate_frames() {
     // the whole campaign to the restarted daemon.
     let server = RpcServer::start("127.0.0.1:0", &path, server_config()).expect("restart");
     let mut client = RpcClient::connect(server.local_addr(), client_config()).expect("client");
-    let summary = client.upload_batch(&records).expect("retry upload");
+    let summary = client
+        .upload_pipelined(&records, MAX_PIPELINE_WINDOW)
+        .expect("retry upload");
     assert_eq!(summary.accepted, 2, "only the unacked tail is new");
     assert_eq!(summary.duplicates, 4, "the acked prefix is idempotent");
     server.shutdown().expect("shutdown");
@@ -215,7 +223,7 @@ fn client_retries_transparently_after_idle_disconnect() {
     std::thread::sleep(Duration::from_millis(400));
     let records = campaign(5, 2, 5);
     let summary = client
-        .upload_batch(&records)
+        .upload_pipelined(&records, MAX_PIPELINE_WINDOW)
         .expect("upload after disconnect");
     assert_eq!(summary.accepted as usize, records.len());
     server.shutdown().expect("shutdown");
@@ -287,7 +295,9 @@ fn conflicting_record_is_fatal_not_retried() {
     {
         let server = RpcServer::start("127.0.0.1:0", &path, server_config()).expect("start");
         let mut client = RpcClient::connect(server.local_addr(), client_config()).expect("client");
-        client.upload_batch(&records).expect("first upload");
+        client
+            .upload_pipelined(&records, MAX_PIPELINE_WINDOW)
+            .expect("first upload");
         server.shutdown().expect("shutdown");
     }
 
@@ -298,7 +308,7 @@ fn conflicting_record_is_fatal_not_retried() {
     // Same slot, different contents: the daemon must refuse, and the
     // client must surface it as a server error without burning retries.
     let conflicting = campaign(8, 1, 22);
-    match client.upload_batch(&conflicting) {
+    match client.upload_pipelined(&conflicting, MAX_PIPELINE_WINDOW) {
         Err(ClientError::Server {
             code: ErrorCode::DuplicateConflict,
             ..
@@ -342,7 +352,9 @@ fn corrupt_sealed_frame_fails_the_start() {
             let server = RpcServer::start("127.0.0.1:0", &path, config.clone()).expect("start");
             let mut client =
                 RpcClient::connect(server.local_addr(), client_config()).expect("client");
-            client.upload_batch(&campaign(6, 2, 60)).expect("upload");
+            client
+                .upload_pipelined(&campaign(6, 2, 60), MAX_PIPELINE_WINDOW)
+                .expect("upload");
             // The next open still reads and checks every one of the
             // segment's frames.
             server.shutdown().expect("shutdown");

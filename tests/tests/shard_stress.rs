@@ -12,7 +12,7 @@ use ptm_core::params::BitmapSize;
 use ptm_core::record::{PeriodId, TrafficRecord};
 use ptm_integration_tests::{cleanup_archive, direct_record, fleet, temp_archive};
 use ptm_net::CentralServer;
-use ptm_rpc::{ClientConfig, RpcClient, RpcServer, ServerConfig};
+use ptm_rpc::{ClientConfig, RpcClient, RpcServer, ServerConfig, MAX_PIPELINE_WINDOW};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -125,7 +125,7 @@ fn parallel_uploads_and_queries_match_sequential_bit_for_bit() {
     let verified = AtomicUsize::new(0);
 
     std::thread::scope(|scope| {
-        // Uploaders: one per location, one record per batch so uploads to
+        // Uploaders: one per location, one record per call so uploads to
         // different locations interleave at the finest grain the protocol
         // allows.
         for records in &campaigns {
@@ -133,7 +133,7 @@ fn parallel_uploads_and_queries_match_sequential_bit_for_bit() {
                 let mut client = RpcClient::connect(addr, client_config()).expect("client");
                 for record in records {
                     let summary = client
-                        .upload_batch(std::slice::from_ref(record))
+                        .upload_pipelined(std::slice::from_ref(record), MAX_PIPELINE_WINDOW)
                         .expect("upload");
                     assert_eq!(summary.accepted, 1);
                 }
@@ -200,8 +200,9 @@ fn panicked_upload_publishes_nothing_and_its_retry_lands_once() {
     let _guard = lock();
     let path = temp_archive("shard-it", "panic-retry");
     // The second ingest job — the fourth-period upload below — panics via
-    // the registered rpc.ingest site; the first (the 3-record batch) and
-    // the post-panic retry pass untouched.
+    // the registered rpc.ingest site; the first (three frames written in
+    // one wave, coalesced into one job) and the post-panic retry pass
+    // untouched.
     let config = ServerConfig {
         fault_plan: Some(ptm_fault::FaultPlan::parse("rpc.ingest@2=panic", 41).expect("plan")),
         ..server_config()
@@ -212,14 +213,14 @@ fn panicked_upload_publishes_nothing_and_its_retry_lands_once() {
     let location = LocationId::new(41);
     let records = campaign(41, 4, 410);
     client
-        .upload_batch(&records[..3])
+        .upload_pipelined(&records[..3], MAX_PIPELINE_WINDOW)
         .expect("upload 3 periods");
     let periods: Vec<PeriodId> = (0..3).map(PeriodId::new).collect();
     let before = client.query_point(location, &periods).expect("query");
 
     // The fourth-period upload panics inside ingest while holding the
     // writer lock. The daemon answers Internal and publishes nothing.
-    match client.upload_batch(std::slice::from_ref(&records[3])) {
+    match client.upload_pipelined(std::slice::from_ref(&records[3]), MAX_PIPELINE_WINDOW) {
         Err(ptm_rpc::ClientError::Server {
             code: ptm_rpc::ErrorCode::Internal,
             ..
@@ -236,7 +237,7 @@ fn panicked_upload_publishes_nothing_and_its_retry_lands_once() {
 
     // The retry lands for real (the one-shot rule already fired), once.
     let summary = client
-        .upload_batch(std::slice::from_ref(&records[3]))
+        .upload_pipelined(std::slice::from_ref(&records[3]), MAX_PIPELINE_WINDOW)
         .expect("retried upload");
     assert_eq!((summary.accepted, summary.duplicates), (1, 0));
     let after_retry = client.query_point(location, &periods).expect("query");

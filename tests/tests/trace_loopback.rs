@@ -12,7 +12,7 @@ use ptm_core::encoding::{EncodingScheme, LocationId};
 use ptm_core::params::BitmapSize;
 use ptm_core::record::{PeriodId, TrafficRecord};
 use ptm_integration_tests::{cleanup_archive, direct_record, fleet, temp_archive};
-use ptm_rpc::{ClientConfig, RpcClient, RpcServer, ServerConfig};
+use ptm_rpc::{ClientConfig, RpcClient, RpcServer, ServerConfig, MAX_PIPELINE_WINDOW};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
@@ -155,7 +155,9 @@ fn traced_upload_and_query_each_yield_one_connected_span_tree() {
     let mut client = RpcClient::connect(server.local_addr(), client_config()).expect("client");
 
     let records = campaign(7, 3, 40);
-    let summary = client.upload_batch(&records).expect("upload acked");
+    let summary = client
+        .upload_pipelined(&records, MAX_PIPELINE_WINDOW)
+        .expect("upload acked");
     assert_eq!(summary.accepted, 3);
     let periods: Vec<PeriodId> = (0..3).map(PeriodId::new).collect();
     let estimate = client
@@ -261,7 +263,7 @@ fn stats_snapshot_reports_shards_percentiles_and_recorder() {
         RpcServer::start("127.0.0.1:0", &archive, ServerConfig::default()).expect("daemon starts");
     let mut client = RpcClient::connect(server.local_addr(), client_config()).expect("client");
     client
-        .upload_batch(&campaign(3, 2, 41))
+        .upload_pipelined(&campaign(3, 2, 41), MAX_PIPELINE_WINDOW)
         .expect("upload acked");
 
     let json = client.stats().expect("stats answered");
