@@ -119,6 +119,13 @@ fn bench_storage(c: &mut Criterion) {
     use ptm_store::crc32::crc32;
     let mut group = c.benchmark_group("storage");
     let payload = vec![0xA5u8; 128 * 1024];
+    // One upload record's wire payload (2,296 bytes): what each of a
+    // record's CRC passes covers on the ingest path.
+    let record_payload = &payload[..2296];
+    group.throughput(Throughput::Bytes(record_payload.len() as u64));
+    group.bench_function("crc32_record", |b| {
+        b.iter(|| crc32(std::hint::black_box(record_payload)))
+    });
     group.throughput(Throughput::Bytes(payload.len() as u64));
     group.bench_function("crc32_128k", |b| b.iter(|| crc32(&payload)));
 

@@ -30,8 +30,8 @@
 //!   against the restarted instance — after the server's hint.
 
 use crate::frame::{
-    append_frame_with, read_frame_with_stall, write_frame_vectored, FrameError, ReadOutcome,
-    DEFAULT_MAX_FRAME_LEN,
+    append_frame_with, is_timeout, write_frame_vectored, FrameDecoder, FrameError,
+    DEFAULT_MAX_FRAME_LEN, READ_CHUNK,
 };
 use crate::proto::{
     decode_response, encode_request_with, encode_upload_into, ErrorCode, ProtoError, Request,
@@ -298,35 +298,62 @@ fn classify_frame_error(err: FrameError) -> AttemptError {
     }
 }
 
-/// Reads, decodes and classifies one response frame.
-fn read_response(stream: &mut TcpStream, io_timeout: Duration) -> Result<Response, AttemptError> {
-    // The stall budget lets a response that is already arriving keep
-    // dribbling in for up to another io_timeout, instead of failing the
-    // attempt at the first mid-frame timeout.
-    let bytes = match read_frame_with_stall(stream, DEFAULT_MAX_FRAME_LEN, Some(io_timeout)) {
-        Ok(ReadOutcome::Frame(bytes)) => bytes,
-        // The io_timeout read deadline surfaces as Idle when it fires
-        // before the first response byte; for a client awaiting an answer
-        // that is a timeout, not idleness.
-        Ok(ReadOutcome::Idle) => return Err(AttemptError::transport("response timed out")),
-        Ok(ReadOutcome::Closed) => {
-            return Err(AttemptError::transport(
-                "connection closed awaiting response",
-            ))
+/// One open connection: the stream, and the decoder its replies arrive
+/// through. Replies are read in whatever batches the socket delivers and
+/// decoded in place, so a wave of acks costs one `read` per arriving batch.
+/// Dropping the connection drops any reply bytes already read with it, so
+/// a reconnected client never takes a stale reply for its own.
+struct Connection {
+    stream: TcpStream,
+    replies: FrameDecoder,
+}
+
+impl Connection {
+    /// Reads, decodes and classifies the next reply.
+    ///
+    /// The stream's read timeout is `io_timeout`, so a timeout means
+    /// `io_timeout` passed with no byte. Before the reply's first byte that
+    /// is "response timed out"; after it the reply did not finish within
+    /// `io_timeout` of its first byte, and the peer is
+    /// [`FrameError::Stalled`]. EOF mid-reply is [`FrameError::Truncated`].
+    fn read_response(&mut self) -> Result<Response, AttemptError> {
+        loop {
+            if let Some(payload) = self.replies.next_frame().map_err(classify_frame_error)? {
+                ptm_obs::counter!("rpc.client.frames.in").inc();
+                let response = decode_response(payload)
+                    .map_err(|err| AttemptError::Fatal(ClientError::Proto(err)))?;
+                self.replies.reclaim();
+                return classify_response(response);
+            }
+            let in_frame = self.replies.has_partial();
+            match self.replies.read_from(&mut self.stream) {
+                Ok(0) if in_frame => return Err(classify_frame_error(FrameError::Truncated)),
+                Ok(0) => {
+                    return Err(AttemptError::transport(
+                        "connection closed awaiting response",
+                    ))
+                }
+                Ok(_) => {}
+                Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
+                Err(err) if is_timeout(&err) && in_frame => {
+                    return Err(classify_frame_error(FrameError::Stalled))
+                }
+                // For a client awaiting an answer, silence before the first
+                // byte is a timeout, not idleness.
+                Err(err) if is_timeout(&err) => {
+                    return Err(AttemptError::transport("response timed out"))
+                }
+                Err(err) => return Err(classify_io_error("receive", &err)),
+            }
         }
-        Err(err) => return Err(classify_frame_error(err)),
-    };
-    ptm_obs::counter!("rpc.client.frames.in").inc();
-    let response =
-        decode_response(&bytes).map_err(|err| AttemptError::Fatal(ClientError::Proto(err)))?;
-    classify_response(response)
+    }
 }
 
 /// A client for one daemon address. Not thread-safe; open one per thread.
 pub struct RpcClient {
     addr: SocketAddr,
     config: ClientConfig,
-    stream: Option<TcpStream>,
+    conn: Option<Connection>,
     jitter_state: u64,
 }
 
@@ -347,7 +374,7 @@ impl RpcClient {
         Ok(Self {
             addr,
             config,
-            stream: None,
+            conn: None,
             jitter_state,
         })
     }
@@ -381,9 +408,10 @@ impl RpcClient {
 
     /// Uploads `records`, one `Upload` frame each: up to `window` frames
     /// (clamped to 1..=[`MAX_PIPELINE_WINDOW`]) are written in one wave
-    /// before the matching acks are drained in order. The reactor daemon
-    /// coalesces consecutive pipelined uploads into a single commit and
-    /// batches their acks into one write.
+    /// before the matching acks are drained in order. The wave goes out in
+    /// [`READ_CHUNK`]-sized writes as it is encoded, and the reactor daemon
+    /// coalesces the upload frames it has read so far, up to 64, into one
+    /// commit and batches their acks into one write.
     ///
     /// Acks are counted per record. An `Overloaded` shed or a
     /// `DeadlineExceeded` drop pauses the pipeline and retries only the
@@ -422,15 +450,18 @@ impl RpcClient {
         if outcome.is_err() {
             // The last wave's later replies may still be unread: drop the
             // connection so the next call cannot take one for its answer.
-            self.stream = None;
+            self.conn = None;
         }
         outcome.map(|()| summary)
     }
 
     /// One pipelined pass over every record not yet acked: frames are
-    /// written in `window`-sized waves (one write per wave), each record
-    /// encoded straight into the wave buffer with this attempt's remaining
-    /// budget in its header, then the wave's acks are drained in order.
+    /// written in `window`-sized waves, each record encoded straight into
+    /// the wave buffer with this attempt's remaining budget in its header,
+    /// then the wave's acks are drained in order. The buffer is written
+    /// whenever it holds a [`READ_CHUNK`] of frames, the most one reactor
+    /// read takes in, so the daemon decodes the head of a wave while its
+    /// tail is still being encoded.
     /// Succeeds when every record is acked; a shed or doomed record ends
     /// the pass after its wave, so the retry loop backs off before
     /// re-sending the unacked tail.
@@ -443,24 +474,25 @@ impl RpcClient {
         window: usize,
         summary: &mut UploadSummary,
     ) -> Result<(), AttemptError> {
-        let io_timeout = self.config.io_timeout;
-        let stream = self.ensure_stream()?;
+        let conn = self.ensure_conn()?;
         let pending: Vec<usize> = (0..records.len()).filter(|&i| !acked[i]).collect();
         let mut wave_buf = Vec::new();
         for wave in pending.chunks(window) {
-            wave_buf.clear();
-            for &index in wave {
+            for (n, &index) in wave.iter().enumerate() {
                 append_frame_with(&mut wave_buf, |out| {
                     encode_upload_into(&records[index], trace, deadline_ms, out);
                 });
+                if wave_buf.len() >= READ_CHUNK || n + 1 == wave.len() {
+                    conn.stream
+                        .write_all(&wave_buf)
+                        .map_err(|err| classify_io_error("send", &err))?;
+                    wave_buf.clear();
+                }
             }
-            stream
-                .write_all(&wave_buf)
-                .map_err(|err| classify_io_error("send", &err))?;
             ptm_obs::counter!("rpc.client.frames.out").add(wave.len() as u64);
             let mut shed: Option<AttemptError> = None;
             for &index in wave {
-                match read_response(stream, io_timeout) {
+                match conn.read_response() {
                     Ok(Response::UploadOk {
                         accepted,
                         duplicates,
@@ -583,12 +615,11 @@ impl RpcClient {
             // budget still remaining *now*, so the server sees how long
             // this attempt — not the original call — is worth queueing.
             let payload = encode_request_with(request, wire, remaining_ms);
-            let io_timeout = client.config.io_timeout;
-            let stream = client.ensure_stream()?;
-            write_frame_vectored(stream, &payload)
+            let conn = client.ensure_conn()?;
+            write_frame_vectored(&mut conn.stream, &payload)
                 .map_err(|err| classify_io_error("send", &err))?;
             ptm_obs::counter!("rpc.client.frames.out").inc();
-            read_response(stream, io_timeout)
+            conn.read_response()
         })
     }
 
@@ -622,7 +653,14 @@ impl RpcClient {
             let remaining_ms = remaining_budget_ms(started, self.config.deadline);
             match attempt(self, remaining_ms) {
                 Ok(value) => return Ok(value),
-                Err(AttemptError::Fatal(err)) => return Err(err),
+                Err(AttemptError::Fatal(err)) => {
+                    // Only a server answer leaves the stream in step; after
+                    // any other fatal failure its buffered bytes are suspect.
+                    if !matches!(err, ClientError::Server { .. }) {
+                        self.conn = None;
+                    }
+                    return Err(err);
+                }
                 Err(AttemptError::Retry {
                     detail,
                     hint_ms,
@@ -631,7 +669,7 @@ impl RpcClient {
                     ptm_obs::debug!("rpc.client", "attempt failed";
                         attempt = n + 1, error = detail.clone());
                     if reconnect {
-                        self.stream = None;
+                        self.conn = None;
                     }
                     hint = hint_ms.map(|ms| Duration::from_millis(u64::from(ms)));
                     last = detail;
@@ -642,10 +680,10 @@ impl RpcClient {
         Err(ClientError::Exhausted { attempts, last })
     }
 
-    /// The open TCP stream, connecting first if there is none.
-    fn ensure_stream(&mut self) -> Result<&mut TcpStream, AttemptError> {
-        let stream = match self.stream.take() {
-            Some(stream) => stream,
+    /// The open connection, connecting first if there is none.
+    fn ensure_conn(&mut self) -> Result<&mut Connection, AttemptError> {
+        let conn = match self.conn.take() {
+            Some(conn) => conn,
             None => {
                 let stream = TcpStream::connect_timeout(&self.addr, self.config.connect_timeout)
                     .map_err(|err| classify_io_error("connect", &err))?;
@@ -653,10 +691,13 @@ impl RpcClient {
                 let _ = stream.set_read_timeout(Some(self.config.io_timeout));
                 let _ = stream.set_write_timeout(Some(self.config.io_timeout));
                 ptm_obs::counter!("rpc.client.connects").inc();
-                stream
+                Connection {
+                    stream,
+                    replies: FrameDecoder::new(DEFAULT_MAX_FRAME_LEN),
+                }
             }
         };
-        Ok(self.stream.insert(stream))
+        Ok(self.conn.insert(conn))
     }
 
     /// Backoff before retry `attempt` (1-based): exponential with a cap,
@@ -1176,6 +1217,154 @@ mod tests {
                 "a retry must stamp the budget still remaining: {stamps:?}"
             );
         }
+    }
+
+    /// A fake daemon taking one connection per entry of `replies`: it
+    /// reads the connection's first request frame, hands the stream to the
+    /// entry, then holds the connection until the client closes it.
+    fn fake_daemon(replies: Vec<fn(&mut TcpStream)>) -> (SocketAddr, std::thread::JoinHandle<()>) {
+        use crate::frame::{read_frame, ReadOutcome};
+
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let daemon = std::thread::spawn(move || {
+            for reply in replies {
+                let (mut stream, _) = listener.accept().expect("accept");
+                stream.set_nodelay(true).expect("nodelay");
+                stream
+                    .set_read_timeout(Some(Duration::from_secs(5)))
+                    .expect("timeout");
+                let request = read_frame(&mut stream, DEFAULT_MAX_FRAME_LEN);
+                assert!(matches!(request, Ok(ReadOutcome::Frame(_))), "{request:?}");
+                reply(&mut stream);
+                let _ = io::copy(&mut stream, &mut io::sink());
+            }
+        });
+        (addr, daemon)
+    }
+
+    /// The wire bytes of a `Pong` reply frame.
+    fn pong_frame() -> Vec<u8> {
+        let mut wire = Vec::new();
+        let pong = Response::Pong {
+            version: crate::proto::PROTOCOL_VERSION,
+            s: 3,
+            records: 0,
+            degraded: false,
+        };
+        crate::frame::write_frame(&mut wire, &crate::proto::encode_response(&pong))
+            .expect("vec write");
+        wire
+    }
+
+    #[test]
+    fn a_reply_dribbled_in_two_writes_completes() {
+        // The reply pauses mid-header for well under io_timeout (500 ms).
+        let (addr, daemon) = fake_daemon(vec![|stream| {
+            let wire = pong_frame();
+            stream.write_all(&wire[..5]).expect("head");
+            std::thread::sleep(Duration::from_millis(100));
+            stream.write_all(&wire[5..]).expect("tail");
+        }]);
+        let mut client = RpcClient::connect(addr, test_config()).expect("client");
+        client.ping().expect("a paused reply completes");
+        drop(client);
+        daemon.join().expect("daemon");
+    }
+
+    #[test]
+    fn a_reply_stalled_mid_frame_is_retried_on_a_new_connection() {
+        // The first connection stops five bytes into the reply's header,
+        // the second four bytes into its payload. Each attempt fails as a
+        // transport error once io_timeout passes, and each retry connects
+        // afresh (the fake daemon takes one request per connection) until
+        // the third gets the whole reply.
+        let (addr, daemon) = fake_daemon(vec![
+            |stream| stream.write_all(&pong_frame()[..5]).expect("head"),
+            |stream| {
+                let cut = crate::frame::FRAME_HEADER_LEN + 4;
+                stream.write_all(&pong_frame()[..cut]).expect("head");
+            },
+            |stream| stream.write_all(&pong_frame()).expect("whole"),
+        ]);
+        let mut client = RpcClient::connect(addr, test_config()).expect("client");
+        let started = Instant::now();
+        client.ping().expect("the last retry gets its answer");
+        assert!(started.elapsed() >= 2 * test_config().io_timeout);
+        drop(client);
+        daemon.join().expect("daemon");
+    }
+
+    #[test]
+    fn eof_mid_reply_is_truncated() {
+        let (addr, daemon) = fake_daemon(vec![|stream| {
+            let wire = pong_frame();
+            stream
+                .write_all(&wire[..wire.len() - 1])
+                .expect("all but one");
+            stream.shutdown(std::net::Shutdown::Write).expect("close");
+        }]);
+        let config = ClientConfig {
+            max_attempts: 1,
+            ..test_config()
+        };
+        let mut client = RpcClient::connect(addr, config).expect("client");
+        match client.ping() {
+            Err(ClientError::Exhausted { attempts: 1, last }) => {
+                assert_eq!(last, FrameError::Truncated.to_string());
+            }
+            other => panic!("expected a truncated reply, got {other:?}"),
+        }
+        drop(client);
+        daemon.join().expect("daemon");
+    }
+
+    /// A `Stats` document three read chunks long.
+    fn large_stats() -> String {
+        (0..3 * READ_CHUNK)
+            .map(|i| char::from(b'a' + (i % 26) as u8))
+            .collect()
+    }
+
+    #[test]
+    fn a_stats_reply_larger_than_a_read_chunk_decodes() {
+        let (addr, daemon) = fake_daemon(vec![|stream| {
+            let reply = crate::proto::encode_response(&Response::Stats(large_stats()));
+            crate::frame::write_frame(stream, &reply).expect("stats");
+        }]);
+        let mut client = RpcClient::connect(addr, test_config()).expect("client");
+        assert_eq!(client.stats().expect("stats"), large_stats());
+        drop(client);
+        daemon.join().expect("daemon");
+    }
+
+    #[test]
+    fn an_oversized_reply_is_fatal_and_the_next_call_reconnects() {
+        // A length word past DEFAULT_MAX_FRAME_LEN fails the call at once;
+        // the decoder still holds that header, so the client must not reuse
+        // the connection.
+        let (addr, daemon) = fake_daemon(vec![
+            |stream| {
+                let mut header = u32::MAX.to_le_bytes().to_vec();
+                header.extend_from_slice(&0u32.to_le_bytes());
+                stream.write_all(&header).expect("header");
+            },
+            |stream| stream.write_all(&pong_frame()).expect("pong"),
+        ]);
+        let mut client = RpcClient::connect(addr, test_config()).expect("client");
+        match client.ping() {
+            Err(ClientError::UnexpectedResponse(detail)) => {
+                assert!(detail.contains("exceeds"), "{detail}");
+            }
+            other => panic!("expected a fatal oversized reply, got {other:?}"),
+        }
+        // The old connection would sit out io_timeout waiting for a reply
+        // the fake daemon never sends.
+        let started = Instant::now();
+        client.ping().expect("a fresh connection answers");
+        assert!(started.elapsed() < test_config().io_timeout);
+        drop(client);
+        daemon.join().expect("daemon");
     }
 
     #[test]

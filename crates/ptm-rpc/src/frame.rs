@@ -20,7 +20,6 @@
 
 use ptm_store::crc32::crc32;
 use std::io::{self, IoSlice, Read, Write};
-use std::time::{Duration, Instant};
 
 /// Bytes in the fixed frame header (length + checksum).
 pub const FRAME_HEADER_LEN: usize = 8;
@@ -99,7 +98,8 @@ pub enum ReadOutcome {
     Closed,
 }
 
-fn is_timeout(err: &io::Error) -> bool {
+/// Whether a read error is a socket read timeout.
+pub(crate) fn is_timeout(err: &io::Error) -> bool {
     matches!(
         err.kind(),
         io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
@@ -114,122 +114,40 @@ enum Fill {
     CleanTimeout,
 }
 
-/// Tracks how long a frame has been arriving, so mid-frame read timeouts
-/// can be told apart from a genuinely stalled peer.
-///
-/// A connection's read timeout is typically much shorter than the time a
-/// slow-but-live peer may legitimately take to push a whole frame through
-/// (servers poll their shutdown flag every few milliseconds). Treating the
-/// *first* mid-frame timeout as fatal would disconnect any peer whose
-/// header straddles two TCP segments — and because the partially-read
-/// bytes live in the caller's buffer, reporting such a timeout as a clean
-/// `Idle` instead would silently drop them and desync the stream. The
-/// clock starts at the frame's first byte; timeouts within the stall
-/// budget keep waiting (the partial bytes stay in the buffer), and only a
-/// budget overrun becomes [`FrameError::Stalled`].
-struct StallClock {
-    budget: Option<Duration>,
-    frame_started: Option<Instant>,
-}
-
-impl StallClock {
-    fn new(budget: Option<Duration>) -> Self {
-        Self {
-            budget,
-            frame_started: None,
-        }
-    }
-
-    /// Call when bytes of the frame arrive; starts the stall clock.
-    fn mark_progress(&mut self) {
-        if self.frame_started.is_none() {
-            self.frame_started = Some(Instant::now());
-        }
-    }
-
-    /// True once any byte of the frame has been consumed.
-    fn in_frame(&self) -> bool {
-        self.frame_started.is_some()
-    }
-
-    /// True when a mid-frame timeout has exhausted the budget (with no
-    /// budget, the first mid-frame timeout is already a stall).
-    fn stalled(&self) -> bool {
-        match (self.budget, self.frame_started) {
-            (Some(budget), Some(started)) => started.elapsed() >= budget,
-            _ => true,
-        }
-    }
-}
-
 /// Fills `buf` completely, or reports a clean EOF/timeout if the frame has
-/// not started. EOF mid-frame is a hard error; a timeout mid-frame retries
-/// until the clock's stall budget runs out (partial bytes are never
-/// dropped — they stay in `buf` across retries).
-fn fill(
-    reader: &mut impl Read,
-    buf: &mut [u8],
-    clock: &mut StallClock,
-) -> Result<Fill, FrameError> {
+/// not started (`in_frame` false and nothing read yet). EOF mid-frame is
+/// [`FrameError::Truncated`], and a timeout mid-frame is
+/// [`FrameError::Stalled`]: the partial bytes cannot be handed back, so
+/// reporting the timeout as idleness would desync the stream.
+fn fill(reader: &mut impl Read, buf: &mut [u8], in_frame: bool) -> Result<Fill, FrameError> {
     let mut filled = 0usize;
     while filled < buf.len() {
+        let started = in_frame || filled > 0;
         match reader.read(&mut buf[filled..]) {
-            Ok(0) if filled == 0 && !clock.in_frame() => return Ok(Fill::CleanEof),
+            Ok(0) if !started => return Ok(Fill::CleanEof),
             Ok(0) => return Err(FrameError::Truncated),
-            Ok(n) => {
-                filled += n;
-                clock.mark_progress();
-            }
+            Ok(n) => filled += n,
             Err(err) if err.kind() == io::ErrorKind::Interrupted => continue,
-            Err(err) if is_timeout(&err) => {
-                if filled == 0 && !clock.in_frame() {
-                    return Ok(Fill::CleanTimeout);
-                }
-                if clock.stalled() {
-                    return Err(FrameError::Stalled);
-                }
-                // Mid-frame timeout within budget: the peer is slow, not
-                // gone; keep the partial bytes and read again.
-            }
+            Err(err) if is_timeout(&err) && !started => return Ok(Fill::CleanTimeout),
+            Err(err) if is_timeout(&err) => return Err(FrameError::Stalled),
             Err(err) => return Err(FrameError::Io(err)),
         }
     }
     Ok(Fill::Full)
 }
 
-/// Reads one frame. `max_len` bounds the accepted payload length.
-///
-/// Equivalent to [`read_frame_with_stall`] with no stall budget: the first
-/// read timeout that lands mid-frame is a hard [`FrameError::Stalled`].
+/// Reads one frame from a blocking stream into a fresh payload `Vec`.
+/// `max_len` bounds the accepted payload length. The first read timeout
+/// that lands mid-frame is a hard [`FrameError::Stalled`]; a peer that
+/// may pause mid-frame is read through a [`FrameDecoder`] instead, whose
+/// caller owns the stall policy.
 ///
 /// # Errors
 ///
 /// Any [`FrameError`]; see the module docs for the idle/closed distinction.
 pub fn read_frame(reader: &mut impl Read, max_len: u32) -> Result<ReadOutcome, FrameError> {
-    read_frame_with_stall(reader, max_len, None)
-}
-
-/// Reads one frame, tolerating mid-frame read timeouts for up to
-/// `stall_budget` measured from the frame's first byte.
-///
-/// This is the variant to use on sockets with a short read timeout (e.g. a
-/// server polling its shutdown flag): a timeout before the frame starts is
-/// still a clean [`ReadOutcome::Idle`], but a timeout after *part* of the
-/// frame has arrived keeps waiting — never dropping the partial bytes,
-/// never mis-reporting them as idleness — until the budget is exhausted,
-/// at which point the peer is declared stalled.
-///
-/// # Errors
-///
-/// Any [`FrameError`]; see the module docs for the idle/closed distinction.
-pub fn read_frame_with_stall(
-    reader: &mut impl Read,
-    max_len: u32,
-    stall_budget: Option<Duration>,
-) -> Result<ReadOutcome, FrameError> {
-    let mut clock = StallClock::new(stall_budget);
     let mut header = [0u8; FRAME_HEADER_LEN];
-    match fill(reader, &mut header, &mut clock)? {
+    match fill(reader, &mut header, false)? {
         Fill::CleanEof => return Ok(ReadOutcome::Closed),
         Fill::CleanTimeout => return Ok(ReadOutcome::Idle),
         Fill::Full => {}
@@ -240,7 +158,7 @@ pub fn read_frame_with_stall(
         return Err(FrameError::TooLarge { len, max: max_len });
     }
     let mut payload = vec![0u8; len as usize];
-    match fill(reader, &mut payload, &mut clock)? {
+    match fill(reader, &mut payload, true)? {
         Fill::Full => {}
         // The header was already consumed, so the frame has started and
         // fill() can only report these before the first byte of a frame.
@@ -324,7 +242,7 @@ pub fn append_frame_with<F: FnOnce(&mut Vec<u8>)>(out: &mut Vec<u8>, build: F) {
 
 /// Bytes each [`FrameDecoder::read_from`] call asks the stream for, and
 /// the spare capacity the decoder keeps available between reads.
-const READ_CHUNK: usize = 16 * 1024;
+pub(crate) const READ_CHUNK: usize = 16 * 1024;
 
 /// Buffer size above which [`FrameDecoder::reclaim`] shrinks an emptied
 /// decoder back down, so one oversized frame does not pin its high-water
@@ -345,8 +263,9 @@ const RECLAIM_ABOVE: usize = 256 * 1024;
 ///
 /// The caller owns the idle/stalled policy: [`FrameDecoder::has_partial`]
 /// says whether a frame has started arriving, which is what distinguishes
-/// a quiet-but-healthy connection from a peer stalled mid-frame (the
-/// [`StallClock`] distinction, externalized).
+/// a quiet-but-healthy connection from a peer stalled mid-frame. The
+/// daemon's reactor reads every connection through one, and so does each
+/// client connection for its replies.
 #[derive(Debug)]
 pub struct FrameDecoder {
     buf: Vec<u8>,
@@ -612,9 +531,9 @@ mod tests {
 
     #[test]
     fn partial_header_then_timeout_is_stalled_never_idle() {
-        // 3 of the 8 header bytes arrive, then the peer goes quiet. With
-        // no stall budget this must be a hard Stalled error — reporting it
-        // as Idle would drop the 3 bytes and desync the stream.
+        // 3 of the 8 header bytes arrive, then the peer goes quiet. This
+        // must be a hard Stalled error — reporting it as Idle would drop
+        // the 3 bytes and desync the stream.
         let bytes = frame_bytes(b"payload");
         let mut reader = SlowReader::new(&bytes[..3], 3);
         let err = read_frame(&mut reader, DEFAULT_MAX_FRAME_LEN).expect_err("stalled");
@@ -630,45 +549,51 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn slow_writer_within_stall_budget_completes() {
-        // The frame dribbles in one byte per poll interval: a reader with
-        // a stall budget keeps the partial bytes and finishes the frame.
-        let bytes = frame_bytes(b"slow but alive");
-        let mut reader = SlowReader::new(&bytes, 1);
-        match read_frame_with_stall(
-            &mut reader,
-            DEFAULT_MAX_FRAME_LEN,
-            Some(Duration::from_secs(5)),
-        )
-        .expect("read")
-        {
-            ReadOutcome::Frame(payload) => assert_eq!(payload, b"slow but alive"),
-            other => panic!("expected frame, got {other:?}"),
+    /// Feeds `reader` through a decoder until a read times out, and says
+    /// whether a frame had started: the flag a decoder's caller turns into
+    /// [`FrameError::Stalled`] once its own stall budget runs out.
+    fn decoder_partial_at_first_timeout(reader: &mut SlowReader) -> bool {
+        let mut decoder = FrameDecoder::new(DEFAULT_MAX_FRAME_LEN);
+        loop {
+            match decoder.read_from(reader) {
+                Ok(n) => assert!(n > 0, "a SlowReader never reports EOF"),
+                Err(err) if is_timeout(&err) => break,
+                Err(err) => panic!("unexpected read error: {err}"),
+            }
         }
+        assert!(decoder.next_frame().expect("incomplete").is_none());
+        decoder.has_partial()
     }
 
     #[test]
     fn slow_writer_exceeding_stall_budget_is_stalled() {
-        // A zero budget turns the first mid-frame timeout into Stalled —
-        // and partial header bytes are still never reported as Idle.
+        // read_frame has no stall budget, so the first mid-frame timeout is
+        // Stalled — and partial header bytes are still never reported as
+        // Idle. A decoder keeps the partial bytes and flags the frame as
+        // started, so its caller applies its budget instead.
         let bytes = frame_bytes(b"never finishes");
         let mut reader = SlowReader::new(&bytes[..5], 1);
-        let err = read_frame_with_stall(&mut reader, DEFAULT_MAX_FRAME_LEN, Some(Duration::ZERO))
-            .expect_err("stalled");
+        let err = read_frame(&mut reader, DEFAULT_MAX_FRAME_LEN).expect_err("stalled");
         assert!(matches!(err, FrameError::Stalled), "{err:?}");
+        assert!(decoder_partial_at_first_timeout(&mut SlowReader::new(
+            &bytes[..5],
+            1
+        )));
     }
 
     #[test]
     fn stall_budget_applies_to_payload_too() {
         // Header arrives whole, then the payload stalls: Truncated/Idle
-        // must not be reported; the reader waits out the budget and then
-        // declares a stall.
+        // must not be reported, for read_frame or for a decoder's caller.
         let bytes = frame_bytes(b"0123456789");
-        let mut reader = SlowReader::new(&bytes[..FRAME_HEADER_LEN + 4], FRAME_HEADER_LEN);
-        let err = read_frame_with_stall(&mut reader, DEFAULT_MAX_FRAME_LEN, Some(Duration::ZERO))
-            .expect_err("stalled");
+        let cut = FRAME_HEADER_LEN + 4;
+        let mut reader = SlowReader::new(&bytes[..cut], FRAME_HEADER_LEN);
+        let err = read_frame(&mut reader, DEFAULT_MAX_FRAME_LEN).expect_err("stalled");
         assert!(matches!(err, FrameError::Stalled), "{err:?}");
+        assert!(decoder_partial_at_first_timeout(&mut SlowReader::new(
+            &bytes[..cut],
+            FRAME_HEADER_LEN
+        )));
     }
 
     #[test]

@@ -83,8 +83,8 @@ pub use client::{
     ClientConfig, ClientError, RpcClient, ServerInfo, UploadSummary, MAX_PIPELINE_WINDOW,
 };
 pub use frame::{
-    append_frame_with, read_frame, read_frame_with_stall, write_frame, write_frame_vectored,
-    FrameDecoder, FrameError, ReadOutcome, DEFAULT_MAX_FRAME_LEN, FRAME_HEADER_LEN,
+    append_frame_with, read_frame, write_frame, write_frame_vectored, FrameDecoder, FrameError,
+    ReadOutcome, DEFAULT_MAX_FRAME_LEN, FRAME_HEADER_LEN,
 };
 pub use proto::{ErrorCode, ProtoError, Request, Response, PROTOCOL_VERSION};
 pub use server::{DaemonError, ReplayReport, RpcServer, ServerConfig};

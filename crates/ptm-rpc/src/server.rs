@@ -526,6 +526,8 @@ impl RpcServer {
             let _ = handle.join();
         }
         if let Some(handle) = self.maintenance_thread.take() {
+            // Wake it from its poll_interval park so it sees the flag now.
+            handle.thread().unpark();
             let _ = handle.join();
         }
         let mut store = lock_writer(&self.shared.writer);
@@ -1263,11 +1265,16 @@ fn reactor_loop(listener: TcpListener, shared: Arc<Shared>, pool: WorkerPool<Job
 /// store reopen is tried. Every `poll_interval` it checks the shutdown and
 /// degraded flags; the cooldown clock starts when it first sees ingest
 /// degraded and restarts after each failed probe, and only a probe that
-/// is due takes the writer lock.
+/// is due takes the writer lock. It parks between checks, and
+/// [`RpcServer::shutdown`] unparks it, so a stop never waits out the
+/// interval.
 fn maintenance_loop(shared: Arc<Shared>) {
     let mut degraded_since: Option<Instant> = None;
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        std::thread::sleep(shared.config.poll_interval);
+    loop {
+        std::thread::park_timeout(shared.config.poll_interval);
+        if shared.shutdown.load(Ordering::SeqCst) {
+            break;
+        }
         if !shared.degraded.flag.load(Ordering::SeqCst) {
             degraded_since = None;
             continue;
@@ -2046,6 +2053,28 @@ mod tests {
         server.shutdown().expect("shutdown");
         // Only the first record reached the archive.
         assert_eq!(archived_records(&path), 1);
+        cleanup_archive(&path);
+    }
+
+    #[test]
+    fn shutdown_does_not_wait_out_the_poll_interval() {
+        // The maintenance thread checks its flags every poll_interval; a
+        // shutdown must wake it rather than wait out a 10 s interval.
+        let path = temp_archive("prompt-shutdown");
+        let config = ServerConfig {
+            poll_interval: Duration::from_secs(10),
+            ..test_config()
+        };
+        let server = RpcServer::start("127.0.0.1:0", &path, config).expect("start");
+        let mut stream = connect(server.local_addr());
+        assert!(matches!(
+            exchange(&mut stream, &Request::Ping),
+            Response::Pong { .. }
+        ));
+        let started = Instant::now();
+        server.shutdown().expect("shutdown");
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
         cleanup_archive(&path);
     }
 

@@ -1,15 +1,32 @@
-//! CRC-32 (IEEE 802.3 polynomial, reflected), slicing-by-16.
+//! CRC-32 (IEEE 802.3 polynomial, reflected), four slicing-by-16 lanes.
 //!
 //! Implemented from scratch like the rest of the substrates; validated
 //! against the standard check value (`crc32("123456789") = 0xCBF43926`).
 //!
-//! The checksum absorbs 16 bytes per step through sixteen lookup tables
-//! (16 KiB) built at compile time, then at most one 8-byte word through
-//! the first eight of them, and only the final `len % 8` bytes one at a
-//! time. The output is identical to the byte-at-a-time definition (kept as
-//! the test reference below), so every frame and archive ever written
-//! checks the same. Every frame passes through it on the client, in the
-//! daemon's frame check, in the segment append and in every `open`.
+//! Each whole 1 KiB block is cut into four 256-byte lanes, and each lane
+//! runs its own slicing-by-16 chain: 16 bytes per step through sixteen
+//! lookup tables. Lane 0 starts from the incoming register, lanes 1–3
+//! from zero. The four chains share no data, so the CPU overlaps their
+//! table loads instead of waiting on one chain's. The register update is
+//! linear over GF(2): with `shift(r, n)` the register after `n` zero bytes
+//! (`r · x^(8n) mod P`),
+//!
+//! ```text
+//! update(s, A ‖ B) = shift(update(s, A), |B|) ^ update(0, B)
+//! ```
+//!
+//! so the lanes join Horner-style as `shift(shift(shift(c0) ^ c1) ^ c2) ^ c3`
+//! with `n = 256` bytes, a multiplication by `x^2048 mod P` that a 4×256
+//! table applies one register byte at a time. Input shorter than a block,
+//! and a block's tail, go through a single chain: 16 bytes per step, then at
+//! most one 8-byte word through the first eight tables, then the final
+//! `len % 8` bytes one at a time. All 16 + 4 KiB of tables are built at
+//! compile time.
+//!
+//! The output is identical to the byte-at-a-time definition (kept as the
+//! test reference below), so every frame and archive ever written checks
+//! the same. Every frame passes through it on the client, in the daemon's
+//! frame check, in the segment append and in every `open`.
 
 /// Reflected IEEE polynomial.
 const POLY: u32 = 0xEDB8_8320;
@@ -61,12 +78,66 @@ fn fold_word<const ZEROS: usize>(x: u64) -> u32 {
         ^ TABLES[ZEROS][(x >> 56) as usize]
 }
 
+/// One slicing-by-16 step of the register over 16 bytes.
+fn step16(crc: u32, bytes: &[u8; 16]) -> u32 {
+    let x = u128::from_le_bytes(*bytes);
+    fold_word::<8>(x as u64 ^ u64::from(crc)) ^ fold_word::<0>((x >> 64) as u64)
+}
+
+/// Bytes per lane: the join multiplies by `x^(8 * LANE)` = `x^2048`.
+const LANE: usize = 256;
+
+/// Slicing steps per lane.
+const LANE_STEPS: usize = LANE / 16;
+
+/// `JOIN[k][b]` is the register after `LANE` zero bytes from the register
+/// `b << 8k`.
+const JOIN: [[u32; 256]; 4] = build_join(&TABLES[0]);
+
+const fn build_join(table: &[u32; 256]) -> [[u32; 256]; 4] {
+    let mut join = [[0u32; 256]; 4];
+    let mut k = 0;
+    while k < 4 {
+        let mut b = 0;
+        while b < 256 {
+            let mut crc = (b as u32) << (8 * k);
+            let mut n = 0;
+            while n < LANE {
+                crc = (crc >> 8) ^ table[(crc & 0xFF) as usize];
+                n += 1;
+            }
+            join[k][b] = crc;
+            b += 1;
+        }
+        k += 1;
+    }
+    join
+}
+
+/// `shift(crc, LANE)`: the register after `LANE` zero bytes.
+fn shift_lane(crc: u32) -> u32 {
+    JOIN[0][(crc & 0xFF) as usize]
+        ^ JOIN[1][((crc >> 8) & 0xFF) as usize]
+        ^ JOIN[2][((crc >> 16) & 0xFF) as usize]
+        ^ JOIN[3][(crc >> 24) as usize]
+}
+
 /// Advances the raw (pre-inverted) CRC register over `data`.
 fn update(mut crc: u32, data: &[u8]) -> u32 {
-    let (blocks, rest) = data.as_chunks::<16>();
+    let (blocks, rest) = data.as_chunks::<{ 4 * LANE }>();
     for block in blocks {
-        let x = u128::from_le_bytes(*block);
-        crc = fold_word::<8>(x as u64 ^ u64::from(crc)) ^ fold_word::<0>((x >> 64) as u64);
+        let (steps, _) = block.as_chunks::<16>();
+        let mut lanes = [crc, 0, 0, 0];
+        for i in 0..LANE_STEPS {
+            for (lane, reg) in lanes.iter_mut().enumerate() {
+                *reg = step16(*reg, &steps[lane * LANE_STEPS + i]);
+            }
+        }
+        crc = shift_lane(shift_lane(shift_lane(lanes[0]) ^ lanes[1]) ^ lanes[2]) ^ lanes[3];
+    }
+    let (sixteens, rest) = rest.as_chunks::<16>();
+    for bytes in sixteens {
+        crc = step16(crc, bytes);
     }
     let (words, tail) = rest.as_chunks::<8>();
     for word in words {
@@ -193,6 +264,29 @@ mod tests {
     #[test]
     fn sliced_matches_bytewise_at_every_short_length() {
         for len in 0..=256 {
+            check_every_single_split(len);
+        }
+    }
+
+    #[test]
+    fn four_lanes_match_bytewise_at_every_length_up_to_three_blocks() {
+        // Every length through three whole four-lane blocks and past them,
+        // so each block count meets every tail length.
+        let max = 3 * 4 * LANE + 64;
+        let buf = noise(max + 8);
+        for offset in 0..8 {
+            for len in 0..=max {
+                let data = &buf[offset..offset + len];
+                assert_eq!(crc32(data), reference(data), "offset {offset} len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn four_lanes_match_bytewise_split_around_the_block_boundaries() {
+        // Either side of one and two blocks, and one record's payload
+        // (two blocks and a 248-byte tail).
+        for len in [1023, 1024, 1025, 2047, 2048, 2049, 2296] {
             check_every_single_split(len);
         }
     }

@@ -49,7 +49,7 @@ echo "==> ptm-core tests in release (bounded)"
 cargo test --release --quiet -p ptm-core --no-run
 timeout 300 cargo test --release --quiet -p ptm-core
 
-# The store again under release codegen: the slicing-by-16 CRC-32 kernel
+# The store again under release codegen: the four-lane CRC-32 kernel
 # and the in-place record and frame encoders ship at opt-level 3, so their
 # byte-wise reference, per-bit packing and golden-bytes tests run there too.
 echo "==> ptm-store tests in release (bounded)"
