@@ -126,6 +126,20 @@ fn bench_storage(c: &mut Criterion) {
     group.bench_function("crc32_record", |b| {
         b.iter(|| crc32(std::hint::black_box(record_payload)))
     });
+    // The daemon's replacement for the segment append's pass: the record's
+    // CRC from the verified frame CRC and the 3-byte untraced request
+    // header in front of the record.
+    let wire_crc = crc32(record_payload);
+    group.bench_function("crc32_derive", |b| {
+        b.iter(|| {
+            let (header, record) = std::hint::black_box(record_payload).split_at(3);
+            ptm_store::crc32::crc32_combine(
+                crc32(header),
+                std::hint::black_box(wire_crc),
+                record.len(),
+            )
+        })
+    });
     group.throughput(Throughput::Bytes(payload.len() as u64));
     group.bench_function("crc32_128k", |b| b.iter(|| crc32(&payload)));
 

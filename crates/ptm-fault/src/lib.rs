@@ -69,7 +69,7 @@ pub mod sites {
     /// (latency or failure while computing a query answer).
     pub const RPC_ESTIMATE: &str = "rpc.estimate";
     /// Ingest execution under the server's writer lock, checked once per
-    /// coalesced ingest job just after the lock is taken. A `panic` here
+    /// ingest batch (one commit) just after the lock is taken. A `panic` here
     /// exercises the daemon's catch-unwind and poisoned-lock recovery; a
     /// `delay` holds the writer lock to back up the upload queue.
     pub const RPC_INGEST: &str = "rpc.ingest";

@@ -357,6 +357,18 @@ impl FrameDecoder {
     /// [`FrameError::TooLarge`] or [`FrameError::BadCrc`]; both leave the
     /// stream unusable, matching [`read_frame`].
     pub fn next_frame(&mut self) -> Result<Option<&[u8]>, FrameError> {
+        Ok(self.next_frame_with_crc()?.map(|(payload, _)| payload))
+    }
+
+    /// [`FrameDecoder::next_frame`], also handing back the payload's CRC-32
+    /// it just checked, so a receiver can derive the CRC of part of the
+    /// payload ([`ptm_store::crc32::crc32_combine`]) without reading it
+    /// again.
+    ///
+    /// # Errors
+    ///
+    /// As [`FrameDecoder::next_frame`].
+    pub fn next_frame_with_crc(&mut self) -> Result<Option<(&[u8], u32)>, FrameError> {
         let avail = self.end - self.start;
         if avail < FRAME_HEADER_LEN {
             return Ok(None);
@@ -391,7 +403,7 @@ impl FrameDecoder {
             return Err(FrameError::BadCrc { expected, actual });
         }
         self.start += total;
-        Ok(Some(&self.buf[payload_start..payload_end]))
+        Ok(Some((&self.buf[payload_start..payload_end], actual)))
     }
 
     /// Releases an oversized buffer once it has fully drained, so one

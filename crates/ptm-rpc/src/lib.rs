@@ -16,7 +16,11 @@
 //! * [`proto`] — the messages: version-tagged requests (ping, upload of
 //!   one record, volume/point/point-to-point queries) and responses,
 //!   embedding records as exact `ptm-store` codec payloads so the bytes a
-//!   daemon archives are the bytes the RSU sent.
+//!   daemon archives are the bytes the RSU sent: the daemon re-encodes
+//!   each decoded record into its segment frame, and the codec is
+//!   canonical (`ptm_store::codec`'s
+//!   `decoded_payloads_re_encode_to_the_same_bytes`), which is also why
+//!   the frame may carry the CRC derived from the wire frame's.
 //! * [`server`] — [`RpcServer`]: a readiness-driven reactor daemon — one
 //!   event-loop thread owns every connection's nonblocking socket and
 //!   buffers, and a bounded worker pool runs estimate/commit work so slow
@@ -26,8 +30,9 @@
 //!   the records become queryable; every archived record loaded into the
 //!   engine at start), idempotent duplicate
 //!   handling, panic containment with poison-recovering locks, graceful
-//!   drain on shutdown. Consecutive pipelined uploads from one connection
-//!   coalesce into a single commit and their acks batch into one write.
+//!   drain on shutdown. A connection's pipelined uploads go into its
+//!   inbox, which one worker drains a commit of up to 64 frames at a time,
+//!   and their acks batch into one write.
 //!   Queries are answered from memory, concurrently with each other and
 //!   with uploads to locations they are not reading.
 //! * [`client`] — [`RpcClient`]: one retry loop for every call, pipelined

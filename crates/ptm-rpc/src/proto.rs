@@ -43,8 +43,11 @@
 //! `Error{VersionMismatch}` before closing the connection.
 //!
 //! Traffic records ride in the exact `ptm-store` on-disk payload encoding,
-//! so the daemon archives the bytes it validated and a reader of the
-//! archive decodes exactly what the client sent.
+//! so the daemon archives the bytes it validated (the codec is canonical)
+//! and a reader of the archive decodes exactly what the client sent. An
+//! upload's record bytes are the payload after its header
+//! ([`DecodedRequest::header_len`]), which is what lets the daemon derive
+//! their CRC from the frame's.
 
 use ptm_core::encoding::LocationId;
 use ptm_core::record::{PeriodId, TrafficRecord};
@@ -227,6 +230,10 @@ pub struct DecodedRequest {
     /// unset). The receiver anchors this at frame arrival to drop doomed
     /// work instead of executing it.
     pub deadline_ms: Option<u32>,
+    /// Bytes of the payload header (version, tag, flags and the optional
+    /// trace and deadline fields): an upload's record bytes are the rest
+    /// of the payload.
+    pub header_len: usize,
 }
 
 /// Server-to-client messages.
@@ -497,6 +504,7 @@ pub(crate) fn encode_upload_into(
 pub fn decode_request(payload: &[u8]) -> Result<DecodedRequest, ProtoError> {
     let mut r = Reader::new(payload);
     let (tag, trace, deadline_ms) = read_header(&mut r)?;
+    let header_len = r.pos;
     let request = match tag {
         TAG_PING => Request::Ping,
         TAG_UPLOAD => Request::Upload(
@@ -523,6 +531,7 @@ pub fn decode_request(payload: &[u8]) -> Result<DecodedRequest, ProtoError> {
         request,
         trace,
         deadline_ms,
+        header_len,
     })
 }
 
@@ -803,6 +812,32 @@ pub(crate) mod tests {
                 period: PeriodId::new(1),
             }
         );
+    }
+
+    /// The header is 3 bytes, plus 16 for a trace and 4 for a deadline, and
+    /// an upload's record bytes are the rest of the payload: what the
+    /// daemon derives the archived frame's CRC over.
+    #[test]
+    fn an_upload_record_is_the_payload_after_its_header() {
+        let record = sample_record(2, 5);
+        let trace = WireTrace {
+            trace_id: 1,
+            parent_span: 2,
+        };
+        for (trace, deadline_ms, header_len) in [
+            (None, None, 3),
+            (Some(trace), None, 19),
+            (None, Some(9), 7),
+            (Some(trace), Some(9), 23),
+        ] {
+            let payload = encode_request_with(&Request::Upload(record.clone()), trace, deadline_ms);
+            let decoded = decode_request(&payload).expect("decode");
+            assert_eq!(decoded.header_len, header_len);
+            assert_eq!(
+                &payload[header_len..],
+                ptm_store::codec::encode_record(&record)
+            );
+        }
     }
 
     #[test]

@@ -20,13 +20,28 @@
 //! table applies one register byte at a time. Input shorter than a block,
 //! and a block's tail, go through a single chain: 16 bytes per step, then at
 //! most one 8-byte word through the first eight tables, then the final
-//! `len % 8` bytes one at a time. All 16 + 4 KiB of tables are built at
-//! compile time.
+//! `len % 8` bytes one at a time.
+//!
+//! The same identity, with the pre- and post-inversion folded in, is zlib's
+//! `crc32_combine`: `crc32(A ‖ B) = shift(crc32(A), |B|) ^ crc32(B)`. For
+//! any `n`, `shift` multiplies by `x^(8n) mod P` as a product of the
+//! precomputed `x^(8 · d · 256^k) mod P`, one per nonzero byte `d` of `n`
+//! (two for a record of up to 64 KiB), each a carry-less 32×32-bit
+//! multiply and a four-table reduction. Because the identity is an XOR,
+//! [`crc32_combine`] also runs backwards: from the CRC of a whole message
+//! and of its prefix it gives the CRC of the rest without reading the rest.
+//! The daemon derives each archived record's CRC that way from the wire CRC
+//! it has just verified, so the segment append does not checksum the record
+//! again.
+//!
+//! All 16 KiB of slicing tables, the 4 KiB join table and the 8 KiB of
+//! powers are built at compile time.
 //!
 //! The output is identical to the byte-at-a-time definition (kept as the
 //! test reference below), so every frame and archive ever written checks
 //! the same. Every frame passes through it on the client, in the daemon's
-//! frame check, in the segment append and in every `open`.
+//! frame check and in every `open`; the segment append checksums only
+//! records whose CRC its caller does not supply.
 
 /// Reflected IEEE polynomial.
 const POLY: u32 = 0xEDB8_8320;
@@ -84,29 +99,98 @@ fn step16(crc: u32, bytes: &[u8; 16]) -> u32 {
     fold_word::<8>(x as u64 ^ u64::from(crc)) ^ fold_word::<0>((x >> 64) as u64)
 }
 
-/// Bytes per lane: the join multiplies by `x^(8 * LANE)` = `x^2048`.
+/// Bytes per lane, a power of two: the join multiplies by `x^(8 * LANE)` =
+/// `x^2048`.
 const LANE: usize = 256;
 
 /// Slicing steps per lane.
 const LANE_STEPS: usize = LANE / 16;
 
-/// `JOIN[k][b]` is the register after `LANE` zero bytes from the register
-/// `b << 8k`.
-const JOIN: [[u32; 256]; 4] = build_join(&TABLES[0]);
+/// `x^0` in the reflected representation, where register bit `i` is the
+/// coefficient of `x^(31 - i)`.
+const ONE: u32 = 1 << 31;
 
-const fn build_join(table: &[u32; 256]) -> [[u32; 256]; 4] {
+/// The carry-less product of two 32-bit polynomials: integer
+/// multiplications of the operands with every fourth bit kept, so no carry
+/// reaches the next kept bit (a column sums at most 8 ones).
+const fn clmul(a: u32, b: u32) -> u64 {
+    const M: [u64; 4] = [
+        0x1111_1111_1111_1111,
+        0x2222_2222_2222_2222,
+        0x4444_4444_4444_4444,
+        0x8888_8888_8888_8888,
+    ];
+    let (a, b) = (a as u64, b as u64);
+    let (a0, a1, a2, a3) = (a & M[0], a & M[1], a & M[2], a & M[3]);
+    let (b0, b1, b2, b3) = (b & M[0], b & M[1], b & M[2], b & M[3]);
+    let z0 = (a0 * b0) ^ (a1 * b3) ^ (a2 * b2) ^ (a3 * b1);
+    let z1 = (a0 * b1) ^ (a1 * b0) ^ (a2 * b3) ^ (a3 * b2);
+    let z2 = (a0 * b2) ^ (a1 * b1) ^ (a2 * b0) ^ (a3 * b3);
+    let z3 = (a0 * b3) ^ (a1 * b2) ^ (a2 * b1) ^ (a3 * b0);
+    (z0 & M[0]) | (z1 & M[1]) | (z2 & M[2]) | (z3 & M[3])
+}
+
+/// `a · b mod P` for reflected registers. After the product is shifted up
+/// one bit, its high word holds the terms below `x^32` and its low word
+/// `g` stands for `g · x^32`, which is `g` moved through four zero bytes.
+const fn mul(a: u32, b: u32) -> u32 {
+    let p = clmul(a, b) << 1;
+    let g = p as u32;
+    (p >> 32) as u32
+        ^ TABLES[3][(g & 0xFF) as usize]
+        ^ TABLES[2][((g >> 8) & 0xFF) as usize]
+        ^ TABLES[1][((g >> 16) & 0xFF) as usize]
+        ^ TABLES[0][(g >> 24) as usize]
+}
+
+/// `POW[k][d]` is `x^(8 · d · 256^k) mod P`: the register after
+/// `d · 256^k` zero bytes from `ONE`.
+const POW: [[u32; 256]; 8] = build_pow();
+
+const fn build_pow() -> [[u32; 256]; 8] {
+    let mut pow = [[0u32; 256]; 8];
+    let mut k = 0;
+    while k < 8 {
+        pow[k][0] = ONE;
+        pow[k][1] = if k == 0 {
+            // x^8: one zero byte.
+            (ONE >> 8) ^ TABLES[0][(ONE & 0xFF) as usize]
+        } else {
+            mul(pow[k - 1][255], pow[k - 1][1])
+        };
+        let mut d = 2;
+        while d < 256 {
+            pow[k][d] = mul(pow[k][d - 1], pow[k][1]);
+            d += 1;
+        }
+        k += 1;
+    }
+    pow
+}
+
+/// `shift(crc, n)`: the register after `n` zero bytes, `crc · x^(8n) mod
+/// P`, one multiply per nonzero byte of `n`.
+fn shift(mut crc: u32, n: usize) -> u32 {
+    for (k, digit) in (n as u64).to_le_bytes().into_iter().enumerate() {
+        if digit != 0 {
+            crc = mul(crc, POW[k][usize::from(digit)]);
+        }
+    }
+    crc
+}
+
+/// `JOIN[k][b]` is the register after `LANE` zero bytes from the register
+/// `b << 8k`: `shift(_, LANE)` as a table, for the four-lane join.
+const JOIN: [[u32; 256]; 4] = build_join();
+
+const fn build_join() -> [[u32; 256]; 4] {
+    let lane = POW[1][LANE / 256];
     let mut join = [[0u32; 256]; 4];
     let mut k = 0;
     while k < 4 {
         let mut b = 0;
         while b < 256 {
-            let mut crc = (b as u32) << (8 * k);
-            let mut n = 0;
-            while n < LANE {
-                crc = (crc >> 8) ^ table[(crc & 0xFF) as usize];
-                n += 1;
-            }
-            join[k][b] = crc;
+            join[k][b] = mul((b as u32) << (8 * k), lane);
             b += 1;
         }
         k += 1;
@@ -152,6 +236,17 @@ fn update(mut crc: u32, data: &[u8]) -> u32 {
 /// Computes the CRC-32 of `data`.
 pub fn crc32(data: &[u8]) -> u32 {
     !update(!0u32, data)
+}
+
+/// The CRC-32 of `A ‖ B` from `crc_a = crc32(A)`, `crc_b = crc32(B)` and
+/// `len_b = |B|`, without reading either (zlib's `crc32_combine`).
+///
+/// The combination is an XOR, so it also strips a prefix:
+/// `crc32_combine(crc32(A), crc32(A ‖ B), |B|)` is `crc32(B)`. The daemon
+/// derives an upload's record CRC that way from the frame CRC it verified
+/// and the few header bytes before the record.
+pub fn crc32_combine(crc_a: u32, crc_b: u32, len_b: usize) -> u32 {
+    shift(crc_a, len_b) ^ crc_b
 }
 
 /// Incremental CRC-32 for multi-part frames.
@@ -317,6 +412,111 @@ mod tests {
                 }
                 assert_eq!(crc.finalize(), expected, "offset {offset} phase {phase}");
             }
+        }
+    }
+
+    /// `a · b mod P` one bit at a time (zlib's `multmodp`): the reference
+    /// for the carry-less `mul`.
+    fn mul_reference(a: u32, mut b: u32) -> u32 {
+        let mut product = 0;
+        for bit in (0..32).rev() {
+            if a & (1 << bit) != 0 {
+                product ^= b;
+            }
+            b = if b & 1 == 1 { (b >> 1) ^ POLY } else { b >> 1 };
+        }
+        product
+    }
+
+    #[test]
+    fn carry_less_multiply_matches_the_bit_serial_product() {
+        let words = noise(8 * 512);
+        for pair in words.chunks_exact(8) {
+            let a = u32::from_le_bytes([pair[0], pair[1], pair[2], pair[3]]);
+            let b = u32::from_le_bytes([pair[4], pair[5], pair[6], pair[7]]);
+            for (a, b) in [(a, b), (a, ONE), (ONE, b), (a, 0), (!0, b)] {
+                assert_eq!(mul(a, b), mul_reference(a, b), "{a:#010x} · {b:#010x}");
+            }
+        }
+    }
+
+    #[test]
+    fn shift_matches_zero_bytes_and_squaring_at_any_length() {
+        // Against the register run through n zero bytes, for every n up to
+        // two lanes.
+        let zeros = vec![0u8; 2 * LANE];
+        for crc in [ONE, 0x1234_5678, !0] {
+            for n in 0..=zeros.len() {
+                assert_eq!(
+                    shift(crc, n),
+                    update(crc, &zeros[..n]),
+                    "crc {crc:#x} n {n}"
+                );
+            }
+        }
+        // Past that, against x^(8n) by square-and-multiply on the
+        // bit-serial product, for lengths up to 2^64 - 1.
+        let pow = |n: u64| {
+            let (mut acc, mut base, mut n) = (ONE, POW[0][1], n);
+            while n != 0 {
+                if n & 1 == 1 {
+                    acc = mul_reference(acc, base);
+                }
+                base = mul_reference(base, base);
+                n >>= 1;
+            }
+            acc
+        };
+        let lens = noise(8 * 64);
+        for (i, chunk) in lens.chunks_exact(8).enumerate() {
+            let mut bytes = [0u8; 8];
+            bytes.copy_from_slice(chunk);
+            // Lengths of every bit width from 1 to 64.
+            let n = u64::from_le_bytes(bytes) >> i | 1 << (63 - i);
+            let crc = 0x9E37_79B9 ^ i as u32;
+            assert_eq!(shift(crc, n as usize), mul_reference(crc, pow(n)), "n {n}");
+        }
+    }
+
+    /// The record lengths of the `ingest` benchmark (532, 1044, 2068 and
+    /// 4116 bytes), either side of one to four lanes, and the edges.
+    const REST_LENS: [usize; 16] = [
+        0, 1, 7, 8, 255, 256, 532, 1023, 1024, 1025, 1044, 2047, 2048, 2049, 2068, 4116,
+    ];
+
+    #[test]
+    fn a_message_tail_crc_derives_from_the_whole_and_its_prefix() {
+        // An upload payload is a 3-23 byte request header and the record
+        // bytes; the record's CRC comes from the frame CRC and the header.
+        let buf = noise(23 + 4116 + 8);
+        for offset in 0..8 {
+            for prefix in 0..=23 {
+                for rest in REST_LENS {
+                    let message = &buf[offset..offset + prefix + rest];
+                    let derived = crc32_combine(crc32(&message[..prefix]), crc32(message), rest);
+                    assert_eq!(
+                        derived,
+                        reference(&message[prefix..]),
+                        "offset {offset} prefix {prefix} rest {rest}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn combine_joins_random_splits() {
+        let buf = noise(3 * 4096);
+        let cuts = noise(2 * 200);
+        for pair in cuts.chunks_exact(2) {
+            let len = usize::from(pair[0]) * 47 % buf.len();
+            let cut = usize::from(pair[1]) * len / 255;
+            let (a, b) = buf[..len].split_at(cut);
+            assert_eq!(
+                crc32_combine(crc32(a), crc32(b), b.len()),
+                crc32(&buf[..len]),
+                "len {len} cut {cut}"
+            );
         }
     }
 

@@ -14,11 +14,13 @@
 //! the [`StorageIo`] fault boundary) and rotate to a fresh segment once the
 //! active one reaches `rotate_bytes`. An append builds its frame in place
 //! in the pending buffer: header reserved, record encoded after it, the
-//! payload slice checksummed and the header backfilled. Rotation fsyncs
-//! the outgoing segment and commits a manifest that marks it sealed with
-//! its exact frame count, so every sealed segment is one rotation. A clean
-//! shutdown ([`SegmentStore::checkpoint`]) seals nothing: it fsyncs the
-//! active segment and records its frame count in the manifest.
+//! payload slice checksummed (unless the caller supplied its CRC, see
+//! [`SegmentStore::append_all_with_crc`]) and the header backfilled.
+//! Rotation fsyncs the outgoing segment and commits a manifest that marks
+//! it sealed with its exact frame count, so every sealed segment is one
+//! rotation. A clean shutdown ([`SegmentStore::checkpoint`]) seals nothing:
+//! it fsyncs the active segment and records its frame count in the
+//! manifest.
 //!
 //! The archive is a log: a second frame for a `(location, period)` key is
 //! kept, not superseded, and nothing is ever rewritten. Key uniqueness is
@@ -169,7 +171,9 @@ impl ActiveSegment {
         })
     }
 
-    fn append(&mut self, record: &TrafficRecord) -> Result<(), StoreError> {
+    /// Buffers one frame. `crc` is the payload's CRC-32 when the caller
+    /// already holds it; the frame is checksummed here otherwise.
+    fn append(&mut self, record: &TrafficRecord, crc: Option<u32>) -> Result<(), StoreError> {
         if self.wedged {
             return Err(StoreError::Wedged);
         }
@@ -178,7 +182,14 @@ impl ActiveSegment {
         encode_record_into(record, &mut self.pending);
         let payload = &self.pending[header_at + FRAME_HEADER_LEN..];
         let len = (payload.len() as u32).to_le_bytes();
-        let crc = crc32(payload).to_le_bytes();
+        let crc = match crc {
+            Some(crc) => {
+                debug_assert_eq!(crc, crc32(payload), "supplied CRC is not the payload's");
+                crc
+            }
+            None => crc32(payload),
+        }
+        .to_le_bytes();
         self.pending[header_at..header_at + 4].copy_from_slice(&len);
         self.pending[header_at + 4..header_at + FRAME_HEADER_LEN].copy_from_slice(&crc);
         self.pending_locations.push(record.location());
@@ -623,7 +634,7 @@ impl SegmentStore {
     ///
     /// [`StoreError::Wedged`] after a failed rollback.
     pub fn append(&mut self, record: &TrafficRecord) -> Result<(), StoreError> {
-        self.active.append(record)
+        self.active.append(record, None)
     }
 
     /// Appends every record in order, then commits once (and rotates the
@@ -637,9 +648,36 @@ impl SegmentStore {
     where
         I: IntoIterator<Item = &'a TrafficRecord>,
     {
+        self.commit_all(records.into_iter().map(|record| (record, None)))
+    }
+
+    /// [`SegmentStore::append_all`] for records whose encoded payload's
+    /// CRC-32 the caller already holds: each frame carries its supplied
+    /// CRC instead of a second pass over the payload. The daemon derives
+    /// it from the wire frame's verified CRC, which covers the same bytes
+    /// because the record codec is canonical (`decode_record` then
+    /// `encode_record_into` gives back the bytes decoded). Debug builds
+    /// check every supplied CRC against the payload.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures (after rollback); [`StoreError::Wedged`].
+    pub fn append_all_with_crc<'a, I>(&mut self, records: I) -> Result<usize, StoreError>
+    where
+        I: IntoIterator<Item = (&'a TrafficRecord, u32)>,
+    {
+        self.commit_all(records.into_iter().map(|(record, crc)| (record, Some(crc))))
+    }
+
+    /// The one append path: buffers each record's frame, under its
+    /// supplied CRC or a computed one, then commits once.
+    fn commit_all<'a>(
+        &mut self,
+        records: impl Iterator<Item = (&'a TrafficRecord, Option<u32>)>,
+    ) -> Result<usize, StoreError> {
         let mut appended = 0usize;
-        for record in records {
-            self.append(record)?;
+        for (record, crc) in records {
+            self.active.append(record, crc)?;
             appended += 1;
         }
         self.flush()?;
@@ -1579,6 +1617,52 @@ mod tests {
             .collect();
         assert_eq!(hex, GOLDEN);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Frames written with supplied CRCs are the bytes `append_all` writes.
+    #[test]
+    fn supplied_crcs_write_the_same_frames() {
+        let records: Vec<TrafficRecord> = [1, 2, 4, 256, 4096]
+            .into_iter()
+            .enumerate()
+            .map(|(period, m)| fixed_record(3, period as u32, m))
+            .collect();
+        let segment = |name: &str, supplied: bool| {
+            let dir = temp_dir(name);
+            let mut store = SegmentStore::open(&dir, StoreOptions::default())
+                .expect("open")
+                .store;
+            if supplied {
+                let crcs: Vec<u32> = records.iter().map(|r| crc32(&encode_record(r))).collect();
+                store
+                    .append_all_with_crc(records.iter().zip(crcs))
+                    .expect("append")
+            } else {
+                store.append_all(&records).expect("append")
+            };
+            drop(store);
+            let bytes = std::fs::read(dir.join(segment_file_name(0))).expect("read");
+            std::fs::remove_dir_all(&dir).ok();
+            bytes
+        };
+        assert_eq!(
+            segment("crc-computed", false),
+            segment("crc-supplied", true)
+        );
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "supplied CRC is not the payload's")]
+    fn a_wrong_supplied_crc_fails_a_debug_build() {
+        let dir = temp_dir("crc-wrong");
+        let mut store = SegmentStore::open(&dir, StoreOptions::default())
+            .expect("open")
+            .store;
+        let record = fixed_record(3, 0, 64);
+        let wrong = crc32(&encode_record(&record)) ^ 1;
+        std::fs::remove_dir_all(&dir).ok();
+        let _ = store.append_all_with_crc([(&record, wrong)]);
     }
 
     #[test]

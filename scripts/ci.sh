@@ -51,7 +51,12 @@ timeout 300 cargo test --release --quiet -p ptm-core
 
 # The store again under release codegen: the four-lane CRC-32 kernel
 # and the in-place record and frame encoders ship at opt-level 3, so their
-# byte-wise reference, per-bit packing and golden-bytes tests run there too.
+# byte-wise reference, per-bit packing and golden-bytes tests run there too,
+# and so do the checks the daemon's derived segment-frame CRC rests on: the
+# carry-less multiply and `crc32_combine` against bit-serial and byte-wise
+# references (`a_message_tail_crc_derives_from_the_whole_and_its_prefix`),
+# the canonical codec (`decoded_payloads_re_encode_to_the_same_bytes`), and
+# supplied CRCs writing the same frames (`supplied_crcs_write_the_same_frames`).
 echo "==> ptm-store tests in release (bounded)"
 cargo test --release --quiet -p ptm-store --no-run
 timeout 300 cargo test --release --quiet -p ptm-store
@@ -60,7 +65,14 @@ timeout 300 cargo test --release --quiet -p ptm-store
 # claim races (a submit claiming a spinner as its window ends, shutdown
 # during a spin) depend on timing, and the daemon ships at opt-level 3,
 # not at the test profile's opt-level 1. The exhaustive frame-decoder
-# check (every cut and bit flip of a corpus of valid frames) runs here too.
+# check (every cut and bit flip of a corpus of valid frames) runs here too,
+# and so do the inbox-drain protocol tests (arrival order across a query,
+# a query on another connection overtaking a draining inbox, a full upload
+# queue shedding the inbox, a panic in a middle batch, backpressure over
+# the pending queue and the inbox, whole frames left buffered at the cap
+# decoding without new bytes) and the round trip of uploads of every
+# size and header shape through a restart, whose archived frames carry the
+# CRC derived from the wire CRC (`uploads_of_every_size_and_header_reopen_bit_exact`).
 echo "==> ptm-rpc tests in release (bounded)"
 cargo test --release --quiet -p ptm-rpc --no-run
 timeout 300 cargo test --release --quiet -p ptm-rpc
