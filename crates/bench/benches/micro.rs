@@ -196,6 +196,49 @@ fn bench_storage(c: &mut Criterion) {
         )
     });
     let _ = std::fs::remove_dir_all(&bench_path);
+
+    // A restart's archive read: `SegmentStore::open` over 4,096 records
+    // sized like `loadbench`'s (volumes uniform in (2000, 10000], Eq. 2 at
+    // f = 2, so payloads of 532 to 4,116 bytes), written 64 a commit into
+    // two segments at the default `rotate_bytes`, on a warm page cache.
+    let open_path =
+        std::env::temp_dir().join(format!("ptm-bench-open-{}.ptma", std::process::id()));
+    let _ = std::fs::remove_dir_all(&open_path);
+    {
+        let mut store =
+            ptm_store::SegmentStore::open(&open_path, ptm_store::StoreOptions::default())
+                .expect("create")
+                .store;
+        for period in 0..64 {
+            let wave: Vec<ptm_core::record::TrafficRecord> = (1..=64)
+                .map(|location| {
+                    let volume: u32 = rng.gen_range(2001..10_001);
+                    let size = BitmapSize::for_expected_volume(f64::from(volume), 2.0);
+                    let mut r = ptm_core::record::TrafficRecord::new(
+                        LocationId::new(location),
+                        PeriodId::new(period),
+                        size,
+                    );
+                    for _ in 0..volume {
+                        r.set_reported_index(rng.gen_range(0..size.get()));
+                    }
+                    r
+                })
+                .collect();
+            store.append_all(&wave).expect("append");
+        }
+        store.checkpoint().expect("checkpoint");
+        assert_eq!(store.segment_count(), 2, "a sealed and an active segment");
+    }
+    group.bench_function("open_4096_records", |b| {
+        b.iter(|| {
+            ptm_store::SegmentStore::open(&open_path, ptm_store::StoreOptions::default())
+                .expect("open")
+                .records
+                .len()
+        })
+    });
+    let _ = std::fs::remove_dir_all(&open_path);
     group.finish();
 
     let mut group = c.benchmark_group("wire");

@@ -11,7 +11,7 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
-use crate::scanner::TokenKind;
+use crate::scanner::{Token, TokenKind};
 use crate::syntax::{self, FnItem};
 use crate::workspace::Workspace;
 
@@ -36,6 +36,9 @@ pub struct CallSite {
     /// Whether the call is exactly `self.name(...)` — the receiver is the
     /// caller's own type, so resolution can filter to its impl block.
     pub self_receiver: bool,
+    /// Whether the receiver is a macro invocation's result
+    /// (`histogram!(..).record(v)`), which resolves to no workspace fn.
+    pub macro_receiver: bool,
     /// 1-based source line of the call.
     pub line: u32,
     /// Token index of the name in the file's token stream.
@@ -151,7 +154,8 @@ impl CallGraph {
 }
 
 /// Extracts call sites from `f`'s body, skipping nested fns, macros, and
-/// the bodies of `spawn(...)` closures (those run on another thread).
+/// the bodies of `spawn(...)` and `spawn_scoped(...)` closures (those run
+/// on another thread).
 fn extract_calls(ws: &Workspace, all: &[FnItem], f: &FnItem) -> Vec<CallSite> {
     let toks = &ws.files[f.file].tokens;
     let mut skip = syntax::nested_spans(all, f);
@@ -180,6 +184,7 @@ fn extract_calls(ws: &Workspace, all: &[FnItem], f: &FnItem) -> Vec<CallSite> {
                 && i >= 2
                 && toks[i - 2].is_ident("self")
                 && (i < 4 || !toks[i - 3].is_punct('.'));
+            let macro_receiver = is_method && i >= 2 && closes_macro_args(toks, i - 2);
             let qualifier =
                 if !is_method && i >= 2 && toks[i - 1].is_punct(':') && toks[i - 2].is_punct(':') {
                     i.checked_sub(3)
@@ -198,6 +203,7 @@ fn extract_calls(ws: &Workspace, all: &[FnItem], f: &FnItem) -> Vec<CallSite> {
                     qualifier,
                     is_method,
                     self_receiver,
+                    macro_receiver,
                     line: t.line,
                     token: i,
                 });
@@ -206,6 +212,26 @@ fn extract_calls(ws: &Workspace, all: &[FnItem], f: &FnItem) -> Vec<CallSite> {
         i += 1;
     }
     out
+}
+
+/// Whether the `)` at `close` ends a macro invocation's arguments, as in
+/// `histogram!(..)`.
+fn closes_macro_args(toks: &[Token], close: usize) -> bool {
+    if !toks[close].is_punct(')') {
+        return false;
+    }
+    let mut depth = 0i32;
+    for k in (0..=close).rev() {
+        if toks[k].is_punct(')') {
+            depth += 1;
+        } else if toks[k].is_punct('(') {
+            depth -= 1;
+            if depth == 0 {
+                return k >= 2 && toks[k - 1].is_punct('!') && toks[k - 2].kind == TokenKind::Ident;
+            }
+        }
+    }
+    false
 }
 
 /// Resolves a call site to candidate fn ids.
@@ -217,6 +243,8 @@ fn extract_calls(ws: &Workspace, all: &[FnItem], f: &FnItem) -> Vec<CallSite> {
 ///   impl type;
 /// - `crate::name` / `self::name` / `super::name` → free fns and methods
 ///   in the caller's crate;
+/// - a method called on a macro's result (`counter!(..).inc()`) → nothing:
+///   std's and ptm-obs's macros never return a server-crate type;
 /// - other method calls `x.name(...)` → every *method* with the name
 ///   (union — receiver types are unknown, over-approximation is the safe
 ///   direction for reachability rules). Associated fns without `self`
@@ -252,6 +280,9 @@ fn resolve(
         return type_match;
     }
     if site.is_method {
+        if site.macro_receiver {
+            return Vec::new();
+        }
         if site.self_receiver {
             return filter(candidates, |id| {
                 caller.self_type.is_some() && fns[id].self_type == caller.self_type
@@ -320,6 +351,56 @@ mod tests {
         assert_eq!(g.calls[a].len(), 1);
         assert_eq!(g.calls[a][0].name, "sleep");
         assert_eq!(g.calls[a][0].qualifier.as_deref(), Some("thread"));
+    }
+
+    #[test]
+    fn methods_called_on_a_macro_result_resolve_to_nothing() {
+        let g = graph(
+            r#"
+            struct CentralServer;
+            impl CentralServer { fn record(&self) {} }
+            fn a(server: &CentralServer) {
+                histogram!("x", f(1)).record(v);
+                counter!("y").record(1);
+                server.record();
+            }
+            "#,
+        );
+        let a = id(&g, "a");
+        let records: Vec<u32> = g.calls[a]
+            .iter()
+            .filter(|site| site.name == "record")
+            .map(|site| site.line)
+            .collect();
+        assert_eq!(records.len(), 3, "every call site is recorded");
+        let resolved: Vec<(&str, u32)> = g.edges[a]
+            .iter()
+            .map(|&(si, c)| (g.fns[c].name.as_str(), g.calls[a][si].line))
+            .collect();
+        assert_eq!(resolved, [("record", records[2])], "only `server.record()`");
+    }
+
+    #[test]
+    fn spawn_scoped_closures_are_cut_like_spawn() {
+        let g = graph(
+            r#"
+            fn a() {
+                thread::scope(|s| {
+                    thread::Builder::new().spawn_scoped(s, move || elsewhere());
+                    thread::spawn(move || elsewhere());
+                    here();
+                });
+            }
+            fn elsewhere() {}
+            fn here() {}
+            "#,
+        );
+        let a = id(&g, "a");
+        let callees: Vec<&str> = g.edges[a]
+            .iter()
+            .map(|&(_, c)| g.fns[c].name.as_str())
+            .collect();
+        assert_eq!(callees, ["here"], "the closures run on other threads");
     }
 
     #[test]

@@ -129,8 +129,9 @@ pub fn in_spans(spans: &[(usize, usize)], i: usize) -> bool {
     spans.iter().any(|&(a, b)| i >= a && i <= b)
 }
 
-/// Token spans of `spawn(...)` argument groups inside `body`: the closure
-/// handed to `thread::spawn` / `Builder::spawn` runs on a *different*
+/// Token spans of `spawn(...)` and `spawn_scoped(...)` argument groups
+/// inside `body`: the closure handed to `thread::spawn` /
+/// `Builder::spawn` / `Builder::spawn_scoped` runs on a *different*
 /// thread, so calls and lock acquisitions inside it must not be attributed
 /// to the spawning fn (they would fabricate held-across edges and
 /// reactor-reachability that cross a thread boundary).
@@ -139,7 +140,9 @@ pub fn spawn_arg_spans(toks: &[Token], body: (usize, usize)) -> Vec<(usize, usiz
     let (start, end) = body;
     let mut i = start;
     while i < end && i + 1 < toks.len() {
-        if toks[i].is_ident("spawn") && toks[i + 1].is_punct('(') {
+        if (toks[i].is_ident("spawn") || toks[i].is_ident("spawn_scoped"))
+            && toks[i + 1].is_punct('(')
+        {
             let close = matching(toks, i + 1, '(', ')');
             spans.push((i + 1, close));
             i = close + 1;

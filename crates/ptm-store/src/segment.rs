@@ -29,10 +29,14 @@
 //!
 //! [`SegmentStore::open`] reads every segment front to back, once, through
 //! one frame reader (`read_segment`, which also serves
-//! [`SegmentStore::records_for_location`]): every frame's length word is
-//! bounded before anything is allocated, its CRC checked and its payload
-//! decoded. Damage is judged by the manifest. A sealed segment with a short
-//! or bad frame, or with a frame count other than the manifest's, is
+//! [`SegmentStore::records_for_location`]). It runs on two threads: a
+//! checker thread reads the segment in 64 KiB chunks, bounds every frame's
+//! length word before anything is allocated and checks its CRC, while the
+//! calling thread decodes the checked payloads, in file order, one chunk
+//! behind. The first failure in file order wins.
+//!
+//! Damage is judged by the manifest. A sealed segment with a short or bad
+//! frame, or with a frame count other than the manifest's, is
 //! [`StoreError::CorruptFrame`] and is never truncated; so is an active
 //! segment missing any of the frames its last checkpoint recorded. Only
 //! the frames past those get torn-tail recovery: a final frame cut short,
@@ -50,9 +54,12 @@ use ptm_core::record::TrafficRecord;
 use ptm_core::LocationId;
 use std::collections::BTreeSet;
 use std::fs::{File, OpenOptions};
-use std::io::{BufReader, Read, Write};
+use std::io::{Read, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::Arc;
+use std::thread;
 
 const MAGIC: [u8; 4] = *b"PTMS";
 const VERSION: u16 = 3;
@@ -60,8 +67,11 @@ const HEADER_LEN: u64 = 8;
 /// A frame's `len u32 | crc32 u32` prefix.
 const FRAME_HEADER_LEN: usize = 8;
 const MAX_PAYLOAD: u32 = 32 * 1024 * 1024;
-/// The frame reader's buffer: one sequential read per 64 KiB of segment.
-const READ_BUFFER: usize = 64 * 1024;
+/// The frame reader reads and checks a segment this many bytes at a time.
+const CHUNK: usize = 64 * 1024;
+/// Chunk buffers in circulation: the one the checker fills, the one the
+/// calling thread decodes, and one queued between them.
+const CHUNK_BUFFERS: usize = 3;
 /// Open progress cadence: one structured event per this many records.
 const REPLAY_PROGRESS_EVERY: u64 = 4096;
 
@@ -271,29 +281,17 @@ impl ActiveSegment {
     }
 }
 
-/// How much of a buffer [`read_exact_or_eof`] filled.
-enum ReadOutcome {
-    Full,
-    Partial,
-    Eof,
-}
-
-/// `read_exact` that tells a clean EOF (nothing read) from a torn one
-/// (some bytes, then EOF).
-fn read_exact_or_eof<R: Read>(reader: &mut R, buf: &mut [u8]) -> Result<ReadOutcome, StoreError> {
+/// Reads into `buf` until it is full or the file ends. Returns the bytes
+/// read and whether the file ended.
+fn fill<R: Read>(file: &mut R, buf: &mut [u8]) -> Result<(usize, bool), StoreError> {
     let mut filled = 0usize;
     while filled < buf.len() {
-        let n = reader.read(&mut buf[filled..])?;
-        if n == 0 {
-            return Ok(if filled == 0 {
-                ReadOutcome::Eof
-            } else {
-                ReadOutcome::Partial
-            });
+        match file.read(&mut buf[filled..])? {
+            0 => return Ok((filled, true)),
+            n => filled += n,
         }
-        filled += n;
     }
-    Ok(ReadOutcome::Full)
+    Ok((filled, false))
 }
 
 /// What one [`read_segment`] pass found.
@@ -330,16 +328,27 @@ impl Pass {
     }
 }
 
+/// A chunk buffer, and the range of it that holds checked frames.
+type CheckedChunk = (Vec<u8>, Range<usize>);
+
 /// The one frame reader: reads the segment file at `path` front to back,
-/// up to `limit` bytes, through one buffered reader and one frame buffer
-/// reused across frames. A file shorter than its header holds no frame
-/// (its bytes are torn); a header with the wrong magic or version is
-/// [`StoreError::BadHeader`]. Each frame's length word is bounded by
-/// `MAX_PAYLOAD` before the buffer grows, its CRC is checked, and `visit`
-/// gets its payload. A final frame cut short, or failing its CRC with
-/// nothing after it, ends the pass as torn (the caller decides what that
-/// means); a CRC failure with bytes after it is media damage,
-/// [`StoreError::CorruptFrame`] at that frame's offset.
+/// up to `limit` bytes, on two threads. A checker thread reads the file
+/// in `CHUNK`-byte buffers and checks it: a file shorter than its header
+/// holds no frame (its bytes are torn), and a header with the wrong magic
+/// or version is [`StoreError::BadHeader`]; each frame's length word is
+/// bounded by `MAX_PAYLOAD` before any buffer grows, and its CRC is
+/// checked. A final frame cut short, or failing its CRC with nothing after
+/// it, ends the pass as torn (the caller decides what that means); a CRC
+/// failure with bytes after it is media damage,
+/// [`StoreError::CorruptFrame`] at that frame's offset. The calling thread
+/// gives `visit` each checked payload, in file order, while the checker
+/// reads and checks the next chunk.
+///
+/// The first failure in file order wins: a `visit` error is returned even
+/// when the checker has found damage further on, and the checker's error
+/// only once every frame before it has been visited. Every buffer is
+/// allocated here, on the calling thread; the checker grows one only for
+/// a frame longer than a chunk.
 fn read_segment(
     path: &Path,
     limit: u64,
@@ -347,19 +356,78 @@ fn read_segment(
 ) -> Result<Pass, StoreError> {
     let file = File::open(path)?;
     let len = file.metadata()?.len().min(limit);
-    let mut reader = BufReader::with_capacity(READ_BUFFER, file.take(len));
-    let mut header = [0u8; HEADER_LEN as usize];
-    if !matches!(
-        read_exact_or_eof(&mut reader, &mut header)?,
-        ReadOutcome::Full
-    ) {
-        return Ok(Pass {
-            frames: 0,
-            end: 0,
-            torn_bytes: len,
-        });
+    let (empty_tx, empty_rx) = mpsc::sync_channel::<Vec<u8>>(CHUNK_BUFFERS);
+    let (full_tx, full_rx) = mpsc::sync_channel::<CheckedChunk>(CHUNK_BUFFERS);
+    for _ in 0..CHUNK_BUFFERS {
+        // The channel has room for every buffer and its receiver is alive.
+        let _ = empty_tx.send(vec![0; CHUNK]);
     }
-    if header[0..4] != MAGIC || le_u16(&header[4..6]) != VERSION {
+    thread::scope(|scope| {
+        let checker = thread::Builder::new()
+            .name("ptm-store-check".into())
+            .spawn_scoped(scope, move || {
+                check_frames(file.take(len), len, &empty_rx, &full_tx)
+            })?;
+        let visited = visit_checked(&full_rx, &empty_tx, &mut visit);
+        // A checker waiting on either channel sees it close and returns.
+        drop((full_rx, empty_tx));
+        let checked = match checker.join() {
+            Ok(checked) => checked,
+            Err(panic) => std::panic::resume_unwind(panic),
+        };
+        visited.and(checked)
+    })
+}
+
+/// The calling thread's half of [`read_segment`]: gives `visit` the
+/// payload of every checked frame, in file order, and hands each emptied
+/// buffer back to the checker. Stops at the first `visit` error.
+fn visit_checked(
+    full: &Receiver<CheckedChunk>,
+    empty: &SyncSender<Vec<u8>>,
+    visit: &mut impl FnMut(&[u8]) -> Result<(), StoreError>,
+) -> Result<(), StoreError> {
+    for (chunk, checked) in full {
+        let mut at = checked.start;
+        while at < checked.end {
+            let payload = at + FRAME_HEADER_LEN;
+            let end = payload + le_u32(&chunk[at..]) as usize;
+            visit(&chunk[payload..end])?;
+            at = end;
+        }
+        // Fails only once the checker has returned; the buffer is then
+        // freed here.
+        let _ = empty.send(chunk);
+    }
+    Ok(())
+}
+
+/// The checker's half of [`read_segment`]: reads `file` (the segment's
+/// `len` bytes) into the buffers `empty` hands it, checks the header and
+/// then each whole frame, and sends every buffer to `full` with the range
+/// of it that holds checked frames. A frame left partial at a buffer's end
+/// is copied to the front of the next one. Returns how the pass ended once
+/// the frames checked before that end have been sent, or early when the
+/// calling thread stopped receiving.
+fn check_frames<R: Read>(
+    mut file: R,
+    len: u64,
+    empty: &Receiver<Vec<u8>>,
+    full: &SyncSender<CheckedChunk>,
+) -> Result<Pass, StoreError> {
+    let no_header = Pass {
+        frames: 0,
+        end: 0,
+        torn_bytes: len,
+    };
+    let Ok(mut buf) = empty.recv() else {
+        return Ok(no_header);
+    };
+    let (mut filled, mut eof) = fill(&mut file, &mut buf)?;
+    if filled < HEADER_LEN as usize {
+        return Ok(no_header);
+    }
+    if buf[0..4] != MAGIC || le_u16(&buf[4..6]) != VERSION {
         return Err(StoreError::BadHeader);
     }
     let mut pass = Pass {
@@ -367,36 +435,74 @@ fn read_segment(
         end: HEADER_LEN,
         torn_bytes: 0,
     };
-    let mut frame = Vec::new();
+    let (mut start, mut pos) = (HEADER_LEN as usize, HEADER_LEN as usize);
     loop {
-        frame.resize(FRAME_HEADER_LEN, 0);
-        match read_exact_or_eof(&mut reader, &mut frame)? {
-            ReadOutcome::Eof => return Ok(pass),
-            ReadOutcome::Partial => break,
-            ReadOutcome::Full => {}
+        let mut ended = check_buffered(&buf[..filled], &mut pos, &mut pass, len);
+        if ended.is_none() && eof {
+            let torn_bytes = if pos == filled { 0 } else { len - pass.end };
+            ended = Some(Ok(Pass { torn_bytes, ..pass }));
         }
-        let payload_len = le_u32(&frame[0..4]);
-        if payload_len > MAX_PAYLOAD {
-            return Err(StoreError::CorruptFrame { offset: pass.end });
+        if let Some(ended) = ended {
+            let _ = full.send((buf, start..pos));
+            return ended;
         }
-        frame.resize(FRAME_HEADER_LEN + payload_len as usize, 0);
-        match read_exact_or_eof(&mut reader, &mut frame[FRAME_HEADER_LEN..])? {
-            ReadOutcome::Full => {}
-            ReadOutcome::Eof | ReadOutcome::Partial => break,
-        }
-        let frame_end = pass.end + frame.len() as u64;
-        if crc32(&frame[FRAME_HEADER_LEN..]) != le_u32(&frame[4..8]) {
-            if frame_end < len {
-                return Err(StoreError::CorruptFrame { offset: pass.end });
+        // The frame at `pos` continues past this buffer: move what there
+        // is of it to the front of the next buffer, grown first when the
+        // frame is longer than a chunk (its length word is bounded).
+        let Ok(mut next) = empty.recv() else {
+            return Ok(pass);
+        };
+        let tail = filled - pos;
+        if tail >= FRAME_HEADER_LEN {
+            let frame_len = FRAME_HEADER_LEN + le_u32(&buf[pos..]) as usize;
+            if next.len() < frame_len {
+                next.resize(frame_len, 0);
             }
-            break;
         }
-        visit(&frame[FRAME_HEADER_LEN..])?;
+        next[..tail].copy_from_slice(&buf[pos..filled]);
+        if full.send((buf, start..pos)).is_err() {
+            return Ok(pass);
+        }
+        (buf, start, pos) = (next, 0, 0);
+        let (read, at_eof) = fill(&mut file, &mut buf[tail..])?;
+        (filled, eof) = (tail + read, at_eof);
+    }
+}
+
+/// Checks the whole frames in `bytes` from `*pos` on, moving `*pos` and
+/// `pass` past each one that passes. Returns how the pass ends when a
+/// frame there ends it: a length word over `MAX_PAYLOAD`, or a CRC failure
+/// with bytes after the frame, is [`StoreError::CorruptFrame`] at its
+/// offset; a CRC failure that ends the segment is a torn tail. Returns
+/// `None` when the bytes run out first.
+fn check_buffered(
+    bytes: &[u8],
+    pos: &mut usize,
+    pass: &mut Pass,
+    len: u64,
+) -> Option<Result<Pass, StoreError>> {
+    while let Some(header) = bytes.get(*pos..*pos + FRAME_HEADER_LEN) {
+        let payload_len = le_u32(header);
+        if payload_len > MAX_PAYLOAD {
+            return Some(Err(StoreError::CorruptFrame { offset: pass.end }));
+        }
+        let frame_len = FRAME_HEADER_LEN + payload_len as usize;
+        let payload = bytes.get(*pos + FRAME_HEADER_LEN..*pos + frame_len)?;
+        let frame_end = pass.end + frame_len as u64;
+        if crc32(payload) != le_u32(&header[4..]) {
+            if frame_end < len {
+                return Some(Err(StoreError::CorruptFrame { offset: pass.end }));
+            }
+            return Some(Ok(Pass {
+                torn_bytes: len - pass.end,
+                ..*pass
+            }));
+        }
+        *pos += frame_len;
         pass.frames += 1;
         pass.end = frame_end;
     }
-    pass.torn_bytes = len - pass.end;
-    Ok(pass)
+    None
 }
 
 /// Refuses a store directory that has no manifest but holds a segment file
@@ -1663,6 +1769,248 @@ mod tests {
         let wrong = crc32(&encode_record(&record)) ^ 1;
         std::fs::remove_dir_all(&dir).ok();
         let _ = store.append_all_with_crc([(&record, wrong)]);
+    }
+
+    // --- the pipelined reader: frames across chunk boundaries -----------
+
+    /// `record`'s frame length in a segment.
+    fn frame_len(record: &TrafficRecord) -> usize {
+        FRAME_HEADER_LEN + encode_record(record).len()
+    }
+
+    /// Records of `location`, numbered on from `*period`, whose frames take
+    /// exactly `gap` bytes (at least 812): 540-byte frames (m = 4096), then
+    /// 29- and 30-byte ones (m = 1 and m = 16).
+    fn filler(location: u64, period: &mut u32, gap: usize) -> Vec<TrafficRecord> {
+        let mut sizes = Vec::new();
+        let mut left = gap;
+        while left >= 540 + 812 {
+            sizes.push(4096);
+            left -= 540;
+        }
+        let (frames, thirties) = (left / 29, left % 29);
+        assert!(frames >= thirties, "a gap of {gap} bytes is too small");
+        sizes.extend(std::iter::repeat_n(1, frames - thirties));
+        sizes.extend(std::iter::repeat_n(16, thirties));
+        let records: Vec<TrafficRecord> = sizes
+            .into_iter()
+            .map(|m| {
+                *period += 1;
+                fixed_record(location, *period - 1, m)
+            })
+            .collect();
+        assert_eq!(records.iter().map(frame_len).sum::<usize>(), gap);
+        records
+    }
+
+    /// Appends `records` in one commit to a fresh store that rotates after
+    /// it, so segment 0 is sealed with all of them; returns the store.
+    fn sealed_segment(name: &str, records: &[TrafficRecord]) -> (PathBuf, SegmentStore) {
+        let dir = temp_dir(name);
+        let mut store = SegmentStore::open(&dir, small_rotate_opts(1))
+            .expect("open")
+            .store;
+        store.append_all(records).expect("append");
+        assert_eq!(store.sealed_count(), 1);
+        (dir, store)
+    }
+
+    #[test]
+    fn frames_split_by_a_chunk_boundary_at_every_offset_read_back_bit_exact() {
+        let dir = temp_dir("chunk-splits");
+        // Every commit passes `CHUNK` bytes and rotates: one sealed segment
+        // per split, segment `split` holding location `split + 1`.
+        let mut store = SegmentStore::open(&dir, small_rotate_opts(CHUNK as u64))
+            .expect("open")
+            .store;
+        let splits = 0..=FRAME_HEADER_LEN + 1;
+        let mut written = Vec::new();
+        for split in splits.clone() {
+            // The frame after the filler starts `split` bytes before the
+            // first chunk boundary: 0 puts it on the boundary, 1..=3 split
+            // its length word, 5..=7 its CRC, 9 its payload.
+            let location = split as u64 + 1;
+            let mut period = 0;
+            let mut segment = filler(location, &mut period, CHUNK - split - HEADER_LEN as usize);
+            segment.extend(
+                [4096, 1, 16]
+                    .into_iter()
+                    .zip(period..)
+                    .map(|(m, period)| fixed_record(location, period, m)),
+            );
+            store.append_all(&segment).expect("append");
+            written.push(segment);
+        }
+        assert_eq!(store.sealed_count(), splits.clone().count());
+        for (split, segment) in splits.zip(&written) {
+            let bytes = std::fs::read(dir.join(segment_file_name(split as u64))).expect("read");
+            let straddler = encode_record(&segment[segment.len() - 3]);
+            assert_eq!(
+                le_u32(&bytes[CHUNK - split..]) as usize,
+                straddler.len(),
+                "split {split}: the frame starts where the test put it"
+            );
+            assert!(bytes.len() > CHUNK, "split {split}");
+            let location = LocationId::new(split as u64 + 1);
+            let got = owned(&store.records_for_location(location).expect("read"));
+            assert_eq!(&got, segment, "split {split}");
+        }
+        drop(store);
+        let opened = SegmentStore::open(&dir, StoreOptions::default()).expect("reopen");
+        assert_eq!(owned(&opened.records), written.concat());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn frames_longer_than_a_chunk_read_back_among_small_ones() {
+        let dir = temp_dir("long-frames");
+        let mut records: Vec<TrafficRecord> = (0..40).map(|p| fixed_record(4, p, 4096)).collect();
+        // m = 2^20: 131,092-byte payloads, the first starting mid-chunk, the
+        // second right after it.
+        records.insert(20, fixed_record(5, 0, 1 << 20));
+        records.insert(21, fixed_record(5, 1, 1 << 20));
+        assert!(frame_len(&records[20]) > 2 * CHUNK);
+        let mut store = SegmentStore::open(&dir, StoreOptions::default())
+            .expect("open")
+            .store;
+        store.append_all(&records).expect("append");
+        let long = owned(
+            &store
+                .records_for_location(LocationId::new(5))
+                .expect("read"),
+        );
+        assert_eq!(long, records[20..22]);
+        drop(store);
+        let opened = SegmentStore::open(&dir, StoreOptions::default()).expect("reopen");
+        assert_eq!(opened.torn_bytes, 0);
+        assert_eq!(owned(&opened.records), records);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn torn_tails_at_a_chunk_boundary_are_truncated() {
+        // Frames past the (empty) checkpoint: a torn tail is recovered.
+        let active = |name: &str, records: &[TrafficRecord]| {
+            let dir = temp_dir(name);
+            let mut store = SegmentStore::open(&dir, StoreOptions::default())
+                .expect("open")
+                .store;
+            store.append_all(records).expect("append");
+            (dir.join(segment_file_name(0)), dir)
+        };
+
+        // A final frame that starts 100 bytes before the first chunk
+        // boundary, cut 200 bytes after it.
+        let mut period = 0;
+        let mut records = filler(6, &mut period, CHUNK - 100 - HEADER_LEN as usize);
+        records.push(fixed_record(6, period, 4096));
+        let (segment, dir) = active("torn-across-chunks", &records);
+        let file = OpenOptions::new().write(true).open(&segment).expect("rw");
+        file.set_len(CHUNK as u64 + 200).expect("cut");
+        drop(file);
+        let opened = SegmentStore::open(&dir, StoreOptions::default()).expect("recovers");
+        assert_eq!(opened.torn_bytes, 300);
+        assert_eq!(owned(&opened.records), records[..records.len() - 1]);
+        drop(opened);
+        let len = std::fs::metadata(&segment).expect("meta").len();
+        assert_eq!(len, CHUNK as u64 - 100, "truncated to the last whole frame");
+        std::fs::remove_dir_all(&dir).ok();
+
+        // A final frame that ends exactly at the first chunk's end and
+        // fails its CRC: nothing follows it, so it is torn too.
+        let mut period = 0;
+        let mut records = filler(6, &mut period, CHUNK - 540 - HEADER_LEN as usize);
+        records.push(fixed_record(6, period, 4096));
+        let (segment, dir) = active("crc-bad-at-chunk-end", &records);
+        let mut bytes = std::fs::read(&segment).expect("read");
+        assert_eq!(bytes.len(), CHUNK);
+        bytes[CHUNK - 10] ^= 0x01;
+        std::fs::write(&segment, &bytes).expect("write");
+        let opened = SegmentStore::open(&dir, StoreOptions::default()).expect("recovers");
+        assert_eq!(opened.torn_bytes, 540);
+        assert_eq!(owned(&opened.records), records[..records.len() - 1]);
+        drop(opened);
+        let len = std::fs::metadata(&segment).expect("meta").len();
+        assert_eq!(len, CHUNK as u64 - 540);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn damage_in_a_later_chunk_is_refused_at_its_offset_untouched() {
+        // 500 frames of 540 bytes: a sealed segment a little over four
+        // chunks long, and damage to a frame about 3.5 chunks in.
+        let records: Vec<TrafficRecord> = (0..500).map(|p| fixed_record(7, p, 4096)).collect();
+        let (dir, mut live) = sealed_segment("later-damage", &records);
+        let damaged = 3 * CHUNK / 540 + 60;
+        let offset = HEADER_LEN + (damaged * 540) as u64;
+        let segment = dir.join(segment_file_name(0));
+        let mut bytes = std::fs::read(&segment).expect("read");
+        bytes[offset as usize + 100] ^= 0x01;
+        std::fs::write(&segment, &bytes).expect("write");
+        let before = snapshot(&dir);
+
+        // Every frame before the damage is visited first.
+        let mut visited = 0;
+        let err = read_segment(&segment, u64::MAX, |_| {
+            visited += 1;
+            Ok(())
+        })
+        .expect_err("damaged");
+        assert!(matches!(err, StoreError::CorruptFrame { offset: at } if at == offset));
+        assert_eq!(visited, damaged);
+
+        let err = live
+            .records_for_location(LocationId::new(7))
+            .expect_err("damaged");
+        assert!(matches!(err, StoreError::CorruptFrame { offset: at } if at == offset));
+        drop(live);
+        match SegmentStore::open(&dir, StoreOptions::default()) {
+            Err(StoreError::CorruptFrame { offset: at }) => assert_eq!(at, offset),
+            other => panic!("expected CorruptFrame, got {other:?}"),
+        }
+        assert_eq!(snapshot(&dir), before, "every file left as it was");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_decode_failure_before_later_damage_wins() {
+        let records: Vec<TrafficRecord> = (0..500).map(|p| fixed_record(8, p, 4096)).collect();
+        // The frame that fails `decode_record`, then the frame that fails
+        // its CRC: frames 10 and 300 sit in chunks 1 and 3, so the decoder
+        // stops while the checker is still ahead of it; frames 250 and 260
+        // share chunk 3, so the checker has found the damage before the
+        // decoder reaches the malformed frame.
+        for (malformed, damaged) in [(10, 300), (250, 260)] {
+            let name = format!("decode-first-{malformed}");
+            let (dir, mut live) = sealed_segment(&name, &records);
+            let segment = dir.join(segment_file_name(0));
+            let mut bytes = std::fs::read(&segment).expect("read");
+            // It claims m = 8192 over 512 bitmap bytes and carries the CRC
+            // of what it now says, so it passes the checker.
+            let at = HEADER_LEN as usize + malformed * 540;
+            let payload = at + FRAME_HEADER_LEN..at + 540;
+            bytes[payload.start + 12..payload.start + 20].copy_from_slice(&8192u64.to_le_bytes());
+            let crc = crc32(&bytes[payload]);
+            bytes[at + 4..at + 8].copy_from_slice(&crc.to_le_bytes());
+            let at = HEADER_LEN as usize + damaged * 540;
+            assert!(at > 2 * CHUNK, "{name}: the damage is in chunk 3");
+            bytes[at + 100] ^= 0x01;
+            std::fs::write(&segment, &bytes).expect("write");
+
+            let err = live
+                .records_for_location(LocationId::new(8))
+                .expect_err("malformed");
+            assert!(
+                matches!(err, StoreError::MalformedRecord { .. }),
+                "{name}: {err}"
+            );
+            drop(live);
+            match SegmentStore::open(&dir, StoreOptions::default()) {
+                Err(StoreError::MalformedRecord { .. }) => {}
+                other => panic!("{name}: expected MalformedRecord, got {other:?}"),
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

@@ -57,6 +57,16 @@ timeout 300 cargo test --release --quiet -p ptm-core
 # references (`a_message_tail_crc_derives_from_the_whole_and_its_prefix`),
 # the canonical codec (`decoded_payloads_re_encode_to_the_same_bytes`), and
 # supplied CRCs writing the same frames (`supplied_crcs_write_the_same_frames`).
+# The frame reader's checker thread and its 64 KiB chunks are checked here
+# too: frames split by a chunk boundary at every offset
+# (`frames_split_by_a_chunk_boundary_at_every_offset_read_back_bit_exact`),
+# frames longer than a chunk
+# (`frames_longer_than_a_chunk_read_back_among_small_ones`), torn tails at
+# a boundary (`torn_tails_at_a_chunk_boundary_are_truncated`), damage found
+# chunks ahead of the decoder
+# (`damage_in_a_later_chunk_is_refused_at_its_offset_untouched`) and the
+# first failure in file order winning
+# (`a_decode_failure_in_an_early_chunk_wins_over_later_damage`).
 echo "==> ptm-store tests in release (bounded)"
 cargo test --release --quiet -p ptm-store --no-run
 timeout 300 cargo test --release --quiet -p ptm-store
@@ -156,16 +166,18 @@ wait "$serve_pid"
 # rotation threshold (a sealed segment and an active one), stop the daemon,
 # reopen with tracing on, and require the reopened daemon to answer a query
 # exactly as the live one did, after an open that read each segment file
-# once.
+# once. The records are 8 KiB (m = 65,536 bits) and segments rotate at
+# 64 KiB, so the sealed segment spans two of the frame reader's 64 KiB
+# chunks with a frame across the boundary between them.
 echo "==> cold-start smoke (one-pass reopen)"
 rm -f out/trace-coldstart.jsonl
 rm -rf out/coldstart.ptma
 query=("$ptm" query --addr 127.0.0.1:17172 --kind point --location 7 --periods 12 --quiet)
 "$ptm" serve --archive out/coldstart.ptma --addr 127.0.0.1:17172 \
-    --rotate-bytes 1024 --duration-secs 4 --quiet &
+    --rotate-bytes 65536 --duration-secs 4 --quiet &
 serve_pid=$!
 "$ptm" upload --addr 127.0.0.1:17172 --location 7 --periods 12 \
-    --vehicles 400 --persistent 100 --quiet
+    --vehicles 20000 --persistent 100 --quiet
 live_answer="$("${query[@]}")"
 # The health probe (one Ping, no retries) must pass against the live
 # daemon and fail once it has stopped.
@@ -176,6 +188,11 @@ if "$ptm" serve --health --addr 127.0.0.1:17172; then
     exit 1
 fi
 segments=$(find out/coldstart.ptma -name 'seg-*.ptms' | wc -l)
+largest=$(find out/coldstart.ptma -name 'seg-*.ptms' -printf '%s\n' | sort -n | tail -n 1)
+if [ "$largest" -le 65536 ]; then
+    echo "ci: no segment passed one 64 KiB chunk (largest $largest bytes)" >&2
+    exit 1
+fi
 # The reopen reads every segment front to back, once, and loads the records
 # into the query engine before it answers from memory.
 "$ptm" serve --archive out/coldstart.ptma --addr 127.0.0.1:17172 \
